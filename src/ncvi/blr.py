@@ -12,13 +12,14 @@ The hierarchical variant shares a Gaussian prior across tasks and refits its
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import engine, numerics, optimize
+from . import engine, numerics
 from .model import (
     ConjugateVariational,
     ExpectedStats,
@@ -67,6 +68,8 @@ class HierPrior:
     nu: float
     phi0: np.ndarray
     phi1: np.ndarray
+    phi0_inv: np.ndarray = field(init=False, repr=False, compare=False)
+    phi1_inv: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         phi0 = np.asarray(self.phi0, dtype=float)
@@ -76,8 +79,13 @@ class HierPrior:
         p = phi0.shape[0]
         if self.nu <= p - 1:
             raise ValueError(f"Wishart degrees of freedom must exceed {p - 1}")
-        object.__setattr__(self, "phi0", phi0)
-        object.__setattr__(self, "phi1", phi1)
+        for name, m in (("phi0", phi0), ("phi1", phi1)):
+            try:
+                inv = numerics.spd_factorize(m).inverse()
+            except numerics.NotPositiveDefiniteError:
+                raise ValueError(f"{name} must be positive definite") from None
+            object.__setattr__(self, name, m)
+            object.__setattr__(self, name + "_inv", inv)
 
     @staticmethod
     def default(dim: int, nu_offset: float = 100.0, phi0_scale: float = 0.01,
@@ -147,37 +155,21 @@ class BlrModel(ModelContract):
 def fit(
     instances: list[LabeledInstance],
     prior: BlrPrior | None = None,
-    method: str = "laplace",
+    method: str | None = None,
     cfg: engine.InferenceConfig | None = None,
-    opt: optimize.OptimizerConfig | None = None,
     diag=None,
 ) -> GaussianVariational:
     """Fit q(theta) with one curvature update; no conjugate alternation.
 
-    Starts from N(0, I) as in the study protocol.
+    Starts from N(0, I) as in the study protocol.  The update is `method`
+    when given, else cfg.method.
     """
-    cfg = cfg or engine.InferenceConfig(method=method)
-    if cfg.method != method and method is not None:
-        cfg = engine.InferenceConfig(
-            method=method,
-            conv_tol=cfg.conv_tol,
-            max_outer_iters=cfg.max_outer_iters,
-            jitter_init=cfg.jitter_init,
-            jitter_max=cfg.jitter_max,
-            delta_inner_rounds=cfg.delta_inner_rounds,
-        )
+    cfg = cfg or engine.InferenceConfig()
+    if method is not None:
+        cfg = dataclasses.replace(cfg, method=method)
     model = BlrModel(instances, prior or BlrPrior.standard(instances[0].covariates.shape[0]))
-    stats = model.expected_stats()
     init = GaussianVariational(np.zeros(model.dim), np.eye(model.dim))
-    if cfg.method == "laplace":
-        return engine.laplace_step(
-            model, stats, init.mu, opt,
-            jitter_init=cfg.jitter_init, jitter_max=cfg.jitter_max, diag=diag,
-        )
-    return engine.delta_step(
-        model, stats, init, opt, cfg.delta_inner_rounds,
-        jitter_init=cfg.jitter_init, jitter_max=cfg.jitter_max, diag=diag,
-    )
+    return engine._refit_q_theta(model, model.expected_stats(), init, cfg.method, diag)
 
 
 def predict_loglik(q_theta: GaussianVariational, instance: LabeledInstance) -> float:
@@ -212,16 +204,15 @@ def hyper_update(
             f"nonpositive scatter denominator {denom:g}; increase nu or add tasks"
         )
     current_mean = np.asarray(current_mean, dtype=float)
-    scatter = numerics.spd_factorize(hier.phi0).inverse()
+    scatter = hier.phi0_inv
     for q in task_posteriors:
         dev = q.mu - current_mean
         scatter = scatter + np.outer(dev, dev)
     sigma0 = scatter / denom
     sigma0 = 0.5 * (sigma0 + sigma0.T)
 
-    phi1_inv = numerics.spd_factorize(hier.phi1).inverse()
     mean_of_means = np.mean([q.mu for q in task_posteriors], axis=0)
-    shrink = sigma0 @ phi1_inv / m + np.eye(p)
+    shrink = sigma0 @ hier.phi1_inv / m + np.eye(p)
     mu0 = np.linalg.solve(shrink, mean_of_means)
     return mu0, sigma0
 
@@ -238,10 +229,8 @@ class HblrFit:
 def fit_hierarchical(
     tasks: list[list[LabeledInstance]],
     hier: HierPrior | None = None,
-    method: str = "laplace",
     cfg: engine.InferenceConfig | None = None,
     em_iters: int = 20,
-    opt: optimize.OptimizerConfig | None = None,
     threads: int = 1,
     update_hyper: bool = True,
 ) -> HblrFit:
@@ -253,9 +242,11 @@ def fit_hierarchical(
     """
     if not tasks or any(not t for t in tasks):
         raise ValueError("every task needs at least one instance")
+    if em_iters < 1:
+        raise ValueError("em_iters must be at least 1")
     dim = tasks[0][0].covariates.shape[0]
     hier = hier or HierPrior.default(dim)
-    cfg = cfg or engine.InferenceConfig(method=method)
+    cfg = cfg or engine.InferenceConfig()
     mu0 = np.zeros(dim)
     sigma0 = np.eye(dim)
     trace = engine.InferenceTrace()
@@ -267,7 +258,7 @@ def fit_hierarchical(
         prior = BlrPrior(mu0.copy(), sigma0.copy())
 
         def fit_one(instances):
-            return fit(instances, prior, method, cfg, opt)
+            return fit(instances, prior, cfg=cfg)
 
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:

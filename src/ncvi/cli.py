@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +18,7 @@ import numpy as np
 from . import blr, ctm, dataio, engine, evaluate, unigram
 from .model import GaussianVariational
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main"]
 
 
 class CliInputError(ValueError):
@@ -32,38 +31,18 @@ class _Parser(argparse.ArgumentParser):
         raise CliInputError(message)
 
 
-@dataclass
-class RunConfig:
-    model: str
-    method: str = "laplace"
-    num_topics: int | None = None
-    em_iters: int = 20
-    conv_tol: float = 1e-4
-    seed: int = 0
-    threads: int = 1
-    nu_offset: float = 100.0
-    phi0_scale: float = 0.01
-    phi1_scale: float = 0.01
+def _inference(args) -> engine.InferenceConfig:
+    return engine.InferenceConfig(method=args.method, conv_tol=args.conv_tol)
 
-    def __post_init__(self):
-        if self.model not in ("unigram", "ctm", "blr", "hblr"):
-            raise CliInputError(f"unknown model {self.model!r}")
-        if self.method not in ("laplace", "delta"):
-            raise CliInputError(f"unknown method {self.method!r}")
-        if self.conv_tol <= 0.0:
-            raise CliInputError("conv-tol must be positive")
-        if self.em_iters < 1:
-            raise CliInputError("em-iters must be at least 1")
-        if self.threads < 1:
-            raise CliInputError("threads must be at least 1")
-        if self.model == "ctm" and self.num_topics is not None and self.num_topics < 1:
-            raise CliInputError("k must be at least 1")
-        if self.model == "hblr":
-            if self.phi0_scale <= 0.0 or self.phi1_scale <= 0.0:
-                raise CliInputError("phi0 and phi1 scales must be positive")
 
-    def inference(self) -> engine.InferenceConfig:
-        return engine.InferenceConfig(method=self.method, conv_tol=self.conv_tol)
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _single_record_trace(objective: float, mean_change: float, seconds: float) -> engine.InferenceTrace:
@@ -74,16 +53,13 @@ def _single_record_trace(objective: float, mean_change: float, seconds: float) -
 
 
 def _cmd_fit_ctm(args) -> int:
-    cfg = RunConfig(
-        model="ctm", method=args.method, num_topics=args.k, em_iters=args.em_iters,
-        conv_tol=args.conv_tol, seed=args.seed, threads=args.threads,
-    )
+    cfg = _inference(args)
     docs, vocab = dataio.parse_corpus(
         args.corpus, warn=lambda m: print(m, file=sys.stderr)
     )
     fit = ctm.em_fit(
-        docs, vocab, args.k, cfg.inference(), em_iters=cfg.em_iters,
-        seed=cfg.seed, threads=cfg.threads,
+        docs, vocab, args.k, cfg, em_iters=args.em_iters,
+        seed=args.seed, threads=args.threads,
     )
     dataio.save_ctm_params(fit.params, args.out)
     fit.trace.to_csv(str(args.out) + ".trace.csv")
@@ -91,10 +67,7 @@ def _cmd_fit_ctm(args) -> int:
 
 
 def _cmd_eval_ctm(args) -> int:
-    cfg = RunConfig(
-        model="ctm", method=args.method, conv_tol=args.conv_tol,
-        seed=args.seed, threads=args.threads,
-    )
+    cfg = _inference(args)
     params = dataio.load_ctm_params(args.model)
     docs, vocab = dataio.parse_corpus(args.corpus)
     if vocab != params.vocab_size:
@@ -103,9 +76,9 @@ def _cmd_eval_ctm(args) -> int:
         )
     start = time.perf_counter()
     report = evaluate.heldout_corpus(
-        params, docs, cfg.inference(), seed=cfg.seed, threads=cfg.threads
+        params, docs, cfg, seed=args.seed, threads=args.threads
     )
-    dataio.write_metrics_csv(report, args.out, extra_summary={"split_seed": cfg.seed})
+    dataio.write_metrics_csv(report, args.out, extra_summary={"split_seed": args.seed})
     trace = engine.InferenceTrace()
     for i, value in enumerate(report.values, start=1):
         trace.append(engine.TraceRecord(i, value, 0.0, time.perf_counter() - start))
@@ -115,12 +88,12 @@ def _cmd_eval_ctm(args) -> int:
 
 
 def _cmd_fit_blr(args) -> int:
-    cfg = RunConfig(model="blr", method=args.method, conv_tol=args.conv_tol)
+    cfg = _inference(args)
     instances, dim = dataio.parse_labeled(args.data)
     if not instances:
         raise CliInputError(f"{args.data}: no instances")
     start = time.perf_counter()
-    q = blr.fit(instances, blr.BlrPrior.standard(dim), cfg.method, cfg.inference())
+    q = blr.fit(instances, blr.BlrPrior.standard(dim), cfg=cfg)
     model = blr.BlrModel(instances, blr.BlrPrior.standard(dim))
     objective = engine.approx_objective(model, q, None, q.mu)
     dataio.save_posterior(q, args.out)
@@ -132,11 +105,7 @@ def _cmd_fit_blr(args) -> int:
 
 
 def _cmd_fit_hblr(args) -> int:
-    cfg = RunConfig(
-        model="hblr", method=args.method, em_iters=args.em_iters,
-        conv_tol=args.conv_tol, threads=args.threads, nu_offset=args.nu_offset,
-        phi0_scale=args.phi0, phi1_scale=args.phi1,
-    )
+    cfg = _inference(args)
     task_dir = Path(args.tasks)
     if not task_dir.is_dir():
         raise CliInputError(f"{args.tasks} is not a directory")
@@ -155,12 +124,10 @@ def _cmd_fit_hblr(args) -> int:
             raise CliInputError(f"{path}: dimension {p} differs from {dim}")
         tasks.append(instances)
     hier = blr.HierPrior.default(
-        dim, nu_offset=cfg.nu_offset, phi0_scale=cfg.phi0_scale,
-        phi1_scale=cfg.phi1_scale,
+        dim, nu_offset=args.nu_offset, phi0_scale=args.phi0, phi1_scale=args.phi1,
     )
     result = blr.fit_hierarchical(
-        tasks, hier, cfg.method, cfg.inference(), em_iters=cfg.em_iters,
-        threads=cfg.threads,
+        tasks, hier, cfg=cfg, em_iters=args.em_iters, threads=args.threads,
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -193,13 +160,13 @@ def _cmd_eval_blr(args) -> int:
 
 
 def _cmd_infer_unigram(args) -> int:
-    cfg = RunConfig(model="unigram", method=args.method, conv_tol=args.conv_tol)
+    cfg = _inference(args)
     docs, vocab = dataio.parse_corpus(
         args.corpus, warn=lambda m: print(m, file=sys.stderr)
     )
     if not docs:
         raise CliInputError(f"{args.corpus}: no documents")
-    q_theta, q_z, trace = unigram.infer(docs, vocab, cfg.inference())
+    q_theta, q_z, trace = unigram.infer(docs, vocab, cfg)
     var = np.diag(q_theta.sigma)
     with open(args.out, "w") as handle:
         handle.write("term,posterior_mean,posterior_var\n")
@@ -215,7 +182,7 @@ def _add_common(sub, *, method=True, conv_tol=True, threads=False, seed=None):
     if conv_tol:
         sub.add_argument("--conv-tol", type=float, default=1e-4)
     if threads:
-        sub.add_argument("--threads", type=int, default=1)
+        sub.add_argument("--threads", type=_positive_int, default=1)
     if seed is not None:
         sub.add_argument("--seed", type=int, default=seed)
 

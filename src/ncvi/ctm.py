@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import engine, numerics, optimize
+from . import engine, numerics
 from .model import (
     ConjugateVariational,
     Document,
@@ -113,7 +113,6 @@ class CtmDocModel(ModelContract):
             self._log_beta = np.log(cols)
         prior = prior or _PriorTerms(params.prior_cov)
         self._prior_inv = prior.inv
-        self._prior_log_det = prior.log_det
 
     @property
     def dim(self) -> int:
@@ -126,10 +125,6 @@ class CtmDocModel(ModelContract):
     @property
     def term_counts(self) -> np.ndarray:
         return self._term_counts
-
-    @property
-    def prior_log_det(self) -> float:
-        return self._prior_log_det
 
     def f_value_grad(self, theta, stats: ExpectedStats):
         theta = np.asarray(theta, dtype=float)
@@ -202,7 +197,6 @@ def infer_doc(
     params: CtmParams,
     doc: Document,
     cfg: engine.InferenceConfig | None = None,
-    opt: optimize.OptimizerConfig | None = None,
     prior: _PriorTerms | None = None,
     diag=None,
 ) -> tuple[CtmDocState, engine.InferenceTrace]:
@@ -226,7 +220,7 @@ def infer_doc(
     q0 = GaussianVariational(np.zeros(k), np.eye(k))
     qz0 = model.conjugate_update(q0)
     q_theta, q_z, trace = engine.run_coordinate_ascent(
-        model, None, q0, qz0, cfg, opt, diag
+        model, None, q0, qz0, cfg, diag
     )
     objective = trace.records[-1].objective if trace.records else 0.0
     state = CtmDocState(
@@ -246,17 +240,17 @@ class CtmFit:
     params: CtmParams
     trace: engine.InferenceTrace
     bounds: list[float] = field(default_factory=list)
-    monitor_sums: list[float] = field(default_factory=list)
     word_count: int = 0
     doc_states: list[CtmDocState] = field(default_factory=list)
 
 
-def _doc_bound_terms(model: CtmDocModel, state: CtmDocState, q_z: ConjugateVariational) -> float:
+def _doc_bound(state: CtmDocState, prior: _PriorTerms) -> float:
     # Completes the per-document monitor into a data-bound contribution:
     # adds the prior and entropy constants the monitor drops.  An empty
     # document contributes zero.
-    k = model.dim
-    return state.objective - 0.5 * model.prior_log_det + 0.5 * k
+    if state.term_ids.size == 0:
+        return 0.0
+    return state.objective - 0.5 * prior.log_det + 0.5 * state.q_theta.dim
 
 
 def em_fit(
@@ -266,14 +260,12 @@ def em_fit(
     cfg: engine.InferenceConfig | None = None,
     em_iters: int = 20,
     seed: int = 0,
-    opt: optimize.OptimizerConfig | None = None,
     threads: int = 1,
 ) -> CtmFit:
     """Variational EM: per-document inference, then topic and prior refits.
 
     Topics are seeded from symmetric Dirichlet draws.  The reported objective
-    per EM iteration is the approximate data bound summed over documents; the
-    plain per-document monitor sum is kept alongside it.
+    per EM iteration is the approximate data bound summed over documents.
     """
     if not documents:
         raise ValueError("cannot fit a topic model to an empty corpus")
@@ -304,44 +296,30 @@ def em_fit(
     )
     start = time.perf_counter()
 
-    def infer_one(doc):
-        model = CtmDocModel(params, doc, prior)
-        if model.term_ids.size == 0:
-            q = GaussianVariational(params.prior_mean.copy(), params.prior_cov.copy())
-            state = CtmDocState(q, np.zeros((0, num_topics)), model.term_ids,
-                                model.term_counts, 0.0)
-            return model, state, 0.0
-        q0 = GaussianVariational(np.zeros(num_topics), np.eye(num_topics))
-        qz0 = model.conjugate_update(q0)
-        q_theta, q_z, trace = engine.run_coordinate_ascent(model, None, q0, qz0, cfg, opt)
-        objective = trace.records[-1].objective if trace.records else 0.0
-        state = CtmDocState(q_theta, np.asarray(q_z.phi, dtype=float),
-                            model.term_ids, model.term_counts, objective)
-        bound = _doc_bound_terms(model, state, q_z)
-        return model, state, bound
-
     for it in range(1, em_iters + 1):
         params = CtmParams(topics, mu0, sigma0)
         prior = _PriorTerms(params.prior_cov)
 
+        def infer(doc):
+            return infer_doc(params, doc, cfg, prior)[0]
+
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(infer_one, documents))
+                states = list(pool.map(infer, documents))
         else:
-            results = [infer_one(doc) for doc in documents]
+            states = [infer(doc) for doc in documents]
 
-        monitor_sum = sum(state.objective for _, state, _ in results)
-        bound = sum(b for _, _, b in results)
+        bound = sum(_doc_bound(state, prior) for state in states)
 
         beta_acc = np.zeros((num_topics, vocab_size))
         means = np.zeros((len(documents), num_topics))
         cov_acc = np.zeros((num_topics, num_topics))
-        for d, (_, state, _) in enumerate(results):
+        for d, state in enumerate(states):
             means[d] = state.q_theta.mu
             if state.phi.size:
                 beta_acc[:, state.term_ids] += (state.phi * state.term_counts[:, None]).T
         new_mu0 = means.mean(axis=0)
-        for d, (_, state, _) in enumerate(results):
+        for d, state in enumerate(states):
             dev = means[d] - new_mu0
             cov_acc += state.q_theta.sigma + np.outer(dev, dev)
         new_sigma0 = cov_acc / len(documents) + _COV_RIDGE * np.eye(num_topics)
@@ -352,11 +330,10 @@ def em_fit(
         mu0, sigma0 = new_mu0, new_sigma0
 
         fit.bounds.append(bound)
-        fit.monitor_sums.append(monitor_sum)
         fit.trace.append(
             engine.TraceRecord(it, bound, mean_change, time.perf_counter() - start)
         )
-        fit.doc_states = [state for _, state, _ in results]
+        fit.doc_states = states
 
     fit.params = CtmParams(topics, mu0, sigma0)
     return fit

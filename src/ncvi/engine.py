@@ -29,13 +29,16 @@ __all__ = [
     "NonConcaveError",
     "laplace_step",
     "delta_step",
-    "conjugate_step",
     "eta_taylor_expectation",
     "approx_objective",
     "run_coordinate_ascent",
 ]
 
 _DELTA_INNER_TOL = 1e-8
+_DELTA_INNER_ROUNDS = 10
+# diagonal jitter for an indefinite -Hessian: starts here, doubles up to the cap
+_JITTER_INIT = 1e-6
+_JITTER_MAX = 1e-2
 
 
 @dataclass(frozen=True)
@@ -43,9 +46,6 @@ class InferenceConfig:
     method: str = "laplace"
     conv_tol: float = 1e-4
     max_outer_iters: int = 100
-    jitter_init: float = 1e-6
-    jitter_max: float = 1e-2
-    delta_inner_rounds: int = 10
 
     def __post_init__(self):
         if self.method not in ("laplace", "delta"):
@@ -54,10 +54,6 @@ class InferenceConfig:
             raise ValueError("conv_tol must be positive")
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be at least 1")
-        if not (0.0 < self.jitter_init <= self.jitter_max):
-            raise ValueError("need 0 < jitter_init <= jitter_max")
-        if self.delta_inner_rounds < 1:
-            raise ValueError("delta_inner_rounds must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -98,8 +94,8 @@ class NonConcaveError(ArithmeticError):
     """-Hessian stayed indefinite after exhausting the jitter budget."""
 
 
-def _neg_hessian_factorization(hessian, jitter_init, jitter_max, diag=None):
-    """Factor -hessian, doubling a diagonal jitter from jitter_init on failure."""
+def _neg_hessian_factorization(hessian, diag=None):
+    """Factor -hessian, doubling a diagonal jitter from _JITTER_INIT on failure."""
     neg = -np.asarray(hessian, dtype=float)
     neg = 0.5 * (neg + neg.T)
     try:
@@ -107,9 +103,9 @@ def _neg_hessian_factorization(hessian, jitter_init, jitter_max, diag=None):
         return fact, 0.0
     except numerics.NotPositiveDefiniteError:
         pass
-    jitter = jitter_init
+    jitter = _JITTER_INIT
     eye = np.eye(neg.shape[0])
-    while jitter <= jitter_max:
+    while jitter <= _JITTER_MAX:
         try:
             fact = numerics.spd_factorize(neg + jitter * eye)
             if diag is not None:
@@ -118,7 +114,7 @@ def _neg_hessian_factorization(hessian, jitter_init, jitter_max, diag=None):
         except numerics.NotPositiveDefiniteError:
             jitter *= 2.0
     raise NonConcaveError(
-        f"negated Hessian not positive definite after jitter {jitter_max:g}"
+        f"negated Hessian not positive definite after jitter {_JITTER_MAX:g}"
     )
 
 
@@ -126,10 +122,7 @@ def laplace_step(
     model: ModelContract,
     stats: ExpectedStats,
     init: np.ndarray,
-    opt: optimize.OptimizerConfig | None = None,
     *,
-    jitter_init: float = 1e-6,
-    jitter_max: float = 1e-2,
     diag=None,
 ) -> GaussianVariational:
     """Fit q(theta) = N(theta_hat, (-Hessian f(theta_hat))^{-1})."""
@@ -137,28 +130,28 @@ def laplace_step(
     def objective(theta):
         return model.f_value_grad(theta, stats)
 
-    result = optimize.maximize(objective, init, opt)
+    result = optimize.maximize(objective, init)
     hess = model.f_hessian(result.argmax, stats)
-    fact, _ = _neg_hessian_factorization(hess, jitter_init, jitter_max, diag)
+    fact, _ = _neg_hessian_factorization(hess, diag)
     return GaussianVariational(result.argmax, fact.inverse())
 
 
-def _delta_sigma_update(model, mu, stats, jitter_init, jitter_max, diag):
+def _delta_sigma_update(model, mu, stats, diag):
     """Closed-form maximizer of Tr{H Sigma}/2 + log|Sigma|/2 over Sigma."""
     hess = model.f_hessian(mu, stats)
     if model.delta_diagonal:
         d = -np.diag(hess).copy()
         if np.any(d <= 0.0):
-            jitter = jitter_init
-            while jitter <= jitter_max and np.any(d + jitter <= 0.0):
+            jitter = _JITTER_INIT
+            while jitter <= _JITTER_MAX and np.any(d + jitter <= 0.0):
                 jitter *= 2.0
-            if jitter > jitter_max:
+            if jitter > _JITTER_MAX:
                 raise NonConcaveError("diagonal curvature not negative after jitter")
             if diag is not None:
                 diag.setdefault("jitter_events", []).append(jitter)
             d = d + jitter
         return np.diag(1.0 / d), -float(np.sum(np.log(d)))
-    fact, _ = _neg_hessian_factorization(hess, jitter_init, jitter_max, diag)
+    fact, _ = _neg_hessian_factorization(hess, diag)
     return fact.inverse(), -fact.log_det
 
 
@@ -166,11 +159,7 @@ def delta_step(
     model: ModelContract,
     stats: ExpectedStats,
     init_q: GaussianVariational,
-    opt: optimize.OptimizerConfig | None = None,
-    inner_rounds: int = 10,
     *,
-    jitter_init: float = 1e-6,
-    jitter_max: float = 1e-2,
     diag=None,
 ) -> GaussianVariational:
     """Maximize f(mu) + Tr{H(mu) Sigma}/2 + log|Sigma|/2 by alternation.
@@ -185,7 +174,7 @@ def delta_step(
         sigma = np.diag(np.diag(sigma))
 
     prev = -np.inf
-    for _ in range(max(1, inner_rounds)):
+    for _ in range(_DELTA_INNER_ROUNDS):
         fixed_sigma = sigma
 
         def objective(theta):
@@ -195,11 +184,9 @@ def delta_step(
             t_grad = grad + 0.5 * model.trace_grad(theta, fixed_sigma, stats)
             return t_value, t_grad
 
-        result = optimize.maximize(objective, mu, opt)
+        result = optimize.maximize(objective, mu)
         mu = result.argmax
-        sigma, log_det = _delta_sigma_update(
-            model, mu, stats, jitter_init, jitter_max, diag
-        )
+        sigma, log_det = _delta_sigma_update(model, mu, stats, diag)
         value, _ = model.f_value_grad(mu, stats)
         hess = model.f_hessian(mu, stats)
         current = value + 0.5 * float(np.sum(hess * sigma)) + 0.5 * log_det
@@ -211,13 +198,17 @@ def delta_step(
     return GaussianVariational(mu, sigma)
 
 
-def conjugate_step(
+def _refit_q_theta(
     model: ModelContract,
+    stats: ExpectedStats,
     q_theta: GaussianVariational,
-    observations,
-) -> ConjugateVariational:
-    """Exact update of the conjugate factor given q(theta)."""
-    return model.conjugate_update(q_theta, observations)
+    method: str,
+    diag=None,
+) -> GaussianVariational:
+    """The q(theta) update named by `method`, started from q_theta."""
+    if method == "laplace":
+        return laplace_step(model, stats, q_theta.mu, diag=diag)
+    return delta_step(model, stats, q_theta, diag=diag)
 
 
 def eta_taylor_expectation(model: ModelContract, q_theta: GaussianVariational) -> np.ndarray:
@@ -229,14 +220,6 @@ def eta_taylor_expectation(model: ModelContract, q_theta: GaussianVariational) -
     hessians = model.eta_hessians(mu)
     corr = 0.5 * np.einsum("ijk,jk->i", hessians, q_theta.sigma)
     return model.eta_at(mu) + corr
-
-
-def expected_eta(model: ModelContract, q_theta: GaussianVariational) -> np.ndarray:
-    """Exact E[eta(theta)] when the model provides it, else the Taylor form."""
-    exact = model.eta_expectation(q_theta)
-    if exact is not None:
-        return exact
-    return eta_taylor_expectation(model, q_theta)
 
 
 def approx_objective(
@@ -282,7 +265,6 @@ def run_coordinate_ascent(
     init_q_theta: GaussianVariational,
     init_q_z: ConjugateVariational,
     cfg: InferenceConfig | None = None,
-    opt: optimize.OptimizerConfig | None = None,
     diag=None,
 ) -> tuple[GaussianVariational, ConjugateVariational, InferenceTrace]:
     """Alternate q(theta) and q(z) updates until the mean stops moving.
@@ -302,28 +284,8 @@ def run_coordinate_ascent(
         for it in range(1, cfg.max_outer_iters + 1):
             stats = model.expected_stats(q_z)
             prev_mu = q_theta.mu
-            if cfg.method == "laplace":
-                q_theta = laplace_step(
-                    model,
-                    stats,
-                    prev_mu,
-                    opt,
-                    jitter_init=cfg.jitter_init,
-                    jitter_max=cfg.jitter_max,
-                    diag=diag,
-                )
-            else:
-                q_theta = delta_step(
-                    model,
-                    stats,
-                    q_theta,
-                    opt,
-                    cfg.delta_inner_rounds,
-                    jitter_init=cfg.jitter_init,
-                    jitter_max=cfg.jitter_max,
-                    diag=diag,
-                )
-            q_z = conjugate_step(model, q_theta, data)
+            q_theta = _refit_q_theta(model, stats, q_theta, cfg.method, diag)
+            q_z = model.conjugate_update(q_theta, data)
             mean_change = float(np.linalg.norm(q_theta.mu - prev_mu))
             objective = approx_objective(model, q_theta, q_z, q_theta.mu)
             trace.append(

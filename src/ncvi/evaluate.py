@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import stdtrit
 
-from . import ctm, engine, numerics, optimize
+from . import ctm, engine, numerics
 from .blr import predict_loglik
 from .model import Document, GaussianVariational, LabeledInstance
 
@@ -90,7 +90,6 @@ def heldout_doc_loglik(
     doc: Document,
     cfg: engine.InferenceConfig | None = None,
     seed=DEFAULT_SPLIT_SEED,
-    opt: optimize.OptimizerConfig | None = None,
 ) -> float:
     """Per-word log probability of a document's second half given its first.
 
@@ -100,7 +99,7 @@ def heldout_doc_loglik(
     first, second = split_document(doc, seed)
     if second.total() == 0:
         raise SkipDocument("second half is empty")
-    state, _ = ctm.infer_doc(params, first, cfg, opt)
+    state, _ = ctm.infer_doc(params, first, cfg)
     predictive = ctm.predictive_distribution(params, state.q_theta)
     total = 0.0
     for idx, count in second.items():
@@ -114,7 +113,6 @@ def heldout_corpus(
     documents: list[Document],
     cfg: engine.InferenceConfig | None = None,
     seed=DEFAULT_SPLIT_SEED,
-    opt: optimize.OptimizerConfig | None = None,
     threads: int = 1,
 ) -> MetricReport:
     """Score every splittable document; short documents are skipped.
@@ -126,7 +124,7 @@ def heldout_corpus(
     def score(item):
         pos, doc = item
         try:
-            return pos, heldout_doc_loglik(params, doc, cfg, (seed, pos), opt)
+            return pos, heldout_doc_loglik(params, doc, cfg, (seed, pos))
         except SkipDocument:
             return pos, None
 

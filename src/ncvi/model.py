@@ -24,7 +24,6 @@ __all__ = [
     "ConjugateVariational",
     "ExpectedStats",
     "ModelContract",
-    "expected_stats_from_natural",
     "dirichlet_entropy",
 ]
 
@@ -97,27 +96,6 @@ class ExpectedStats:
     values: np.ndarray
 
 
-def expected_stats_from_natural(family: str, phi: np.ndarray) -> ExpectedStats:
-    """Gradient of the log normalizer at natural parameters phi.
-
-    Supported families: 'dirichlet' (phi > 0) and 'categorical' (finite phi,
-    log-scale weights).
-    """
-    phi = np.asarray(phi, dtype=float)
-    if phi.ndim != 1 or phi.size < 2:
-        raise ValueError("expected_stats_from_natural expects a vector of length >= 2")
-    if family == "dirichlet":
-        if not np.all(np.isfinite(phi)) or np.any(phi <= 0.0):
-            raise ValueError("dirichlet natural parameters must be positive")
-        vals = numerics.digamma(phi) - numerics.digamma(float(phi.sum()))
-        return ExpectedStats(vals)
-    if family == "categorical":
-        if not np.all(np.isfinite(phi)):
-            raise ValueError("categorical natural parameters must be finite")
-        return ExpectedStats(numerics.softmax(phi))
-    raise ValueError(f"unknown exponential family '{family}'")
-
-
 def dirichlet_entropy(alpha: np.ndarray) -> float:
     """Entropy of Dirichlet(alpha)."""
     alpha = np.asarray(alpha, dtype=float)
@@ -166,10 +144,6 @@ class ModelContract(abc.ABC):
     def conjugate_update(self, q_theta: GaussianVariational, data) -> ConjugateVariational:
         """Exact coordinate update of q(z) given q(theta) and the data."""
 
-    def eta_expectation(self, q_theta: GaussianVariational):
-        """Exact E[eta(theta)] when available, else None."""
-        return None
-
     def eta_at(self, mu: np.ndarray) -> np.ndarray:
         """eta(mu), for the second-order fallback expectation."""
         raise NotImplementedError(f"{type(self).__name__} does not expose eta")
@@ -185,8 +159,4 @@ class ModelContract(abc.ABC):
     def qz_model_terms(self, q_z: ConjugateVariational) -> float:
         """E_q(z) of the log-joint terms that f omits (observation likelihood
         and carrier), up to additive constants.  Zero when z is observed."""
-        return 0.0
-
-    def log_prior_constant(self) -> float:
-        """Additive constant of log p(theta) left out of f."""
         return 0.0

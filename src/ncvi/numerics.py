@@ -221,12 +221,8 @@ class NotPositiveDefiniteError(ArithmeticError):
 class SpdFactorization:
     """Lower-triangular Cholesky handle exposing log_det, solve, inverse."""
 
-    def __init__(self, chol_lower: np.ndarray):
-        self._chol = chol_lower
-
-    @property
-    def chol_lower(self) -> np.ndarray:
-        return self._chol
+    def __init__(self, lower: np.ndarray):
+        self._chol = lower
 
     @property
     def log_det(self) -> float:

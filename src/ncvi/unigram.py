@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import engine, numerics, optimize
+from . import engine, numerics
 from .model import (
     ConjugateVariational,
     Document,
@@ -120,18 +120,6 @@ class UnigramModel(ModelContract):
         arg = q_theta.mu + 0.5 * np.diag(q_theta.sigma)
         return _checked_exp(arg)
 
-    def eta_at(self, mu: np.ndarray) -> np.ndarray:
-        return _checked_exp(np.asarray(mu, dtype=float))
-
-    def eta_hessians(self, mu: np.ndarray) -> np.ndarray:
-        mu = np.asarray(mu, dtype=float)
-        b = _checked_exp(mu)
-        v = self._vocab
-        hessians = np.zeros((v, v, v))
-        for i in range(v):
-            hessians[i, i, i] = b[i]
-        return hessians
-
     def conjugate_update(self, q_theta: GaussianVariational, data=None) -> ConjugateVariational:
         base = self.eta_expectation(q_theta)
         phi = base[None, :] + self._counts
@@ -158,11 +146,10 @@ def infer(
     documents: list[Document],
     vocab_size: int,
     cfg: engine.InferenceConfig | None = None,
-    opt: optimize.OptimizerConfig | None = None,
     diag=None,
 ):
     """Fit q(theta) q(z) for a corpus, starting from q(theta) = N(0, I)."""
     model = UnigramModel(vocab_size, documents)
     q0 = GaussianVariational(np.zeros(model.dim), np.eye(model.dim))
     qz0 = model.conjugate_update(q0)
-    return engine.run_coordinate_ascent(model, None, q0, qz0, cfg, opt, diag)
+    return engine.run_coordinate_ascent(model, None, q0, qz0, cfg, diag)

@@ -128,6 +128,18 @@ class TestFlatFit:
         assert np.linalg.norm(q_corr.mu - q_plain.mu) < 0.2
         assert (np.linalg.eigvalsh(q_corr.sigma) > 0.0).all()
 
+    def test_config_alone_selects_the_update(self):
+        instances, _ = make_blr_problem(10, 30, 3, coef_scale=0.5)
+        by_cfg = blr.fit(instances, cfg=InferenceConfig(method="delta"))
+        by_arg = blr.fit(instances, method="delta")
+        plain = blr.fit(instances)
+        assert np.array_equal(by_cfg.mu, by_arg.mu)
+        assert np.array_equal(by_cfg.sigma, by_arg.sigma)
+        assert not np.array_equal(by_cfg.mu, plain.mu)
+        # an explicit method still wins over the config
+        forced = blr.fit(instances, method="laplace", cfg=InferenceConfig(method="delta"))
+        assert np.array_equal(forced.mu, plain.mu)
+
     def test_rejects_empty_and_ragged_input(self):
         with pytest.raises(ValueError):
             blr.BlrModel([], blr.BlrPrior.standard(2))
@@ -188,6 +200,18 @@ class TestHyperUpdate:
             blr.hyper_update([], blr.HierPrior.default(2), np.zeros(2))
 
 
+class TestHierPrior:
+    @pytest.mark.parametrize("which", ["phi0", "phi1"])
+    def test_rejects_non_positive_definite_scale(self, which):
+        scales = {"phi0": np.eye(2), "phi1": np.eye(2)}
+        scales[which] = 0.0 * np.eye(2)
+        with pytest.raises(ValueError, match=which):
+            blr.HierPrior(nu=102.0, **scales)
+        scales[which] = np.diag([1.0, -1.0])
+        with pytest.raises(ValueError, match=which):
+            blr.HierPrior(nu=102.0, **scales)
+
+
 class TestHierarchicalFit:
     def make_tasks(self, seed, m=3, n=12, p=2):
         rng = np.random.default_rng(seed)
@@ -242,6 +266,21 @@ class TestHierarchicalFit:
         assert hier.nu == pytest.approx(103.0)
         np.testing.assert_allclose(hier.phi0, 0.01 * np.eye(3), atol=0)
         np.testing.assert_allclose(hier.phi1, 0.01 * np.eye(3), atol=0)
+
+    def test_config_alone_selects_the_update(self):
+        tasks = self.make_tasks(15)
+        by_cfg = blr.fit_hierarchical(tasks, cfg=InferenceConfig(method="delta"), em_iters=1)
+        plain = blr.fit_hierarchical(tasks, em_iters=1)
+        # the first round fits every task under the standard prior
+        for instances, q in zip(tasks, by_cfg.posteriors):
+            flat = blr.fit(instances, method="delta")
+            assert np.array_equal(q.mu, flat.mu)
+            assert np.array_equal(q.sigma, flat.sigma)
+        assert not np.array_equal(by_cfg.posteriors[0].mu, plain.posteriors[0].mu)
+
+    def test_rejects_em_iters_below_one(self):
+        with pytest.raises(ValueError):
+            blr.fit_hierarchical(self.make_tasks(16), em_iters=0)
 
     def test_rejects_empty_tasks(self):
         with pytest.raises(ValueError):

@@ -176,7 +176,7 @@ class TestEtaExpectation:
         docs, _ = make_unigram_corpus(4, vocab_size=3, num_docs=2)
         model = unigram.UnigramModel(3, docs)
         q = GaussianVariational(np.zeros(3), np.eye(3))
-        exact = engine.expected_eta(model, q)
+        exact = model.eta_expectation(q)
         np.testing.assert_allclose(exact, np.full(3, np.exp(0.5)), atol=1e-12)
 
 

@@ -290,6 +290,24 @@ class TestCliErrors:
                         "--out", tmp_path / "o"]) == 1
         assert f"{bad}:2:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,flags", [
+        ("fit-blr", ["--conv-tol", 0]),
+        ("fit-ctm", ["--em-iters", 0]),
+        ("fit-hblr", ["--em-iters", 0]),
+        ("fit-ctm", ["--threads", 0]),
+        ("fit-ctm", ["--threads", "x"]),
+        ("fit-hblr", ["--phi0", 0]),
+        ("fit-hblr", ["--phi1", 0]),
+    ])
+    def test_invalid_settings_exit_one(self, clidata, tmp_path, capsys, command, flags):
+        inputs = {
+            "fit-blr": ["--data", clidata / "train.txt"],
+            "fit-ctm": ["--corpus", clidata / "corpus.txt", "--k", 2],
+            "fit-hblr": ["--tasks", clidata / "tasks"],
+        }
+        assert run_cli([command, *inputs[command], "--out", tmp_path / "o", *flags]) == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_numerical_failure_exits_two(self, clidata, tmp_path, capsys,
                                          monkeypatch):
         def blow_up(*args, **kwargs):
