@@ -44,16 +44,21 @@ LOG_FLOOR = float(np.log(1e-300))
 
 @dataclass(frozen=True)
 class BlrPrior:
+    """Gaussian coefficient prior, its covariance inverted once for every model."""
+
     mean: np.ndarray
     cov: np.ndarray
+    inv: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float)
         cov = np.asarray(self.cov, dtype=float)
         if mean.ndim != 1 or cov.shape != (mean.size, mean.size):
             raise ValueError("prior mean and covariance dimensions disagree")
+        inv = numerics._factorize_input(cov, "prior covariance").inverse()
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
+        object.__setattr__(self, "inv", inv)
 
     @staticmethod
     def standard(dim: int) -> "BlrPrior":
@@ -80,10 +85,7 @@ class HierPrior:
         if self.nu <= p - 1:
             raise ValueError(f"Wishart degrees of freedom must exceed {p - 1}")
         for name, m in (("phi0", phi0), ("phi1", phi1)):
-            try:
-                inv = numerics.spd_factorize(m).inverse()
-            except numerics.NotPositiveDefiniteError:
-                raise ValueError(f"{name} must be positive definite") from None
+            inv = numerics._factorize_input(m, name).inverse()
             object.__setattr__(self, name, m)
             object.__setattr__(self, name + "_inv", inv)
 
@@ -112,8 +114,7 @@ class BlrModel(ModelContract):
         if prior.mean.shape != (dim,):
             raise ValueError("prior dimension does not match the covariates")
         self._prior = prior
-        fact = numerics.spd_factorize(prior.cov)
-        self._prior_inv = fact.inverse()
+        self._prior_inv = prior.inv
 
     @property
     def dim(self) -> int:
@@ -168,8 +169,12 @@ def fit(
     if method is not None:
         cfg = dataclasses.replace(cfg, method=method)
     model = BlrModel(instances, prior or BlrPrior.standard(instances[0].covariates.shape[0]))
+    return _fit_model(model, cfg.method, diag)
+
+
+def _fit_model(model: BlrModel, method: str, diag=None) -> GaussianVariational:
     init = GaussianVariational(np.zeros(model.dim), np.eye(model.dim))
-    return engine._refit_q_theta(model, model.expected_stats(), init, cfg.method, diag)
+    return engine._refit_q_theta(model, model.expected_stats(), init, method, diag)
 
 
 def predict_loglik(q_theta: GaussianVariational, instance: LabeledInstance) -> float:
@@ -232,13 +237,11 @@ def fit_hierarchical(
     cfg: engine.InferenceConfig | None = None,
     em_iters: int = 20,
     threads: int = 1,
-    update_hyper: bool = True,
 ) -> HblrFit:
     """Alternate per-task posterior fits with MAP refits of the shared prior.
 
     Stops early once the shared mean moves less than cfg.conv_tol between
-    rounds.  With update_hyper=False this is M independent flat fits under
-    the initial prior.
+    rounds.  The first round fits every task under the standard prior.
     """
     if not tasks or any(not t for t in tasks):
         raise ValueError("every task needs at least one instance")
@@ -256,25 +259,22 @@ def fit_hierarchical(
 
     for it in range(1, em_iters + 1):
         prior = BlrPrior(mu0.copy(), sigma0.copy())
+        models = [BlrModel(instances, prior) for instances in tasks]
 
-        def fit_one(instances):
-            return fit(instances, prior, cfg=cfg)
+        def fit_one(model):
+            return _fit_model(model, cfg.method)
 
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                posteriors = list(pool.map(fit_one, tasks))
+                posteriors = list(pool.map(fit_one, models))
         else:
-            posteriors = [fit_one(t) for t in tasks]
+            posteriors = [fit_one(model) for model in models]
 
         objective = 0.0
-        for instances, q in zip(tasks, posteriors):
-            model = BlrModel(instances, prior)
-            objective += engine.approx_objective(model, q, ConjugateVariational(None), q.mu)
+        for model, q in zip(models, posteriors):
+            objective += engine.approx_objective(model, q, ConjugateVariational(None))
 
-        if update_hyper:
-            new_mu0, new_sigma0 = hyper_update(posteriors, hier, mu0)
-        else:
-            new_mu0, new_sigma0 = mu0, sigma0
+        new_mu0, new_sigma0 = hyper_update(posteriors, hier, mu0)
         mean_change = float(np.linalg.norm(new_mu0 - mu0))
         mu0, sigma0 = new_mu0, new_sigma0
         trace.append(

@@ -93,9 +93,9 @@ def _cmd_fit_blr(args) -> int:
     if not instances:
         raise CliInputError(f"{args.data}: no instances")
     start = time.perf_counter()
-    q = blr.fit(instances, blr.BlrPrior.standard(dim), cfg=cfg)
-    model = blr.BlrModel(instances, blr.BlrPrior.standard(dim))
-    objective = engine.approx_objective(model, q, None, q.mu)
+    prior = blr.BlrPrior.standard(dim)
+    q = blr.fit(instances, prior, cfg=cfg)
+    objective = engine.approx_objective(blr.BlrModel(instances, prior), q, None)
     dataio.save_posterior(q, args.out)
     trace = _single_record_trace(
         objective, float(np.linalg.norm(q.mu)), time.perf_counter() - start

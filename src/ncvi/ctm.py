@@ -39,11 +39,14 @@ _COV_RIDGE = 1e-6
 
 @dataclass(frozen=True)
 class CtmParams:
-    """Topic matrix (K x V, rows on the simplex) and logistic-normal prior."""
+    """Topic matrix (K x V, rows on the simplex) and logistic-normal prior,
+    whose covariance is factorized once here for every document problem."""
 
     topics: np.ndarray
     prior_mean: np.ndarray
     prior_cov: np.ndarray
+    prior_inv: np.ndarray = field(init=False, repr=False, compare=False)
+    prior_log_det: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         topics = np.asarray(self.topics, dtype=float)
@@ -62,9 +65,12 @@ class CtmParams:
             raise ValueError(f"topic row {bad} sums to {rows[bad]!r}, not 1")
         if mean.shape != (k,) or cov.shape != (k, k):
             raise ValueError("prior dimensions must match the number of topics")
+        fact = numerics._factorize_input(cov, "prior covariance")
         object.__setattr__(self, "topics", topics)
         object.__setattr__(self, "prior_mean", mean)
         object.__setattr__(self, "prior_cov", cov)
+        object.__setattr__(self, "prior_inv", fact.inverse())
+        object.__setattr__(self, "prior_log_det", fact.log_det)
 
     @property
     def num_topics(self) -> int:
@@ -86,19 +92,10 @@ class CtmDocState:
     objective: float  # final per-document approximate objective
 
 
-class _PriorTerms:
-    """Factored prior shared by every document problem in one EM iteration."""
-
-    def __init__(self, prior_cov: np.ndarray):
-        fact = numerics.spd_factorize(prior_cov)
-        self.inv = fact.inverse()
-        self.log_det = fact.log_det
-
-
 class CtmDocModel(ModelContract):
     delta_diagonal = True
 
-    def __init__(self, params: CtmParams, doc: Document, prior: _PriorTerms | None = None):
+    def __init__(self, params: CtmParams, doc: Document):
         self._params = params
         items = doc.items()
         self._term_ids = np.array([i for i, _ in items], dtype=int)
@@ -111,8 +108,7 @@ class CtmDocModel(ModelContract):
             raise ValueError(f"term {bad} has zero probability under every topic")
         with np.errstate(divide="ignore"):
             self._log_beta = np.log(cols)
-        prior = prior or _PriorTerms(params.prior_cov)
-        self._prior_inv = prior.inv
+        self._prior_inv = params.prior_inv
 
     @property
     def dim(self) -> int:
@@ -162,20 +158,14 @@ class CtmDocModel(ModelContract):
             return ExpectedStats(np.zeros(self.dim))
         return ExpectedStats(phi.T @ self._term_counts)
 
-    def eta_at(self, mu: np.ndarray) -> np.ndarray:
-        mu = np.asarray(mu, dtype=float)
-        return mu - numerics.log_sum_exp(mu)
-
-    def eta_hessians(self, mu: np.ndarray) -> np.ndarray:
-        pi = numerics.softmax(np.asarray(mu, dtype=float))
-        h = np.outer(pi, pi) - np.diag(pi)
-        return np.broadcast_to(h, (self.dim, self.dim, self.dim))
-
     def conjugate_update(self, q_theta: GaussianVariational, data=None) -> ConjugateVariational:
-        eta_exp = engine.eta_taylor_expectation(self, q_theta)
-        log_phi = eta_exp[None, :] + self._log_beta.T  # (U, K)
-        log_norm = numerics.log_sum_exp(log_phi, axis=1)
-        return ConjugateVariational(np.exp(log_phi - log_norm[:, None]))
+        # phi_wk proportional to beta_kw exp(mu_k).  log sum_j exp(mu_j) and
+        # the second-order correction of E[eta_k], whose Hessian
+        # -(diag pi - pi pi') is the same for every k, shift all topics alike
+        # and cancel in the normalization over topics.
+        return ConjugateVariational(
+            numerics.softmax(q_theta.mu[None, :] + self._log_beta.T, axis=1)
+        )
 
     def qz_entropy(self, q_z: ConjugateVariational) -> float:
         phi = np.asarray(q_z.phi, dtype=float)
@@ -197,7 +187,6 @@ def infer_doc(
     params: CtmParams,
     doc: Document,
     cfg: engine.InferenceConfig | None = None,
-    prior: _PriorTerms | None = None,
     diag=None,
 ) -> tuple[CtmDocState, engine.InferenceTrace]:
     """Variational inference for one document.
@@ -207,7 +196,7 @@ def infer_doc(
     the exponent is the prior density alone, whose curvature fit is exact.
     """
     cfg = cfg or engine.InferenceConfig()
-    model = CtmDocModel(params, doc, prior)
+    model = CtmDocModel(params, doc)
     k = model.dim
     if model.term_ids.size == 0:
         trace = engine.InferenceTrace()
@@ -244,13 +233,13 @@ class CtmFit:
     doc_states: list[CtmDocState] = field(default_factory=list)
 
 
-def _doc_bound(state: CtmDocState, prior: _PriorTerms) -> float:
+def _doc_bound(state: CtmDocState, params: CtmParams) -> float:
     # Completes the per-document monitor into a data-bound contribution:
     # adds the prior and entropy constants the monitor drops.  An empty
     # document contributes zero.
     if state.term_ids.size == 0:
         return 0.0
-    return state.objective - 0.5 * prior.log_det + 0.5 * state.q_theta.dim
+    return state.objective - 0.5 * params.prior_log_det + 0.5 * state.q_theta.dim
 
 
 def em_fit(
@@ -286,22 +275,18 @@ def em_fit(
     topics = rng.dirichlet(np.ones(vocab_size), size=num_topics)
     topics = np.maximum(topics, _BETA_SMOOTH)
     topics /= topics.sum(axis=1, keepdims=True)
-    mu0 = np.zeros(num_topics)
-    sigma0 = np.eye(num_topics)
+    params = CtmParams(topics, np.zeros(num_topics), np.eye(num_topics))
 
     fit = CtmFit(
-        params=CtmParams(topics, mu0, sigma0),
+        params=params,
         trace=engine.InferenceTrace(),
         word_count=int(sum(doc.total() for doc in documents)),
     )
     start = time.perf_counter()
 
     for it in range(1, em_iters + 1):
-        params = CtmParams(topics, mu0, sigma0)
-        prior = _PriorTerms(params.prior_cov)
-
         def infer(doc):
-            return infer_doc(params, doc, cfg, prior)[0]
+            return infer_doc(params, doc, cfg)[0]
 
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -309,7 +294,7 @@ def em_fit(
         else:
             states = [infer(doc) for doc in documents]
 
-        bound = sum(_doc_bound(state, prior) for state in states)
+        bound = sum(_doc_bound(state, params) for state in states)
 
         beta_acc = np.zeros((num_topics, vocab_size))
         means = np.zeros((len(documents), num_topics))
@@ -326,8 +311,8 @@ def em_fit(
 
         topics = beta_acc + _BETA_SMOOTH
         topics /= topics.sum(axis=1, keepdims=True)
-        mean_change = float(np.linalg.norm(new_mu0 - mu0))
-        mu0, sigma0 = new_mu0, new_sigma0
+        mean_change = float(np.linalg.norm(new_mu0 - params.prior_mean))
+        params = CtmParams(topics, new_mu0, new_sigma0)
 
         fit.bounds.append(bound)
         fit.trace.append(
@@ -335,5 +320,5 @@ def em_fit(
         )
         fit.doc_states = states
 
-    fit.params = CtmParams(topics, mu0, sigma0)
+    fit.params = params
     return fit

@@ -3,13 +3,13 @@
 Two interchangeable q(theta) updates:
 
 - laplace_step: maximize f and set the covariance from the curvature at the
-  mode, Sigma = (-Hessian f(theta_hat))^{-1}.
+  mode m, Sigma = (-Hessian f(m))^{-1}.
 - delta_step: maximize the curvature-corrected objective
   f(mu) + Tr{Hessian_f(mu) Sigma}/2 + log|Sigma|/2 by alternating gradient
   ascent in mu (at fixed Sigma) with the closed-form Sigma update.
 
-The conjugate factor update is exact given E[eta(theta)], which is either
-supplied by the model in closed form or approximated to second order.
+The q(z) update is each model's conjugate_update, which owns whatever
+expectation of eta(theta) under q(theta) it needs.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ __all__ = [
     "NonConcaveError",
     "laplace_step",
     "delta_step",
-    "eta_taylor_expectation",
     "approx_objective",
     "run_coordinate_ascent",
 ]
@@ -125,7 +124,7 @@ def laplace_step(
     *,
     diag=None,
 ) -> GaussianVariational:
-    """Fit q(theta) = N(theta_hat, (-Hessian f(theta_hat))^{-1})."""
+    """Fit q(theta) = N(m, (-Hessian f(m))^{-1}) at the mode m of f."""
 
     def objective(theta):
         return model.f_value_grad(theta, stats)
@@ -211,49 +210,28 @@ def _refit_q_theta(
     return delta_step(model, stats, q_theta, diag=diag)
 
 
-def eta_taylor_expectation(model: ModelContract, q_theta: GaussianVariational) -> np.ndarray:
-    """Second-order approximation of E[eta(theta)] under q(theta).
-
-    Component i is eta_i(mu) + Tr{Hessian eta_i(mu) Sigma}/2.
-    """
-    mu = q_theta.mu
-    hessians = model.eta_hessians(mu)
-    corr = 0.5 * np.einsum("ijk,jk->i", hessians, q_theta.sigma)
-    return model.eta_at(mu) + corr
-
-
 def approx_objective(
     model: ModelContract,
     q_theta: GaussianVariational,
     q_z: ConjugateVariational,
-    theta_hat: np.ndarray,
 ) -> float:
     """Second-order surrogate of the variational objective.
 
-    Expands f around theta_hat (the Taylor point of the active update), adds
-    the Gaussian log-determinant term and the conjugate-factor entropy.  The
-    optimized f drops log-joint terms that are constant in theta (expected
-    observation likelihood and carrier); they vary across outer iterations
-    through q(z), so the model adds them back here via qz_model_terms.  A
-    monitor of progress, not the quantity either step maximizes directly.
+    Expands f to second order around the variational mean, E[f] ~ f(mu) +
+    Tr{H Sigma}/2, and adds the Gaussian log-determinant term and the
+    conjugate-factor entropy.  The optimized f drops log-joint terms that are
+    constant in theta (expected observation likelihood and carrier); they vary
+    across outer iterations through q(z), so the model adds them back here via
+    qz_model_terms.  A monitor of progress, not the quantity either step
+    maximizes directly.
     """
     stats = model.expected_stats(q_z)
-    value, grad = model.f_value_grad(theta_hat, stats)
-    hess = model.f_hessian(theta_hat, stats)
-    d = q_theta.mu - theta_hat
-    sigma = q_theta.sigma
-    diag = np.diag(sigma)
-    if np.all(np.abs(sigma - np.diag(diag)) <= 1e-14):
-        if np.any(diag <= 0.0):
-            raise numerics.NotPositiveDefiniteError(pivot=int(np.argmax(diag <= 0.0)))
-        log_det = float(np.sum(np.log(diag)))
-    else:
-        log_det = numerics.spd_factorize(sigma).log_det
+    value, _ = model.f_value_grad(q_theta.mu, stats)
+    hess = model.f_hessian(q_theta.mu, stats)
+    log_det = numerics.spd_factorize(q_theta.sigma).log_det
     return (
         value
-        + float(grad @ d)
-        + 0.5 * float(d @ hess @ d)
-        + 0.5 * (float(np.sum(hess * sigma)) + log_det)
+        + 0.5 * (float(np.sum(hess * q_theta.sigma)) + log_det)
         + model.qz_entropy(q_z)
         + model.qz_model_terms(q_z)
     )
@@ -287,7 +265,7 @@ def run_coordinate_ascent(
             q_theta = _refit_q_theta(model, stats, q_theta, cfg.method, diag)
             q_z = model.conjugate_update(q_theta, data)
             mean_change = float(np.linalg.norm(q_theta.mu - prev_mu))
-            objective = approx_objective(model, q_theta, q_z, q_theta.mu)
+            objective = approx_objective(model, q_theta, q_z)
             trace.append(
                 TraceRecord(it, objective, mean_change, time.perf_counter() - start)
             )

@@ -144,14 +144,6 @@ class ModelContract(abc.ABC):
     def conjugate_update(self, q_theta: GaussianVariational, data) -> ConjugateVariational:
         """Exact coordinate update of q(z) given q(theta) and the data."""
 
-    def eta_at(self, mu: np.ndarray) -> np.ndarray:
-        """eta(mu), for the second-order fallback expectation."""
-        raise NotImplementedError(f"{type(self).__name__} does not expose eta")
-
-    def eta_hessians(self, mu: np.ndarray) -> np.ndarray:
-        """Stacked Hessians of each eta component, shape (len(eta), dim, dim)."""
-        raise NotImplementedError(f"{type(self).__name__} does not expose eta Hessians")
-
     def qz_entropy(self, q_z: ConjugateVariational) -> float:
         """Entropy of q(z); zero when z is observed."""
         return 0.0

@@ -219,7 +219,7 @@ class NotPositiveDefiniteError(ArithmeticError):
 
 
 class SpdFactorization:
-    """Lower-triangular Cholesky handle exposing log_det, solve, inverse."""
+    """Lower-triangular Cholesky handle exposing log_det and inverse."""
 
     def __init__(self, lower: np.ndarray):
         self._chol = lower
@@ -227,13 +227,6 @@ class SpdFactorization:
     @property
     def log_det(self) -> float:
         return 2.0 * float(np.sum(np.log(np.diag(self._chol))))
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        b = np.asarray(b, dtype=float)
-        x, info = _lapack.dpotrs(self._chol, b, lower=1)
-        if info != 0:
-            raise ValueError(f"dpotrs failed with info={info}")
-        return x
 
     def inverse(self) -> np.ndarray:
         inv, info = _lapack.dpotri(self._chol, lower=1)
@@ -265,6 +258,15 @@ def spd_factorize(m: np.ndarray) -> SpdFactorization:
     if info < 0:
         raise ValueError(f"dpotrf rejected argument {-info}")
     return SpdFactorization(np.tril(c))
+
+
+def _factorize_input(m: np.ndarray, name: str) -> SpdFactorization:
+    """spd_factorize for a covariance given as input: one that is not
+    positive definite is an input error (ValueError), not a numerical one."""
+    try:
+        return spd_factorize(m)
+    except NotPositiveDefiniteError:
+        raise ValueError(f"{name} must be positive definite") from None
 
 
 def finite_diff_gradient(f, x: np.ndarray, h=None) -> np.ndarray:

@@ -20,28 +20,21 @@ __all__ = [
 ]
 
 _MAX_SHRINKS = 50
+_INITIAL_STEP = 1.0
+_SHRINK = 0.5
+_ARMIJO_C = 1e-4
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     grad_tol: float = 1e-6
     max_iters: int = 1000
-    line_search_shrink: float = 0.5
-    armijo_c: float = 1e-4
-    initial_step: float = 1.0
-    restart_interval: int | None = None  # None means the problem dimension
 
     def __post_init__(self):
-        if not (0.0 < self.line_search_shrink < 1.0):
-            raise ValueError("line_search_shrink must lie in (0, 1)")
-        if not (0.0 < self.armijo_c < 1.0):
-            raise ValueError("armijo_c must lie in (0, 1)")
-        if self.grad_tol <= 0.0 or self.initial_step <= 0.0:
-            raise ValueError("grad_tol and initial_step must be positive")
+        if self.grad_tol <= 0.0:
+            raise ValueError("grad_tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.restart_interval is not None and self.restart_interval < 1:
-            raise ValueError("restart_interval must be at least 1")
 
 
 @dataclass
@@ -86,7 +79,7 @@ def maximize(objective, init, config: OptimizerConfig | None = None, *, history=
     if history is not None:
         history.append(value)
 
-    restart = cfg.restart_interval or max(1, x.size)
+    restart = max(1, x.size)
     direction = grad.copy()
     iterations = 0
     grad_norm = float(np.linalg.norm(grad))
@@ -107,7 +100,7 @@ def maximize(objective, init, config: OptimizerConfig | None = None, *, history=
             p_value = float(p_value)
             p_grad = np.asarray(p_grad, dtype=float)
             ok = np.isfinite(p_value) and np.all(np.isfinite(p_grad))
-            passes = ok and p_value >= value + cfg.armijo_c * step * slope
+            passes = ok and p_value >= value + _ARMIJO_C * step * slope
             return p_value, p_grad, ok, passes
 
         def slope_fit(step, p_grad):
@@ -123,16 +116,16 @@ def maximize(objective, init, config: OptimizerConfig | None = None, *, history=
 
         # backtrack from the unit step, using the clamped slope fit as the
         # next trial where available and plain shrinking otherwise
-        step = cfg.initial_step
+        step = _INITIAL_STEP
         p_value, p_grad, finite, accepted = probe(step)
         for _ in range(_MAX_SHRINKS):
             if accepted:
                 break
             fitted = slope_fit(step, p_grad) if finite else None
             if fitted is not None:
-                step = min(max(fitted, 0.1 * step), cfg.line_search_shrink * step)
+                step = min(max(fitted, 0.1 * step), _SHRINK * step)
             else:
-                step *= cfg.line_search_shrink
+                step *= _SHRINK
             p_value, p_grad, finite, accepted = probe(step)
         if not accepted:
             raise LineSearchStallError(

@@ -125,6 +125,25 @@ class TestAssignmentUpdate:
         np.testing.assert_allclose(phi.sum(axis=1), np.ones(3), atol=1e-12)
         assert (phi >= 0.0).all()
 
+    def test_matches_second_order_expectation_of_eta(self):
+        # phi_wk proportional to beta_kw exp(E[eta_k]), with E[eta_k] to
+        # second order: eta_k(mu) + Tr{H Sigma}/2, H = pi pi' - diag(pi)
+        rng = np.random.default_rng(4)
+        params = make_ctm_params(5, 4, 10)
+        model = ctm.CtmDocModel(params, Document({0: 3, 4: 1, 6: 2, 9: 5}))
+        log_beta = np.log(params.topics[:, [0, 4, 6, 9]]).T
+        a = rng.normal(size=(4, 4))
+        for sigma in (a @ a.T + 0.1 * np.eye(4), np.diag(rng.uniform(0.1, 2.0, 4))):
+            for _ in range(5):
+                mu = rng.normal(scale=2.0, size=4)
+                pi = numerics.softmax(mu)
+                hess = np.outer(pi, pi) - np.diag(pi)
+                eta = mu - numerics.log_sum_exp(mu) + 0.5 * float(np.sum(hess * sigma))
+                log_phi = eta[None, :] + log_beta
+                expect = np.exp(log_phi - numerics.log_sum_exp(log_phi, axis=1)[:, None])
+                got = model.conjugate_update(GaussianVariational(mu, sigma)).phi
+                np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-12)
+
 
 class TestDocumentInference:
     def test_equal_columns_give_even_assignment(self):
@@ -262,3 +281,15 @@ class TestParamsValidation:
         topics = np.full((2, 4), 0.25)
         with pytest.raises(ValueError):
             ctm.CtmParams(topics, np.zeros(3), np.eye(3))
+
+    def test_prior_covariance_must_be_positive_definite(self):
+        topics = np.full((2, 4), 0.25)
+        for cov in (-np.eye(2), np.diag([1.0, 0.0])):
+            with pytest.raises(ValueError, match="positive definite"):
+                ctm.CtmParams(topics, np.zeros(2), cov)
+
+    def test_keeps_prior_inverse_and_log_determinant(self):
+        params = make_ctm_params(1, 3, 5)
+        np.testing.assert_allclose(params.prior_inv @ params.prior_cov, np.eye(3), atol=1e-10)
+        _, log_det = np.linalg.slogdet(params.prior_cov)
+        assert params.prior_log_det == pytest.approx(log_det, abs=1e-10)

