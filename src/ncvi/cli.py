@@ -167,6 +167,12 @@ def _cmd_infer_unigram(args) -> int:
     if not docs:
         raise CliInputError(f"{args.corpus}: no documents")
     q_theta, q_z, trace = unigram.infer(docs, vocab, cfg)
+    if not trace.converged:
+        print(
+            f"warning: stopped at the {cfg.max_outer_iters}-iteration cap; the mean still "
+            f"moved {trace.records[-1].mean_change:.3g} > --conv-tol {cfg.conv_tol:g}",
+            file=sys.stderr,
+        )
     var = np.diag(q_theta.sigma)
     with open(args.out, "w") as handle:
         handle.write("term,posterior_mean,posterior_var\n")

@@ -130,7 +130,7 @@ class CtmDocModel(ModelContract):
         diff = theta - self._params.prior_mean
         prior_pull = self._prior_inv @ diff
         value = float(eta @ s) - 0.5 * float(diff @ prior_pull)
-        pi = numerics.softmax(theta)
+        pi = np.exp(eta)
         grad = s - pi * n - prior_pull
         return value, grad
 

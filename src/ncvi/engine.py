@@ -178,6 +178,8 @@ def delta_step(
 
         def objective(theta):
             value, grad = model.f_value_grad(theta, stats)
+            if not np.isfinite(value):
+                return value, grad
             hess = model.f_hessian(theta, stats)
             t_value = value + 0.5 * float(np.sum(hess * fixed_sigma))
             t_grad = grad + 0.5 * model.trace_grad(theta, fixed_sigma, stats)

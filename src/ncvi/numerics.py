@@ -1,9 +1,10 @@
 """Special functions and dense SPD linear algebra shared by every model.
 
-The gamma-family functions are evaluated by shifting the argument above a
-fixed threshold with the upward recurrence and then applying the asymptotic
-(de Moivre / Bernoulli) series.  Everything here is stateless and safe to
-call from worker threads.
+The gamma family (ln Gamma, psi, psi', psi'') and the sigmoids are thin
+wrappers over scipy.special that add the contract the models rely on: the
+gamma family raises ValueError for a non-finite or non-positive argument, and
+a scalar or 0-d argument gives a Python float while an array keeps its shape.
+Everything here is stateless and safe to call from worker threads.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.special as _sps
 from scipy.linalg import lapack as _lapack
 
 __all__ = [
@@ -28,149 +30,41 @@ __all__ = [
     "finite_diff_gradient",
 ]
 
-_HALF_LN_2PI = 0.9189385332046727417803297364056176398
-_SHIFT = 8.0
 
-# Bernoulli-number coefficients B_{2n} / (2n (2n - 1)) of the series for
-# ln Gamma, n = 1..7.  Truncation error at x = 8 is below 1e-15.
-_LGAMMA_C = (
-    1.0 / 12.0,
-    -1.0 / 360.0,
-    1.0 / 1260.0,
-    -1.0 / 1680.0,
-    1.0 / 1188.0,
-    -691.0 / 360360.0,
-    1.0 / 156.0,
-)
-
-# B_{2n} / (2n) for the digamma series.
-_DIGAMMA_C = (
-    1.0 / 12.0,
-    -1.0 / 120.0,
-    1.0 / 252.0,
-    -1.0 / 240.0,
-    1.0 / 132.0,
-    -691.0 / 32760.0,
-    1.0 / 12.0,
-)
-
-# B_{2n} for the trigamma series.
-_TRIGAMMA_C = (
-    1.0 / 6.0,
-    -1.0 / 30.0,
-    1.0 / 42.0,
-    -1.0 / 30.0,
-    5.0 / 66.0,
-    -691.0 / 2730.0,
-    7.0 / 6.0,
-)
-
-# (2n + 1) B_{2n} for the second derivative of digamma.
-_POLYGAMMA2_C = (
-    1.0 / 2.0,
-    -1.0 / 6.0,
-    1.0 / 6.0,
-    -3.0 / 10.0,
-    5.0 / 6.0,
-    -691.0 / 210.0,
-    35.0 / 2.0,
-)
-
-
-def _validated_positive(x, name: str) -> tuple[np.ndarray, bool]:
-    arr = np.array(x, dtype=float, copy=True)
-    scalar = arr.ndim == 0
-    if scalar:
-        arr = arr.reshape(1)
+def _validated_positive(x, name: str) -> np.ndarray:
+    arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
         raise ValueError(f"{name} requires finite positive arguments")
-    return arr, scalar
+    return arr
 
 
-def _shift_up(y: np.ndarray, accumulate) -> None:
-    # Raise every entry above the series threshold in place; `accumulate`
-    # receives (mask, values_below) once per recurrence round.
-    while True:
-        mask = y < _SHIFT
-        if not mask.any():
-            return
-        accumulate(mask, y[mask])
-        y[mask] += 1.0
-
-
-def _horner(r2: np.ndarray, coeffs) -> np.ndarray:
-    # coeffs[0] + coeffs[1]*r2 + coeffs[2]*r2^2 + ...; signs live in coeffs.
-    acc = np.full_like(r2, coeffs[-1])
-    for c in reversed(coeffs[:-1]):
-        acc = c + r2 * acc
-    return acc
+def _float_or_array(out):
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def log_gamma(x):
     """ln Gamma(x) for x > 0, scalar or array."""
-    y, scalar = _validated_positive(x, "log_gamma")
-    shift = np.zeros_like(y)
-
-    def acc(mask, vals):
-        shift[mask] += np.log(vals)
-
-    _shift_up(y, acc)
-    r = 1.0 / y
-    r2 = r * r
-    series = r * _horner(r2, _LGAMMA_C)
-    out = (y - 0.5) * np.log(y) - y + _HALF_LN_2PI + series - shift
-    return float(out[0]) if scalar else out
+    return _float_or_array(_sps.gammaln(_validated_positive(x, "log_gamma")))
 
 
 def digamma(x):
     """Psi(x), the derivative of ln Gamma, for x > 0."""
-    y, scalar = _validated_positive(x, "digamma")
-    shift = np.zeros_like(y)
-
-    def acc(mask, vals):
-        shift[mask] -= 1.0 / vals
-
-    _shift_up(y, acc)
-    r = 1.0 / y
-    r2 = r * r
-    out = np.log(y) - 0.5 * r - r2 * _horner(r2, _DIGAMMA_C) + shift
-    return float(out[0]) if scalar else out
+    return _float_or_array(_sps.psi(_validated_positive(x, "digamma")))
 
 
 def trigamma(x):
-    """Psi'(x), the second derivative of ln Gamma, for x > 0."""
-    y, scalar = _validated_positive(x, "trigamma")
-    shift = np.zeros_like(y)
-
-    def acc(mask, vals):
-        shift[mask] += 1.0 / (vals * vals)
-
-    _shift_up(y, acc)
-    r = 1.0 / y
-    r2 = r * r
-    out = r + 0.5 * r2 + r * r2 * _horner(r2, _TRIGAMMA_C) + shift
-    return float(out[0]) if scalar else out
+    """Psi'(x) = zeta(2, x), the second derivative of ln Gamma, for x > 0."""
+    return _float_or_array(_sps.zeta(2.0, _validated_positive(x, "trigamma")))
 
 
 def polygamma_2(x):
-    """Psi''(x), the third derivative of ln Gamma, for x > 0.
-
-    Needed by models whose curvature-trace gradients involve third
-    derivatives of the nonconjugate exponent.
-    """
-    y, scalar = _validated_positive(x, "polygamma_2")
-    shift = np.zeros_like(y)
-
-    def acc(mask, vals):
-        shift[mask] -= 2.0 / (vals * vals * vals)
-
-    _shift_up(y, acc)
-    r = 1.0 / y
-    r2 = r * r
-    out = -r2 - r * r2 - r2 * r2 * _horner(r2, _POLYGAMMA2_C) + shift
-    return float(out[0]) if scalar else out
+    """Psi''(x) = -2 zeta(3, x), the third derivative of ln Gamma, for x > 0."""
+    return _float_or_array(
+        -2.0 * _sps.zeta(3.0, _validated_positive(x, "polygamma_2"))
+    )
 
 
+# hand-written: scipy's logsumexp/softmax take 90/12 us vs 9/10 us on CTM's 5-vectors
 def log_sum_exp(a, axis=None):
     a = np.asarray(a, dtype=float)
     if axis is None:
@@ -190,19 +84,12 @@ def softmax(a, axis=-1):
 
 def log_sigmoid(a):
     """ln sigma(a) evaluated without overflow for large |a|."""
-    return -np.logaddexp(0.0, -np.asarray(a, dtype=float))
+    return _float_or_array(_sps.log_expit(np.asarray(a, dtype=float)))
 
 
 def sigmoid(a):
-    arr = np.array(a, dtype=float, copy=True)
-    scalar = arr.ndim == 0
-    flat = np.atleast_1d(arr)
-    out = np.empty_like(flat)
-    pos = flat >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-flat[pos]))
-    ea = np.exp(flat[~pos])
-    out[~pos] = ea / (1.0 + ea)
-    return float(out[0]) if scalar else out.reshape(arr.shape)
+    """1 / (1 + exp(-a)) without overflow for large |a|."""
+    return _float_or_array(_sps.expit(np.asarray(a, dtype=float)))
 
 
 class NotPositiveDefiniteError(ArithmeticError):

@@ -33,6 +33,17 @@ def _checked_exp(theta: np.ndarray) -> np.ndarray:
     return np.exp(theta)
 
 
+# b^2 psi'(b) and b^3 psi''(b) by one step of psi'(b) = psi'(b+1) + 1/b^2 and
+# psi''(b) = psi''(b+1) - 2/b^3: finite where b^k underflows to 0 while psi'(b)
+# or psi''(b) overflows (tiny rates) and where b^k itself overflows (huge ones).
+def _b2_trigamma(b: np.ndarray) -> np.ndarray:
+    return 1.0 + b * (b * numerics.trigamma(b + 1.0))
+
+
+def _b3_polygamma_2(b: np.ndarray) -> np.ndarray:
+    return -2.0 + b * (b * (b * numerics.polygamma_2(b + 1.0)))
+
+
 class UnigramModel(ModelContract):
     def __init__(self, vocab_size: int, documents: list[Document]):
         if vocab_size < 2:
@@ -59,6 +70,10 @@ class UnigramModel(ModelContract):
         theta = np.asarray(theta, dtype=float)
         s = stats.values
         b = _checked_exp(theta)
+        if not np.all(b > 0.0):
+            # exp(theta) underflowed: outside the Dirichlet's domain, so report
+            # a trial the optimizer rejects rather than an input error
+            return -np.inf, np.full_like(b, np.nan)
         big_s = float(b.sum())
         d = float(self.num_docs)
         value = (
@@ -78,7 +93,7 @@ class UnigramModel(ModelContract):
         diag = (
             b * s
             - d * b * (numerics.digamma(b) - numerics.digamma(big_s))
-            - d * b * b * numerics.trigamma(b)
+            - d * _b2_trigamma(b)
             - 1.0
         )
         hess = d * numerics.trigamma(big_s) * np.outer(b, b)
@@ -95,13 +110,12 @@ class UnigramModel(ModelContract):
         psi_s = numerics.digamma(big_s)
         tri_s = numerics.trigamma(big_s)
         pg2_s = numerics.polygamma_2(big_s)
-        tri_b = numerics.trigamma(b)
         sigma_b = sigma @ b
         out = sig_diag * b * s
         out -= d * sig_diag * (
             b * numerics.digamma(b)
-            + 3.0 * b * b * tri_b
-            + b * b * b * numerics.polygamma_2(b)
+            + 3.0 * _b2_trigamma(b)
+            + _b3_polygamma_2(b)
         )
         out += d * psi_s * sig_diag * b
         out += d * tri_s * b * float(sig_diag @ b)

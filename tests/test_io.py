@@ -6,7 +6,7 @@ import pytest
 from ncvi import cli, ctm, dataio, engine
 from ncvi.model import GaussianVariational
 
-from conftest import make_ctm_params, random_spd
+from conftest import make_ctm_params, make_unigram_corpus, random_spd
 
 
 def write(path, text):
@@ -258,6 +258,35 @@ class TestCliCommands:
         assert paths[0].read_bytes() == paths[1].read_bytes()
         assert mask_seconds(tmp_path / "r1.csv.trace.csv") == \
             mask_seconds(tmp_path / "r2.csv.trace.csv")
+
+
+class TestUnigramUnderflow:
+    """Valid corpora whose line-search trials drive a rate exp(theta) to 0."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("num_docs,method,converges", [
+        (50, "delta", True),
+        (200, "laplace", False),  # stops at the 100-iteration cap
+    ])
+    def test_exits_zero(self, tmp_path, capsys, num_docs, method, converges):
+        docs, _ = make_unigram_corpus(1, 100, num_docs, tokens_per_doc=200)
+        lines = ["V 100"]
+        for doc in docs:
+            pairs = " ".join(f"{i}:{c}" for i, c in sorted(doc.counts.items()))
+            lines.append(f"{len(doc.counts)} {pairs}")
+        corpus = write(tmp_path / "corpus.txt", "\n".join(lines) + "\n")
+        out = tmp_path / "rates.csv"
+        assert run_cli(["infer-unigram", "--corpus", corpus, "--method", method,
+                        "--out", out]) == 0
+        err = capsys.readouterr().err
+        assert "error:" not in err
+        trace = (tmp_path / "rates.csv.trace.csv").read_text().splitlines()
+        if converges:
+            assert err == ""
+        else:
+            assert err.startswith("warning: stopped at the 100-iteration cap")
+            assert len(trace) == 101
+        assert len(out.read_text().splitlines()) == 101
 
 
 class TestCliErrors:

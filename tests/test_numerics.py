@@ -1,7 +1,9 @@
 """Special functions and SPD linear algebra.
 
-Reference values are frozen from independent high-precision sources, and the
-sweeps compare against scipy.special as a second implementation.
+The gamma family and the sigmoids wrap scipy.special, so the independent
+checks are the frozen high-precision references, the recurrences and the
+finite differences.  The sweeps against scipy.special only pin each wrapper
+to the right function and order.
 """
 
 import numpy as np
@@ -12,10 +14,11 @@ from hypothesis import strategies as st
 
 from ncvi import numerics
 
-# frozen references: ln sqrt(pi), -EulerGamma, pi^2/6
+# frozen references: ln sqrt(pi), -EulerGamma, pi^2/6, -2 zeta(3)
 LN_SQRT_PI = 0.5723649429247001
 NEG_EULER_GAMMA = -0.5772156649015329
 PI2_OVER_6 = 1.6449340668482264
+NEG_TWO_ZETA3 = -2.4041138063191885
 
 EPS = np.finfo(float).eps
 
@@ -99,6 +102,50 @@ class TestTrigamma:
             numerics.trigamma(0.0)
 
 
+class TestPolygamma2:
+    def test_at_one(self):
+        assert numerics.polygamma_2(1.0) == pytest.approx(NEG_TWO_ZETA3, abs=1e-12)
+
+    def test_matches_finite_difference_of_trigamma(self):
+        h = 1e-5
+        for x in np.geomspace(0.5, 50.0, 25):
+            fd = (numerics.trigamma(x + h) - numerics.trigamma(x - h)) / (2 * h)
+            assert numerics.polygamma_2(x) == pytest.approx(fd, abs=1e-5)
+
+    def test_sweep_against_scipy(self):
+        xs = np.geomspace(1e-3, 1e6, 400)
+        np.testing.assert_allclose(
+            numerics.polygamma_2(xs), sps.polygamma(2, xs), rtol=1e-10, atol=1e-8
+        )
+
+    def test_rejects_nonpositive(self):
+        with pytest.raises(ValueError):
+            numerics.polygamma_2(0.0)
+        with pytest.raises(ValueError):
+            numerics.polygamma_2(np.array([1.0, float("inf")]))
+
+
+WRAPPED = [
+    numerics.log_gamma,
+    numerics.digamma,
+    numerics.trigamma,
+    numerics.polygamma_2,
+    numerics.sigmoid,
+    numerics.log_sigmoid,
+]
+
+
+@pytest.mark.parametrize("fn", WRAPPED, ids=lambda f: f.__name__)
+def test_scalar_gives_float_and_array_keeps_shape(fn):
+    assert type(fn(1.5)) is float
+    assert type(fn(np.float64(1.5))) is float
+    assert type(fn(np.array(1.5))) is float
+    grid = np.full((2, 3), 1.5)
+    out = fn(grid)
+    assert isinstance(out, np.ndarray) and out.shape == (2, 3)
+    np.testing.assert_array_equal(out, np.full((2, 3), fn(1.5)))
+
+
 @given(st.floats(min_value=1e-3, max_value=1e4))
 @settings(max_examples=60, deadline=None)
 def test_digamma_recurrence(x):
@@ -113,6 +160,16 @@ def test_trigamma_recurrence(x):
     lhs = numerics.trigamma(x + 1.0)
     rhs = numerics.trigamma(x) - 1.0 / (x * x)
     assert abs(lhs - rhs) <= 1e-10 + 1e-12 * abs(rhs)
+
+
+@given(st.floats(min_value=1e-3, max_value=1e4))
+@settings(max_examples=60, deadline=None)
+def test_polygamma_2_recurrence(x):
+    lhs = numerics.polygamma_2(x + 1.0)
+    step = 2.0 / (x * x * x)
+    rhs = numerics.polygamma_2(x) + step
+    # the sum cancels for small x; rounding scales with its terms, not rhs
+    assert abs(lhs - rhs) <= 1e-10 + 1e-12 * step
 
 
 class TestSpdFactorize:

@@ -83,6 +83,52 @@ class TestExponentValueGrad:
             model.f_value_grad(np.array([701.0, 0.0]), ExpectedStats(np.zeros(2)))
 
 
+class TestRateUnderflow:
+    """exp(theta) underflowing to 0 in a line-search trial is a rejected step,
+    not an input error, and tiny rates keep the curvature finite."""
+
+    def test_underflowed_trial_reports_minus_infinity(self):
+        model = unigram.UnigramModel(2, [Document({0: 1})])
+        value, grad = model.f_value_grad(
+            np.array([-800.0, 0.0]), ExpectedStats(np.zeros(2))
+        )
+        assert value == -np.inf
+        assert not np.all(np.isfinite(grad))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_curvature_reaches_its_small_rate_limit(self):
+        # b^2 psi'(b) -> 1 and b^3 psi''(b) -> -2 as b -> 0, so the curvature
+        # at theta_0 = -400 (b_0 ~ 1e-174) equals that at -40 (b_0 ~ 4e-18)
+        # to O(b_0)
+        rng = np.random.default_rng(12)
+        theta, stats = random_point(rng, 4, 3)
+        model = unigram.UnigramModel(4, [Document({1: 2, 2: 1})] * 3)
+        sigma = np.diag(rng.uniform(0.1, 1.0, size=4))
+        out = {}
+        for t0 in (-40.0, -400.0):
+            theta[0] = t0
+            out[t0] = (
+                model.f_hessian(theta, stats),
+                model.trace_grad(theta, sigma, stats),
+            )
+        for tiny, small in zip(out[-400.0], out[-40.0]):
+            np.testing.assert_allclose(tiny, small, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_delta_reproducer_converges(self):
+        docs, _ = make_unigram_corpus(1, 100, 50, tokens_per_doc=200)
+        q, _, trace = unigram.infer(docs, 100, InferenceConfig(method="delta"))
+        assert trace.converged
+        assert np.all(np.isfinite(q.mu)) and np.all(np.diag(q.sigma) > 0.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_laplace_reproducer_runs_to_the_cap(self):
+        docs, _ = make_unigram_corpus(1, 100, 200, tokens_per_doc=200)
+        q, _, trace = unigram.infer(docs, 100)
+        assert not trace.converged and len(trace) == 100
+        assert np.all(np.isfinite(q.mu)) and np.all(np.diag(q.sigma) > 0.0)
+
+
 class TestExpectedStats:
     def test_single_uniform_dirichlet(self):
         model = unigram.UnigramModel(2, [Document({0: 1})])
