@@ -142,7 +142,7 @@ class BlrModel(ModelContract):
         a = self._t @ np.asarray(theta, dtype=float)
         sig = numerics.sigmoid(a)
         w = sig * numerics.sigmoid(-a)
-        quad = np.einsum("ni,ij,nj->n", self._t, sigma, self._t)
+        quad = np.sum((self._t @ sigma) * self._t, axis=1)
         return -self._t.T @ (w * (1.0 - 2.0 * sig) * quad)
 
     def expected_stats(self, q_z=None) -> ExpectedStats:

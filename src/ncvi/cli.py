@@ -57,10 +57,7 @@ def _cmd_fit_ctm(args) -> int:
     docs, vocab = dataio.parse_corpus(
         args.corpus, warn=lambda m: print(m, file=sys.stderr)
     )
-    fit = ctm.em_fit(
-        docs, vocab, args.k, cfg, em_iters=args.em_iters,
-        seed=args.seed, threads=args.threads,
-    )
+    fit = ctm.em_fit(docs, vocab, args.k, cfg, em_iters=args.em_iters, seed=args.seed)
     dataio.save_ctm_params(fit.params, args.out)
     fit.trace.to_csv(str(args.out) + ".trace.csv")
     return 0
@@ -75,9 +72,7 @@ def _cmd_eval_ctm(args) -> int:
             f"corpus vocabulary {vocab} does not match the model's {params.vocab_size}"
         )
     start = time.perf_counter()
-    report = evaluate.heldout_corpus(
-        params, docs, cfg, seed=args.seed, threads=args.threads
-    )
+    report = evaluate.heldout_corpus(params, docs, cfg, seed=args.seed)
     dataio.write_metrics_csv(report, args.out, extra_summary={"split_seed": args.seed})
     trace = engine.InferenceTrace()
     for i, value in enumerate(report.values, start=1):
@@ -202,14 +197,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--em-iters", type=int, default=20)
-    _add_common(p, threads=True, seed=0)
+    _add_common(p, seed=0)
     p.set_defaults(func=_cmd_fit_ctm)
 
     p = commands.add_parser("eval-ctm", help="held-out per-word log likelihood")
     p.add_argument("--model", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    _add_common(p, threads=True, seed=evaluate.DEFAULT_SPLIT_SEED)
+    _add_common(p, seed=evaluate.DEFAULT_SPLIT_SEED)
     p.set_defaults(func=_cmd_eval_ctm)
 
     p = commands.add_parser("fit-blr", help="fit a logistic regression posterior")

@@ -8,7 +8,6 @@ predictive distribution.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +84,20 @@ def split_document(doc: Document, seed) -> tuple[Document, Document]:
     return to_doc(first), to_doc(second)
 
 
+def _score_halves(params, halves, cfg) -> list[float]:
+    """Fit every first half in one batch; score each second half under its fit."""
+    fits = ctm.infer_docs(params, [first for first, _ in halves], cfg)
+    scores = []
+    for (state, _), (_, second) in zip(fits, halves):
+        predictive = ctm.predictive_distribution(params, state.q_theta)
+        total = 0.0
+        for idx, count in second.items():
+            # zero predictive mass floors at the representable minimum
+            total += count * float(np.log(max(predictive[idx], _PROB_FLOOR)))
+        scores.append(total / second.total())
+    return scores
+
+
 def heldout_doc_loglik(
     params: ctm.CtmParams,
     doc: Document,
@@ -96,16 +109,7 @@ def heldout_doc_loglik(
     Fits the topic proportions on the first half only, then scores each
     second-half token under the resulting mixture over topics.
     """
-    first, second = split_document(doc, seed)
-    if second.total() == 0:
-        raise SkipDocument("second half is empty")
-    state, _ = ctm.infer_doc(params, first, cfg)
-    predictive = ctm.predictive_distribution(params, state.q_theta)
-    total = 0.0
-    for idx, count in second.items():
-        # zero predictive mass floors at the representable minimum
-        total += count * float(np.log(max(predictive[idx], _PROB_FLOOR)))
-    return total / second.total()
+    return _score_halves(params, [split_document(doc, seed)], cfg)[0]
 
 
 def heldout_corpus(
@@ -113,33 +117,21 @@ def heldout_corpus(
     documents: list[Document],
     cfg: engine.InferenceConfig | None = None,
     seed=DEFAULT_SPLIT_SEED,
-    threads: int = 1,
 ) -> MetricReport:
     """Score every splittable document; short documents are skipped.
 
-    Each document's shuffle seed is derived from (seed, position) so scores
-    do not depend on which other documents are present.
+    Each document's shuffle seed is derived from (seed, position), and
+    `ctm.infer_docs` fits each first half independently of the batch, so
+    scores do not depend on which other documents are present.
     """
-
-    def score(item):
-        pos, doc = item
+    kept, halves = [], []
+    for pos, doc in enumerate(documents):
         try:
-            return pos, heldout_doc_loglik(params, doc, cfg, (seed, pos))
+            halves.append(split_document(doc, (seed, pos)))
         except SkipDocument:
-            return pos, None
-
-    items = list(enumerate(documents))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            scored = list(pool.map(score, items))
-    else:
-        scored = [score(it) for it in items]
-    kept = [(pos, val) for pos, val in scored if val is not None]
-    return MetricReport(
-        "heldout_loglik",
-        tuple(f"doc{pos}" for pos, _ in kept),
-        tuple(val for _, val in kept),
-    )
+            continue
+        kept.append(f"doc{pos}")
+    return MetricReport("heldout_loglik", tuple(kept), tuple(_score_halves(params, halves, cfg)))
 
 
 def predict_labels(q_theta: GaussianVariational, instances: list[LabeledInstance]) -> np.ndarray:

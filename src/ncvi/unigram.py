@@ -69,10 +69,11 @@ class UnigramModel(ModelContract):
     def f_value_grad(self, theta, stats: ExpectedStats):
         theta = np.asarray(theta, dtype=float)
         s = stats.values
-        b = _checked_exp(theta)
-        if not np.all(b > 0.0):
-            # exp(theta) underflowed: outside the Dirichlet's domain, so report
-            # a trial the optimizer rejects rather than an input error
+        b = np.exp(np.minimum(theta, _EXP_GUARD))
+        if np.any(theta > _EXP_GUARD) or not np.all(b > 0.0):
+            # exp(theta) past the overflow guard or underflowed to 0: outside
+            # the Dirichlet's domain, so report a trial the optimizer rejects
+            # rather than a numerical failure or an input error
             return -np.inf, np.full_like(b, np.nan)
         big_s = float(b.sum())
         d = float(self.num_docs)

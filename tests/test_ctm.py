@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ncvi import ctm, numerics
+from ncvi import ctm, engine, numerics, optimize
 from ncvi.engine import InferenceConfig
 from ncvi.model import ConjugateVariational, Document, ExpectedStats, GaussianVariational
 
@@ -95,6 +95,24 @@ class TestCurvatureTraceGradient:
         fd = numerics.finite_diff_gradient(weighted_curvature, theta)
         np.testing.assert_allclose(model.trace_grad(theta, sigma, stats), fd,
                                    rtol=1e-3, atol=1e-5)
+
+    def test_hessian_matches_finite_differences_of_trace_gradient(self):
+        rng = np.random.default_rng(3)
+        params = simple_params(4, 6)
+        model = ctm.CtmDocModel(params, Document({1: 3, 4: 2}))
+        stats = ExpectedStats(rng.uniform(0.2, 2.0, size=4))
+        sig = rng.uniform(0.1, 1.0, size=4)
+        theta = rng.uniform(-1.0, 1.0, size=4)
+        fd = np.array([
+            numerics.finite_diff_gradient(
+                lambda t: float(model.trace_grad(t, np.diag(sig), stats)[j]), theta
+            )
+            for j in range(4)
+        ])
+        pi = numerics.softmax(theta[None, :], axis=1)
+        hess = ctm._trace_hessian(pi, stats.values[None, :], sig[None, :])[0]
+        np.testing.assert_array_equal(hess, hess.T)
+        np.testing.assert_allclose(hess, fd, rtol=1e-3, atol=1e-5)
 
     def test_rejects_dense_covariance(self):
         params = simple_params()
@@ -198,6 +216,156 @@ class TestDocumentInference:
         params = simple_params(2, 3)
         with pytest.raises(ValueError):
             ctm.CtmDocModel(params, Document({3: 1}))
+
+
+def engine_reference(params, doc, cfg):
+    """The generic engine on the one-document model: the reference path."""
+    model = ctm.CtmDocModel(params, doc)
+    q0 = GaussianVariational(np.zeros(model.dim), np.eye(model.dim))
+    return engine.run_coordinate_ascent(model, None, q0, model.conjugate_update(q0), cfg)
+
+
+def trace_rows(trace):
+    return [(r.iteration, r.objective, r.mean_change) for r in trace.records], trace.converged
+
+
+class TestBatchInference:
+    @pytest.mark.parametrize("method", ["laplace", "delta"])
+    def test_each_document_independent_of_its_batch(self, method):
+        params = make_ctm_params(14, 5, 40)
+        docs = make_ctm_corpus(15, params, 12, tokens_per_doc=50)
+        docs[3:3] = [Document({}), Document({7: 1})]
+        cfg = InferenceConfig(method=method)
+        full = ctm.infer_docs(params, docs, cfg)
+        prefix = ctm.infer_docs(params, docs[:5], cfg)
+        for i, doc in enumerate(docs):
+            runs = [ctm.infer_doc(params, doc, cfg)] + prefix[i:i + 1]
+            want, want_trace = full[i]
+            for got, got_trace in runs:
+                assert np.array_equal(got.q_theta.mu, want.q_theta.mu)
+                assert np.array_equal(got.q_theta.sigma, want.q_theta.sigma)
+                assert np.array_equal(got.phi, want.phi)
+                assert got.objective == want.objective
+                assert trace_rows(got_trace) == trace_rows(want_trace)
+
+    @pytest.mark.parametrize("method", ["laplace", "delta"])
+    def test_matches_engine_reference(self, method):
+        params = make_ctm_params(16, 5, 60, topic_conc=0.2)
+        docs = make_ctm_corpus(17, params, 10, tokens_per_doc=80)
+        cfg = InferenceConfig(method=method)
+        for doc, (state, trace) in zip(docs, ctm.infer_docs(params, docs, cfg)):
+            q, q_z, ref_trace = engine_reference(params, doc, cfg)
+            np.testing.assert_allclose(state.q_theta.mu, q.mu, rtol=0, atol=1e-6)
+            np.testing.assert_allclose(state.q_theta.sigma, q.sigma, rtol=0, atol=1e-6)
+            np.testing.assert_allclose(state.phi, q_z.phi, rtol=0, atol=1e-6)
+            assert len(trace) == len(ref_trace) and trace.converged
+            assert state.objective == pytest.approx(ref_trace.records[-1].objective, rel=1e-9)
+
+    @pytest.mark.parametrize("method", ["laplace", "delta"])
+    def test_extreme_documents_match_engine_reference(self, method):
+        params = make_ctm_params(18, 5, 60, topic_conc=0.2)
+        rng = np.random.default_rng(19)
+        rot, _ = np.linalg.qr(rng.normal(size=(5, 5)))
+        ill = rot @ np.diag(np.logspace(3, -3, 5)) @ rot.T  # condition number 1e6
+        cases = [
+            (params, make_ctm_corpus(20, params, 2, tokens_per_doc=5000)),
+            (params, [Document({int(w): 1}) for w in rng.integers(60, size=4)]),
+            (ctm.CtmParams(params.topics, np.zeros(5), 0.5 * (ill + ill.T)),
+             make_ctm_corpus(21, params, 3, tokens_per_doc=60)),
+            # condition number 1e6 with one nearly flat prior direction
+            (ctm.CtmParams(params.topics, np.zeros(5), np.diag(np.logspace(0, 6, 5))),
+             make_ctm_corpus(21, params, 3, tokens_per_doc=60)),
+            (ctm.CtmParams(params.topics[:1], np.zeros(1), np.eye(1)),
+             make_ctm_corpus(22, params, 3, tokens_per_doc=60)),
+        ]
+        cfg = InferenceConfig(method=method)
+        for case_params, docs in cases:
+            for doc, (state, trace) in zip(docs, ctm.infer_docs(case_params, docs, cfg)):
+                q, _, ref_trace = engine_reference(case_params, doc, cfg)
+                np.testing.assert_allclose(
+                    numerics.softmax(state.q_theta.mu), numerics.softmax(q.mu), rtol=0, atol=1e-6
+                )
+                assert state.objective == pytest.approx(ref_trace.records[-1].objective, rel=1e-7)
+                assert len(trace) == len(ref_trace)
+
+    def test_rejects_bad_terms_anywhere_in_the_batch(self):
+        params = simple_params(2, 3)
+        good = Document({0: 2, 1: 1})
+        with pytest.raises(ValueError, match="outside the topic vocabulary"):
+            ctm.infer_docs(params, [good, Document({3: 1})])
+        topics = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]])
+        zero = ctm.CtmParams(topics, np.zeros(2), np.eye(2))
+        with pytest.raises(ValueError, match="zero probability"):
+            ctm.infer_docs(zero, [good, Document({2: 1})])
+
+    def test_each_document_reports_the_iteration_cap(self):
+        params = make_ctm_params(23, 3, 12)
+        docs = make_ctm_corpus(24, params, 3, tokens_per_doc=40) + [Document({})]
+        results = ctm.infer_docs(params, docs, InferenceConfig(max_outer_iters=1))
+        for _, trace in results[:3]:
+            assert len(trace) == 1 and not trace.converged
+        assert results[3][1].converged and len(results[3][1]) == 0
+
+    def test_delta_ascent_converges_along_a_weak_prior_direction(self, monkeypatch):
+        # A prior variance of 1e6 on a topic the document barely uses leaves
+        # f almost flat there, so the trace term's curvature dominates.
+        params = make_ctm_params(11, 5, 100, topic_conc=0.2)
+        weak = ctm.CtmParams(params.topics, np.zeros(5), np.diag(np.logspace(0, 6, 5)))
+        docs = make_ctm_corpus(4, params, 10, tokens_per_doc=60)
+        calls = []
+        newton = ctm._newton
+
+        def counted(evaluate, x):
+            count = [0]
+
+            def tally(theta, rows):
+                count[0] += 1
+                return evaluate(theta, rows)
+
+            out = newton(tally, x)
+            calls.append((count[0], int(out[1].sum())))
+            return out
+
+        monkeypatch.setattr(ctm, "_newton", counted)
+        results = ctm.infer_docs(weak, docs, InferenceConfig(method="delta"))
+        assert all(trace.converged for _, trace in results)
+        assert sum(capped for _, capped in calls) == 0
+        assert max(count for count, _ in calls) <= 50
+
+    def test_newton_reports_rows_stopped_at_the_cap(self):
+        def evaluate(x, rows):
+            # a Newton matrix 1e6 times too stiff: every step is accepted but tiny
+            value = -0.5 * np.sum(x * x, axis=1)
+            return value, -x, np.broadcast_to(1e6 * np.eye(2), (len(rows), 2, 2))
+
+        x, capped = ctm._newton(evaluate, np.array([[1.0, -1.0], [0.0, 0.0]]))
+        assert capped.tolist() == [True, False]
+        assert 0.99 < x[0, 0] < 1.0 and x[1].tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("method", ["laplace", "delta"])
+    def test_refit_stopped_at_the_newton_cap_is_not_converged(self, method, monkeypatch):
+        params = make_ctm_params(23, 3, 12)
+        docs = make_ctm_corpus(24, params, 3, tokens_per_doc=40)
+        newton = ctm._newton
+
+        def always_capped(evaluate, x):
+            return newton(evaluate, x)[0], np.ones(len(x), dtype=bool)
+
+        want = ctm.infer_docs(params, docs, InferenceConfig(method=method))
+        monkeypatch.setattr(ctm, "_newton", always_capped)
+        got = ctm.infer_docs(params, docs, InferenceConfig(method=method))
+        for (_, want_trace), (_, got_trace) in zip(want, got):
+            assert want_trace.converged and not got_trace.converged
+            assert trace_rows(got_trace)[0] == trace_rows(want_trace)[0]
+
+    def test_exhausted_backtracking_raises_stall(self):
+        def evaluate(x, rows):
+            # finite at the start, no trial point is ever finite
+            value = np.where(np.all(x == 0.0, axis=1), 0.0, np.nan)
+            return value, np.ones_like(x), np.broadcast_to(np.eye(2), (len(rows), 2, 2))
+
+        with pytest.raises(optimize.LineSearchStallError):
+            ctm._newton(evaluate, np.zeros((3, 2)))
 
 
 class TestPredictive:

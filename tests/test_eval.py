@@ -91,13 +91,6 @@ class TestHeldoutLoglik:
         report = evaluate.heldout_corpus(params, docs)
         assert report.unit_ids == ("doc0",)
 
-    def test_threads_do_not_change_scores(self):
-        params = make_ctm_params(8, 3, 12)
-        docs = make_ctm_corpus(9, params, 6, tokens_per_doc=30)
-        one = evaluate.heldout_corpus(params, docs, threads=1)
-        two = evaluate.heldout_corpus(params, docs, threads=3)
-        assert one == two
-
 
 class TestClassificationMetrics:
     def test_accuracy_extremes(self):

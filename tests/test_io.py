@@ -238,16 +238,6 @@ class TestCliCommands:
         var = [float(l.split(",")[2]) for l in lines[1:]]
         assert all(v > 0.0 for v in var)
 
-    def test_thread_count_keeps_outputs_identical(self, clidata, tmp_path):
-        outs = []
-        for threads, name in ((1, "a.txt"), (2, "b.txt")):
-            path = tmp_path / name
-            assert run_cli(["fit-ctm", "--corpus", clidata / "corpus.txt",
-                            "--k", 2, "--out", path, "--em-iters", 2,
-                            "--threads", threads]) == 0
-            outs.append(path.read_bytes())
-        assert outs[0] == outs[1]
-
     def test_repeated_runs_reproduce_traces(self, clidata, tmp_path):
         paths = []
         for name in ("r1.csv", "r2.csv"):
@@ -333,8 +323,8 @@ class TestCliErrors:
         ("fit-blr", ["--conv-tol", 0]),
         ("fit-ctm", ["--em-iters", 0]),
         ("fit-hblr", ["--em-iters", 0]),
-        ("fit-ctm", ["--threads", 0]),
-        ("fit-ctm", ["--threads", "x"]),
+        ("fit-hblr", ["--threads", 0]),
+        ("fit-hblr", ["--threads", "x"]),
         ("fit-hblr", ["--phi0", 0]),
         ("fit-hblr", ["--phi1", 0]),
     ])

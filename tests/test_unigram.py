@@ -78,14 +78,22 @@ class TestExponentValueGrad:
             np.testing.assert_allclose(tg, fd, rtol=1e-3, atol=1e-5)
 
     def test_overflow_guard(self):
+        # f_value_grad rejects such a trial (TestRateUnderflow); the curvature
+        # and the conjugate update, evaluated only at accepted points, raise
         model = unigram.UnigramModel(2, [Document({0: 1})])
+        theta, stats = np.array([701.0, 0.0]), ExpectedStats(np.zeros(2))
         with pytest.raises(OverflowError):
-            model.f_value_grad(np.array([701.0, 0.0]), ExpectedStats(np.zeros(2)))
+            model.f_hessian(theta, stats)
+        with pytest.raises(OverflowError):
+            model.trace_grad(theta, np.eye(2), stats)
+        with pytest.raises(OverflowError):
+            model.eta_expectation(GaussianVariational(theta, np.zeros((2, 2))))
 
 
 class TestRateUnderflow:
-    """exp(theta) underflowing to 0 in a line-search trial is a rejected step,
-    not an input error, and tiny rates keep the curvature finite."""
+    """exp(theta) underflowing to 0, or passing the overflow guard, in a
+    line-search trial is a rejected step, not an input error or a numerical
+    failure, and tiny rates keep the curvature finite."""
 
     def test_underflowed_trial_reports_minus_infinity(self):
         model = unigram.UnigramModel(2, [Document({0: 1})])
@@ -94,6 +102,16 @@ class TestRateUnderflow:
         )
         assert value == -np.inf
         assert not np.all(np.isfinite(grad))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("big", [701.0, 800.0])
+    def test_overflowed_trial_reports_minus_infinity(self, big):
+        # 701 passes the guard while exp is still finite; 800 overflows exp
+        model = unigram.UnigramModel(2, [Document({0: 1})])
+        theta, stats = np.array([big, 0.0]), ExpectedStats(np.zeros(2))
+        value, grad = model.f_value_grad(theta, stats)
+        assert value == -np.inf
+        assert np.all(np.isnan(grad))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_curvature_reaches_its_small_rate_limit(self):
