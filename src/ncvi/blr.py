@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import engine, numerics
+from . import engine, numerics, optimize
 from .model import (
     ConjugateVariational,
     ExpectedStats,
@@ -138,12 +137,29 @@ class BlrModel(ModelContract):
         w = numerics.sigmoid(a) * numerics.sigmoid(-a)
         return -(self._t.T * w) @ self._t - self._prior_inv
 
-    def trace_grad(self, theta, sigma, stats: ExpectedStats = None) -> np.ndarray:
+    def _trace_terms(self, theta, sigma):
+        """sigma(a), w = sigma(a) sigma(-a) and q = diag(T sigma T') at a = T theta."""
         a = self._t @ np.asarray(theta, dtype=float)
         sig = numerics.sigmoid(a)
-        w = sig * numerics.sigmoid(-a)
         quad = np.sum((self._t @ sigma) * self._t, axis=1)
+        return sig, sig * numerics.sigmoid(-a), quad
+
+    def trace_grad(self, theta, sigma, stats: ExpectedStats = None) -> np.ndarray:
+        sig, w, quad = self._trace_terms(theta, sigma)
         return -self._t.T @ (w * (1.0 - 2.0 * sig) * quad)
+
+    def _trace_hessian(self, theta, sigma) -> np.ndarray:
+        """Hessian of theta -> Tr{Hessian_f(theta) sigma}: -T' diag(w'' q) T,
+        with w'' = w (1 - 2 sigma)^2 - 2 w^2 the second derivative of w in a."""
+        sig, w, quad = self._trace_terms(theta, sigma)
+        w2 = w * (1.0 - 2.0 * sig) ** 2 - 2.0 * w * w
+        return -(self._t.T * (w2 * quad)) @ self._t
+
+    def newton_direction(self, theta, stats, grad, sigma=None) -> np.ndarray:
+        """For the delta objective, its exact -Hessian where positive definite."""
+        neg = -self.f_hessian(theta)
+        exact = None if sigma is None else neg - 0.5 * self._trace_hessian(theta, sigma)
+        return optimize.dense_direction(neg, grad, exact)
 
     def expected_stats(self, q_z=None) -> ExpectedStats:
         return ExpectedStats(self._y1.copy())
@@ -236,7 +252,6 @@ def fit_hierarchical(
     hier: HierPrior | None = None,
     cfg: engine.InferenceConfig | None = None,
     em_iters: int = 20,
-    threads: int = 1,
 ) -> HblrFit:
     """Alternate per-task posterior fits with MAP refits of the shared prior.
 
@@ -260,15 +275,7 @@ def fit_hierarchical(
     for it in range(1, em_iters + 1):
         prior = BlrPrior(mu0.copy(), sigma0.copy())
         models = [BlrModel(instances, prior) for instances in tasks]
-
-        def fit_one(model):
-            return _fit_model(model, cfg.method)
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                posteriors = list(pool.map(fit_one, models))
-        else:
-            posteriors = [fit_one(model) for model in models]
+        posteriors = [_fit_model(model, cfg.method) for model in models]
 
         objective = 0.0
         for model, q in zip(models, posteriors):

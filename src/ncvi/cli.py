@@ -35,16 +35,6 @@ def _inference(args) -> engine.InferenceConfig:
     return engine.InferenceConfig(method=args.method, conv_tol=args.conv_tol)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
 def _single_record_trace(objective: float, mean_change: float, seconds: float) -> engine.InferenceTrace:
     trace = engine.InferenceTrace()
     trace.append(engine.TraceRecord(1, objective, mean_change, seconds))
@@ -121,9 +111,7 @@ def _cmd_fit_hblr(args) -> int:
     hier = blr.HierPrior.default(
         dim, nu_offset=args.nu_offset, phi0_scale=args.phi0, phi1_scale=args.phi1,
     )
-    result = blr.fit_hierarchical(
-        tasks, hier, cfg=cfg, em_iters=args.em_iters, threads=args.threads,
-    )
+    result = blr.fit_hierarchical(tasks, hier, cfg=cfg, em_iters=args.em_iters)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for path, q in zip(paths, result.posteriors):
@@ -177,13 +165,11 @@ def _cmd_infer_unigram(args) -> int:
     return 0
 
 
-def _add_common(sub, *, method=True, conv_tol=True, threads=False, seed=None):
+def _add_common(sub, *, method=True, conv_tol=True, seed=None):
     if method:
         sub.add_argument("--method", choices=("laplace", "delta"), default="laplace")
     if conv_tol:
         sub.add_argument("--conv-tol", type=float, default=1e-4)
-    if threads:
-        sub.add_argument("--threads", type=_positive_int, default=1)
     if seed is not None:
         sub.add_argument("--seed", type=int, default=seed)
 
@@ -220,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu-offset", type=float, default=100.0)
     p.add_argument("--phi0", type=float, default=0.01)
     p.add_argument("--phi1", type=float, default=0.01)
-    _add_common(p, threads=True)
+    _add_common(p)
     p.set_defaults(func=_cmd_fit_hblr)
 
     p = commands.add_parser("eval-blr", help="accuracy and log predictive score")

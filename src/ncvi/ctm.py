@@ -6,11 +6,12 @@ assignment family vanishes.  The curvature-corrected update restricts the
 per-document covariance to a diagonal.
 
 The model maths is written once over a leading document axis.  `infer_docs`
-fits all documents at once with damped Newton steps on the exact K x K
-Hessian; `CtmDocModel`, its one-document view, runs on the generic engine as
-the reference path.  Sums over terms use np.bincount (row order) and products
-with the prior precision np.einsum, not BLAS, so a document's result is
-bitwise independent of the rest of its batch.
+fits all documents at once with the shared damped Newton loop
+(optimize.newton, one document per row) on the exact K x K Hessian;
+`CtmDocModel`, its one-document view, runs on the generic engine with the
+same Newton matrices as the reference path.  Sums over terms use np.bincount
+(row order) and products with the prior precision np.einsum, not BLAS, so a
+document's result is bitwise independent of the rest of its batch.
 """
 
 from __future__ import annotations
@@ -208,6 +209,15 @@ class CtmDocModel(ModelContract):
             raise ValueError("curvature-corrected path requires a diagonal covariance")
         return _trace_grad(self._pi(theta), stats.values[None, :], sig_diag[None, :])[0]
 
+    def newton_direction(self, theta, stats: ExpectedStats, grad, sigma=None) -> np.ndarray:
+        """For the delta objective, its exact -Hessian where positive definite."""
+        pi, s = self._pi(theta), stats.values[None, :]
+        neg = -_hessian(pi, s, self._params)[0]
+        if sigma is None:
+            return optimize.dense_direction(neg, grad)
+        exact = neg - 0.5 * _trace_hessian(pi, s, np.diag(sigma)[None, :])[0]
+        return optimize.dense_direction(neg, grad, exact)
+
     def expected_stats(self, q_z: ConjugateVariational) -> ExpectedStats:
         phi = np.asarray(q_z.phi, dtype=float).reshape(-1, self.dim)
         return ExpectedStats(_doc_sums(self._term_counts[:, None] * phi, self._doc, 1)[0])
@@ -226,63 +236,22 @@ class CtmDocModel(ModelContract):
         return float(self._qz_terms(q_z)[1])
 
 
-def _newton(evaluate, x):
-    """Damped Newton ascent of one problem per row of x, each on its own.
-
-    `evaluate(x, rows)` gives the objective, its gradient and a positive
-    definite Newton matrix at those rows.  Steps halve from the full Newton
-    step until the Armijo test passes.  A row stops at the optimizer's
-    grad_tol, or once an accepted step no longer raises its value; the rows
-    still running at the optimizer's max_iters are returned as a mask.
-    """
-    cfg = optimize.OptimizerConfig()
-    x = x.copy()
-    rows = np.arange(len(x))
-    value, grad, mat = evaluate(x, rows)
-    run = np.linalg.norm(grad, axis=1) > cfg.grad_tol
-    capped = np.zeros(len(x), dtype=bool)
-    for it in range(cfg.max_iters):
-        rows, value, grad, mat = rows[run], value[run], grad[run], mat[run]
-        if not rows.size:
-            break
-        direction = np.linalg.solve(mat, grad[:, :, None])[:, :, 0]
-        slope = np.einsum("dk,dk->d", grad, direction)
-        step = np.ones(rows.size)
-        trial = np.empty_like(grad)
-        new_value, new_grad, new_mat = np.empty_like(value), np.empty_like(grad), np.empty_like(mat)
-        todo = np.arange(rows.size)
-        for _ in range(optimize._MAX_SHRINKS + 1):
-            trial[todo] = x[rows[todo]] + step[todo, None] * direction[todo]
-            v, g, m = evaluate(trial[todo], rows[todo])
-            ok = np.isfinite(v) & np.all(np.isfinite(g), axis=1)
-            ok &= v >= value[todo] + optimize._ARMIJO_C * step[todo] * slope[todo]
-            new_value[todo[ok]], new_grad[todo[ok]], new_mat[todo[ok]] = v[ok], g[ok], m[ok]
-            todo = todo[~ok]
-            if not todo.size:
-                break
-            step[todo] *= optimize._SHRINK
-        else:
-            bad = todo[0]
-            raise optimize.LineSearchStallError(optimize.OptimResult(
-                x[rows[bad]], float(value[bad]), float(np.linalg.norm(grad[bad])), it, False
-            ))
-        x[rows] = trial
-        run = (new_value > value) & (np.linalg.norm(new_grad, axis=1) > cfg.grad_tol)
-        value, grad, mat = new_value, new_grad, new_mat
-    else:
-        capped[rows[run]] = True
-    return x, capped
+def _solve(mat, grad):
+    """Newton directions mat^{-1} grad, one per row."""
+    return np.linalg.solve(mat, grad[:, :, None])[:, :, 0]
 
 
 def _laplace(params, stats, mu, sigma):
     """The mode of f per document, Sigma = (-H)^{-1} there (exactly
-    symmetric, from the Cholesky factor), log|Sigma| and the Newton cap mask."""
+    symmetric, from the Cholesky factor), log|Sigma| and the mask of ascents
+    that stopped short of the optimizer's grad_tol."""
 
     def evaluate(theta, rows):
         value, grad, pi = _value_grad(theta, stats[rows], params)
-        return value, grad, -_hessian(pi, stats[rows], params)
+        return value, grad, _solve(-_hessian(pi, stats[rows], params), grad)
 
-    mu, capped = _newton(evaluate, mu)
+    result = optimize.newton(evaluate, mu)
+    mu = result.argmax
     try:
         chol = np.linalg.cholesky(-_hessian(numerics.softmax(mu, axis=1), stats, params))
     except np.linalg.LinAlgError:
@@ -290,7 +259,7 @@ def _laplace(params, stats, mu, sigma):
     inv_chol = np.linalg.inv(chol)
     sigma = np.einsum("dji,djk->dik", inv_chol, inv_chol)
     log_det = -2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
-    return mu, sigma, log_det, capped
+    return mu, sigma, log_det, ~result.converged
 
 
 def _delta(params, stats, mu, sigma):
@@ -303,7 +272,7 @@ def _delta(params, stats, mu, sigma):
     mu = mu.copy()
     sig = np.diagonal(sigma, axis1=1, axis2=2).copy()
     log_det = np.zeros(len(mu))
-    capped = np.zeros(len(mu), dtype=bool)
+    stuck = np.zeros(len(mu), dtype=bool)
     prev = np.full(len(mu), -np.inf)
     todo = np.arange(len(mu))
     for _ in range(engine._DELTA_INNER_ROUNDS):
@@ -317,10 +286,11 @@ def _delta(params, stats, mu, sigma):
             grad = grad + 0.5 * _trace_grad(pi, s[rows], fixed[rows])
             exact = -hess - 0.5 * _trace_hessian(pi, s[rows], fixed[rows])
             concave = np.linalg.eigvalsh(exact)[:, :1, None] > 0.0
-            return value, grad, np.where(concave, exact, -hess)
+            return value, grad, _solve(np.where(concave, exact, -hess), grad)
 
-        mu[todo], cap = _newton(evaluate, mu[todo])
-        capped[todo] |= cap
+        result = optimize.newton(evaluate, mu[todo])
+        mu[todo] = result.argmax
+        stuck[todo] |= ~result.converged
         value, _, pi = _value_grad(mu[todo], s, params)
         h_diag = np.diagonal(_hessian(pi, s, params), axis1=1, axis2=2)
         sig[todo] = 1.0 / -h_diag
@@ -331,14 +301,15 @@ def _delta(params, stats, mu, sigma):
         todo = todo[~done]
         if not todo.size:
             break
-    return mu, sig[:, :, None] * np.eye(mu.shape[1]), log_det, capped
+    return mu, sig[:, :, None] * np.eye(mu.shape[1]), log_det, stuck
 
 
 def _coordinate_ascent(params, counts, log_beta, doc, num_docs, cfg):
     """The engine's outer loop for every document at once: refit q(theta),
     update q(z), record the approximate objective, and retire each document
     once its mean moves less than cfg.conv_tol.  A document whose last
-    q(theta) refit stopped at the Newton iteration cap reports
+    q(theta) refit stopped short of the optimizer's grad_tol (at its
+    iteration cap, or once steps stopped raising the objective) reports
     converged=False."""
     refit = _laplace if cfg.method == "laplace" else _delta
     k = params.num_topics
@@ -353,7 +324,7 @@ def _coordinate_ascent(params, counts, log_beta, doc, num_docs, cfg):
         rows = np.flatnonzero(np.isin(doc, active))
         sub = np.searchsorted(active, doc[rows])
         n = active.size
-        new_mu, new_sigma, log_det, capped = refit(params, stats[active], mu[active], sigma[active])
+        new_mu, new_sigma, log_det, stuck = refit(params, stats[active], mu[active], sigma[active])
         new_phi = _assignments(new_mu[sub], log_beta[rows])
         new_stats = _doc_sums(counts[rows, None] * new_phi, sub, n)
         value, _, pi = _value_grad(new_mu, new_stats, params)
@@ -364,9 +335,9 @@ def _coordinate_ascent(params, counts, log_beta, doc, num_docs, cfg):
         mu[active], sigma[active], stats[active] = new_mu, new_sigma, new_stats
         phi[rows] = new_phi
         seconds = time.perf_counter() - start
-        for d, o, c, cap in zip(active, obj, change, capped):
+        for d, o, c, short in zip(active, obj, change, stuck):
             traces[d].append(engine.TraceRecord(it, float(o), float(c), seconds))
-            traces[d].converged = bool(c < cfg.conv_tol and not cap)
+            traces[d].converged = bool(c < cfg.conv_tol and not short)
         active = active[change >= cfg.conv_tol]
         if not active.size:
             break

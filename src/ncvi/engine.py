@@ -1,15 +1,17 @@
 """Coordinate-ascent engine alternating a Gaussian q(theta) with a conjugate q(z).
 
-Two interchangeable q(theta) updates:
+Two interchangeable q(theta) updates, both climbing by damped Newton steps
+(optimize.maximize) along the model's newton_direction:
 
 - laplace_step: maximize f and set the covariance from the curvature at the
   mode m, Sigma = (-Hessian f(m))^{-1}.
 - delta_step: maximize the curvature-corrected objective
-  f(mu) + Tr{Hessian_f(mu) Sigma}/2 + log|Sigma|/2 by alternating gradient
+  f(mu) + Tr{Hessian_f(mu) Sigma}/2 + log|Sigma|/2 by alternating Newton
   ascent in mu (at fixed Sigma) with the closed-form Sigma update.
 
-The q(z) update is each model's conjugate_update, which owns whatever
-expectation of eta(theta) under q(theta) it needs.
+The capped jitter and NonConcaveError guard only Sigma at the mode.  The q(z)
+update is each model's conjugate_update, which owns whatever expectation of
+eta(theta) under q(theta) it needs.
 """
 
 from __future__ import annotations
@@ -97,24 +99,33 @@ def _neg_hessian_factorization(hessian, diag=None):
     """Factor -hessian, doubling a diagonal jitter from _JITTER_INIT on failure."""
     neg = -np.asarray(hessian, dtype=float)
     neg = 0.5 * (neg + neg.T)
-    try:
-        fact = numerics.spd_factorize(neg)
-        return fact, 0.0
-    except numerics.NotPositiveDefiniteError:
-        pass
-    jitter = _JITTER_INIT
-    eye = np.eye(neg.shape[0])
+    jitter = 0.0
     while jitter <= _JITTER_MAX:
         try:
-            fact = numerics.spd_factorize(neg + jitter * eye)
-            if diag is not None:
-                diag.setdefault("jitter_events", []).append(jitter)
-            return fact, jitter
+            fact = numerics.spd_factorize(neg + jitter * np.eye(len(neg)) if jitter else neg)
         except numerics.NotPositiveDefiniteError:
-            jitter *= 2.0
-    raise NonConcaveError(
-        f"negated Hessian not positive definite after jitter {_JITTER_MAX:g}"
-    )
+            jitter = 2.0 * jitter or _JITTER_INIT
+            continue
+        if jitter and diag is not None:
+            diag.setdefault("jitter_events", []).append(jitter)
+        return fact
+    raise NonConcaveError(f"negated Hessian not positive definite after jitter {_JITTER_MAX:g}")
+
+
+def _objective(model: ModelContract, stats: ExpectedStats, sigma=None):
+    """f, or given sigma the delta objective f + Tr{H sigma}/2 at that fixed
+    sigma, with its gradient and the model's Newton direction for it."""
+
+    def objective(theta):
+        value, grad = model.f_value_grad(theta, stats)
+        if not np.isfinite(value):
+            return value, grad, grad
+        if sigma is not None:
+            value += 0.5 * float(np.sum(model.f_hessian(theta, stats) * sigma))
+            grad = grad + 0.5 * model.trace_grad(theta, sigma, stats)
+        return value, grad, model.newton_direction(theta, stats, grad, sigma)
+
+    return objective
 
 
 def laplace_step(
@@ -125,13 +136,9 @@ def laplace_step(
     diag=None,
 ) -> GaussianVariational:
     """Fit q(theta) = N(m, (-Hessian f(m))^{-1}) at the mode m of f."""
-
-    def objective(theta):
-        return model.f_value_grad(theta, stats)
-
-    result = optimize.maximize(objective, init)
+    result = optimize.maximize(_objective(model, stats), init)
     hess = model.f_hessian(result.argmax, stats)
-    fact, _ = _neg_hessian_factorization(hess, diag)
+    fact = _neg_hessian_factorization(hess, diag)
     return GaussianVariational(result.argmax, fact.inverse())
 
 
@@ -150,7 +157,7 @@ def _delta_sigma_update(model, mu, stats, diag):
                 diag.setdefault("jitter_events", []).append(jitter)
             d = d + jitter
         return np.diag(1.0 / d), -float(np.sum(np.log(d)))
-    fact, _ = _neg_hessian_factorization(hess, diag)
+    fact = _neg_hessian_factorization(hess, diag)
     return fact.inverse(), -fact.log_det
 
 
@@ -163,9 +170,10 @@ def delta_step(
 ) -> GaussianVariational:
     """Maximize f(mu) + Tr{H(mu) Sigma}/2 + log|Sigma|/2 by alternation.
 
-    The mu step follows the gradient grad f(mu) + trace_grad(mu, Sigma)/2 at
-    fixed Sigma; Sigma then has the closed-form update (-Hessian)^{-1}, or its
-    diagonal analogue for models that restrict Sigma to a diagonal.
+    The mu step climbs with gradient grad f(mu) + trace_grad(mu, Sigma)/2 at
+    fixed Sigma along the model's Newton direction for that objective; Sigma
+    then has the closed-form update (-Hessian)^{-1}, or its diagonal analogue
+    for models that restrict Sigma to a diagonal.
     """
     mu = np.array(init_q.mu, dtype=float, copy=True)
     sigma = np.array(init_q.sigma, dtype=float, copy=True)
@@ -174,18 +182,7 @@ def delta_step(
 
     prev = -np.inf
     for _ in range(_DELTA_INNER_ROUNDS):
-        fixed_sigma = sigma
-
-        def objective(theta):
-            value, grad = model.f_value_grad(theta, stats)
-            if not np.isfinite(value):
-                return value, grad
-            hess = model.f_hessian(theta, stats)
-            t_value = value + 0.5 * float(np.sum(hess * fixed_sigma))
-            t_grad = grad + 0.5 * model.trace_grad(theta, fixed_sigma, stats)
-            return t_value, t_grad
-
-        result = optimize.maximize(objective, mu)
+        result = optimize.maximize(_objective(model, stats, sigma), mu)
         mu = result.argmax
         sigma, log_det = _delta_sigma_update(model, mu, stats, diag)
         value, _ = model.f_value_grad(mu, stats)

@@ -3,8 +3,9 @@
 A model bundles everything the generic engine needs: the nonconjugate
 exponent f(theta) = eta(theta)' E[t(z)] - a(eta(theta)) + log p(theta) with
 its first two derivatives, the gradient of theta -> Tr{H(theta) Sigma} for
-the curvature-corrected update, the expected sufficient statistics of the
-conjugate factor, and the closed-form conjugate update.
+the curvature-corrected update, the Newton direction both updates climb by,
+the expected sufficient statistics of the conjugate factor, and the
+closed-form conjugate update.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Any
 
 import numpy as np
 
-from . import numerics
+from . import numerics, optimize
 
 __all__ = [
     "Document",
@@ -112,8 +113,8 @@ def dirichlet_entropy(alpha: np.ndarray) -> float:
 class ModelContract(abc.ABC):
     """Operations the coordinate-ascent engine requires of a model.
 
-    Immutable after construction so inference can run concurrently across
-    problems.  `delta_diagonal` marks models whose curvature-corrected path
+    Immutable after construction, so one model serves every update of its
+    problem.  `delta_diagonal` marks models whose curvature-corrected path
     restricts the covariance to a diagonal.
     """
 
@@ -135,6 +136,13 @@ class ModelContract(abc.ABC):
     @abc.abstractmethod
     def trace_grad(self, theta: np.ndarray, sigma: np.ndarray, stats: ExpectedStats) -> np.ndarray:
         """Gradient of theta -> Tr{Hessian_f(theta) sigma} at fixed sigma."""
+
+    def newton_direction(self, theta, stats: ExpectedStats, grad, sigma=None) -> np.ndarray:
+        """Solve of a positive definite Newton matrix against `grad` for f or,
+        given sigma, for f + Tr{Hessian_f sigma}/2 at that fixed sigma.
+        Default: f's negated Hessian for both, by optimize.dense_direction;
+        unigram keeps f's for both, BLR and CTM add the trace term's."""
+        return optimize.dense_direction(-self.f_hessian(theta, stats), grad)
 
     @abc.abstractmethod
     def expected_stats(self, q_z: ConjugateVariational) -> ExpectedStats:

@@ -4,7 +4,7 @@ The gamma family (ln Gamma, psi, psi', psi'') and the sigmoids are thin
 wrappers over scipy.special that add the contract the models rely on: the
 gamma family raises ValueError for a non-finite or non-positive argument, and
 a scalar or 0-d argument gives a Python float while an array keeps its shape.
-Everything here is stateless and safe to call from worker threads.
+Everything here is stateless.
 """
 
 from __future__ import annotations
@@ -93,16 +93,7 @@ def sigmoid(a):
 
 
 class NotPositiveDefiniteError(ArithmeticError):
-    """Cholesky factorization hit a nonpositive pivot.
-
-    `pivot` is the zero-based index of the failing leading minor.
-    """
-
-    def __init__(self, pivot: int):
-        self.pivot = int(pivot)
-        super().__init__(
-            f"matrix is not positive definite (failing pivot {self.pivot})"
-        )
+    """Cholesky factorization hit a nonpositive pivot."""
 
 
 class SpdFactorization:
@@ -123,13 +114,16 @@ class SpdFactorization:
         out = np.tril(inv) + np.tril(inv, -1).T
         return out
 
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        return _lapack.dpotrs(self._chol, b, lower=1)[0]
+
 
 def spd_factorize(m: np.ndarray) -> SpdFactorization:
     """Cholesky-factorize a symmetric positive definite matrix.
 
-    No pivoting: a nonpositive pivot raises NotPositiveDefiniteError carrying
-    the failing index, which jitter policies upstream rely on.  Symmetry is
-    required up to 1e-12 relative.
+    No pivoting: a nonpositive pivot raises NotPositiveDefiniteError, which
+    the jitter and shift policies upstream rely on.  Symmetry is required up
+    to 1e-12 relative.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -141,7 +135,7 @@ def spd_factorize(m: np.ndarray) -> SpdFactorization:
         raise ValueError("spd_factorize requires a symmetric matrix")
     c, info = _lapack.dpotrf(m, lower=1)
     if info > 0:
-        raise NotPositiveDefiniteError(pivot=info - 1)
+        raise NotPositiveDefiniteError(f"not positive definite at pivot {info - 1}")
     if info < 0:
         raise ValueError(f"dpotrf rejected argument {-info}")
     return SpdFactorization(np.tril(c))

@@ -1,9 +1,13 @@
-"""Nonlinear conjugate-gradient ascent with backtracking line search.
+"""Damped Newton ascent, one problem per row.
 
-Maximizes a smooth objective given a callable returning (value, gradient).
-Polak-Ribiere directions with nonnegativity clipping, periodic steepest
-restarts, and Armijo backtracking from a unit step.  Deterministic: same
-objective, start, and config always produce the same iterates.
+`newton` climbs every row of a batch at once.  The caller supplies, per row,
+the objective, its gradient and the Newton direction: the solve of a
+positive definite Newton matrix against the gradient.  Steps halve from the
+full Newton step until the Armijo test passes, each row on its own, so a
+row's iterates do not depend on the rest of its batch.  `maximize` is the
+one-row entry point; `dense_direction` and `shifted_solve` give directions
+where the Newton matrix may be indefinite.  Deterministic: the same
+objective, start and config always give the same iterates.
 """
 
 from __future__ import annotations
@@ -12,17 +16,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import numerics
+
 __all__ = [
     "OptimizerConfig",
     "OptimResult",
     "LineSearchStallError",
+    "newton",
     "maximize",
+    "dense_direction",
+    "shifted_solve",
 ]
 
 _MAX_SHRINKS = 50
-_INITIAL_STEP = 1.0
 _SHRINK = 0.5
 _ARMIJO_C = 1e-4
+# rounding of an objective value, relative to its size: a long sum of
+# terms much larger than their total is rounded about this much
+_ROUNDING = 1e-14
+# smallest diagonal shift of an indefinite Newton matrix, relative to its
+# largest diagonal entry; the shift then grows tenfold until the matrix is
+# positive definite
+_SHIFT_MIN = 1e-3
 
 
 @dataclass(frozen=True)
@@ -39,6 +54,8 @@ class OptimizerConfig:
 
 @dataclass
 class OptimResult:
+    """Where an ascent stopped; from `newton`, one entry per row in each field."""
+
     argmax: np.ndarray
     value: float
     grad_norm: float
@@ -49,7 +66,7 @@ class OptimResult:
 class LineSearchStallError(ArithmeticError):
     """Backtracking exhausted its shrink budget without an accepted step.
 
-    Carries the best iterate found so far in `best`.
+    Carries the best iterate of the stalled row in `best`.
     """
 
     def __init__(self, best: OptimResult):
@@ -60,111 +77,108 @@ class LineSearchStallError(ArithmeticError):
         )
 
 
-def maximize(objective, init, config: OptimizerConfig | None = None, *, history=None) -> OptimResult:
-    """Ascend `objective` from `init` until the gradient norm drops below tol.
+def newton(evaluate, x, config: OptimizerConfig | None = None) -> OptimResult:
+    """Damped Newton ascent of one problem per row of x, each on its own.
 
-    `objective(x)` must return (value, gradient).  Accepted iterates are
-    monotone nondecreasing in value; `history`, when given a list, receives
-    the value at init and after every accepted step.
+    `evaluate(x, rows)` gives, for the problems `rows` at the points x (one
+    per row), the objective values, their gradients and the Newton
+    directions; a direction is only used where the value and gradient are
+    finite.  A row stops at grad_tol, once an accepted step no longer raises
+    its value, or at max_iters.
     """
     cfg = config or OptimizerConfig()
+    x = np.array(x, dtype=float)
+    rows = np.arange(len(x))
+    value, grad, direction = evaluate(x, rows)
+    if not (np.all(np.isfinite(value)) and np.all(np.isfinite(grad))):
+        raise ValueError("objective is not finite at the starting point")
+    final_value = value.copy()
+    grad_norm = np.linalg.norm(grad, axis=1)
+    converged = _converged(value, grad, direction, grad_norm, cfg)
+    iterations = np.zeros(len(x), dtype=int)
+    run = grad_norm > cfg.grad_tol
+    for it in range(cfg.max_iters):
+        rows, value, grad, direction = rows[run], value[run], grad[run], direction[run]
+        if not rows.size:
+            break
+        slope = np.einsum("dk,dk->d", grad, direction)
+        step = np.ones(rows.size)
+        trial, new_grad, new_dir = (np.empty_like(grad) for _ in range(3))
+        new_value = np.empty_like(value)
+        todo = np.arange(rows.size)
+        for _ in range(_MAX_SHRINKS + 1):
+            trial[todo] = x[rows[todo]] + step[todo, None] * direction[todo]
+            v, g, d = evaluate(trial[todo], rows[todo])
+            ok = np.isfinite(v) & np.all(np.isfinite(g), axis=1)
+            ok &= v >= value[todo] + _ARMIJO_C * step[todo] * slope[todo]
+            new_value[todo[ok]], new_grad[todo[ok]], new_dir[todo[ok]] = v[ok], g[ok], d[ok]
+            todo = todo[~ok]
+            if not todo.size:
+                break
+            step[todo] *= _SHRINK
+        else:
+            bad = todo[0]
+            raise LineSearchStallError(OptimResult(
+                x[rows[bad]], float(value[bad]), float(np.linalg.norm(grad[bad])), it, False
+            ))
+        x[rows] = trial
+        new_norm = np.linalg.norm(new_grad, axis=1)
+        final_value[rows], grad_norm[rows] = new_value, new_norm
+        converged[rows] = _converged(new_value, new_grad, new_dir, new_norm, cfg)
+        iterations[rows] += 1
+        run = (new_value > value) & (new_norm > cfg.grad_tol)
+        value, grad, direction = new_value, new_grad, new_dir
+    return OptimResult(x, final_value, grad_norm, iterations, converged)
+
+
+def _converged(value, grad, direction, grad_norm, cfg):
+    """Rows within grad_tol, or whose Newton step predicts a gain g'd/2 below
+    the rounding of their value: no step can raise it measurably there."""
+    gain = 0.5 * np.einsum("dk,dk->d", grad, direction)
+    return (grad_norm <= cfg.grad_tol) | (gain <= _ROUNDING * np.maximum(np.abs(value), 1.0))
+
+
+def maximize(objective, init, config: OptimizerConfig | None = None) -> OptimResult:
+    """`newton` on one problem: `objective(x)` returns the value, gradient and
+    Newton direction at the 1-D point x."""
     x = np.array(init, dtype=float, copy=True)
     if x.ndim != 1:
         raise ValueError("maximize expects a 1-D starting point")
-    value, grad = objective(x)
-    value = float(value)
-    grad = np.asarray(grad, dtype=float)
-    if not np.isfinite(value) or not np.all(np.isfinite(grad)):
-        raise ValueError("objective is not finite at the starting point")
-    if history is not None:
-        history.append(value)
 
-    restart = max(1, x.size)
-    direction = grad.copy()
-    iterations = 0
-    grad_norm = float(np.linalg.norm(grad))
-    stagnant = 0
+    def evaluate(points, rows):
+        value, grad, direction = objective(points[0])
+        return np.array([float(value)]), np.asarray(grad, dtype=float)[None], direction[None]
 
-    for it in range(1, cfg.max_iters + 1):
-        if grad_norm <= cfg.grad_tol:
-            return OptimResult(x, value, grad_norm, iterations, True)
+    res = newton(evaluate, x[None, :], config)
+    scalars = (res.value, res.grad_norm, res.iterations, res.converged)
+    return OptimResult(res.argmax[0], *(a[0].item() for a in scalars))
 
-        slope = float(grad @ direction)
-        if slope <= 0.0:
-            # not an ascent direction; fall back to steepest ascent
-            direction = grad.copy()
-            slope = grad_norm * grad_norm
 
-        def probe(step):
-            p_value, p_grad = objective(x + step * direction)
-            p_value = float(p_value)
-            p_grad = np.asarray(p_grad, dtype=float)
-            ok = np.isfinite(p_value) and np.all(np.isfinite(p_grad))
-            passes = ok and p_value >= value + _ARMIJO_C * step * slope
-            return p_value, p_grad, ok, passes
+def shifted_solve(solve, diagonal):
+    """`solve(shift)` for a Newton matrix with `diagonal` plus shift * I, at
+    shift 0 and then growing tenfold from _SHIFT_MIN * max|diagonal| until
+    `solve` returns a direction rather than None (not positive definite)."""
+    shift = 0.0
+    floor = _SHIFT_MIN * max(float(np.max(np.abs(diagonal))), 1e-300)
+    while (direction := solve(shift)) is None:
+        shift = max(10.0 * shift, floor)
+        if not np.isfinite(shift):
+            raise ArithmeticError("no diagonal shift makes the Newton matrix positive definite")
+    return direction
 
-        def slope_fit(step, p_grad):
-            # zero of the directional derivative interpolated from its
-            # values at 0 and at `step`; reconstructs the exact line
-            # maximizer when the objective is quadratic along the ray, and
-            # stays accurate where value differences fall below rounding
-            denom = slope - float(p_grad @ direction)
-            if denom <= 0.0:
-                return None
-            fitted = step * slope / denom
-            return fitted if np.isfinite(fitted) and fitted > 0.0 else None
 
-        # backtrack from the unit step, using the clamped slope fit as the
-        # next trial where available and plain shrinking otherwise
-        step = _INITIAL_STEP
-        p_value, p_grad, finite, accepted = probe(step)
-        for _ in range(_MAX_SHRINKS):
-            if accepted:
-                break
-            fitted = slope_fit(step, p_grad) if finite else None
-            if fitted is not None:
-                step = min(max(fitted, 0.1 * step), _SHRINK * step)
-            else:
-                step *= _SHRINK
-            p_value, p_grad, finite, accepted = probe(step)
-        if not accepted:
-            raise LineSearchStallError(
-                OptimResult(x, value, grad_norm, iterations, False)
-            )
-        # one unclamped refinement from the accepted sample, kept when it
-        # passes and either improves the value or flattens the directional
-        # derivative; this lands the exact step on quadratics so successive
-        # directions stay conjugate
-        fitted = slope_fit(step, p_grad)
-        if fitted is not None and abs(fitted - step) > 1e-12 * step:
-            r_value, r_grad, r_ok, r_passes = probe(fitted)
-            if r_passes and (
-                r_value > p_value
-                or abs(float(r_grad @ direction)) <= abs(float(p_grad @ direction))
-            ):
-                step, p_value, p_grad = fitted, r_value, r_grad
-        t_value, t_grad = p_value, p_grad
-        trial = x + step * direction
+def _cholesky_solve(matrix, grad):
+    try:
+        return numerics.spd_factorize(matrix).solve(grad)
+    except numerics.NotPositiveDefiniteError:
+        return None
 
-        stagnant = stagnant + 1 if t_value <= value else 0
-        if it % restart == 0 or stagnant:
-            # scheduled restart, or a non-improving step: retry along
-            # steepest ascent before concluding progress has floored
-            direction = t_grad.copy()
-        else:
-            gg = grad_norm * grad_norm
-            beta = max(0.0, float(t_grad @ (t_grad - grad)) / gg)
-            direction = t_grad + beta * direction
-        x = trial
-        value = t_value
-        grad = t_grad
-        grad_norm = float(np.linalg.norm(grad))
-        iterations = it
-        if history is not None:
-            history.append(value)
-        if stagnant >= 2:
-            # even steepest ascent stopped improving at double precision;
-            # further steps cannot tighten the gradient
-            break
 
-    return OptimResult(x, value, grad_norm, iterations, grad_norm <= cfg.grad_tol)
+def dense_direction(matrix, grad, exact=None):
+    """Cholesky solve against `exact` where it is positive definite, else
+    against `matrix` (a negated Hessian) shifted until it is."""
+    direction = None if exact is None else _cholesky_solve(exact, grad)
+    if direction is not None:
+        return direction
+    eye = np.eye(len(grad))
+    return shifted_solve(lambda shift: _cholesky_solve(matrix + shift * eye, grad), np.diag(matrix))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import engine, numerics
+from . import engine, numerics, optimize
 from .model import (
     ConjugateVariational,
     Document,
@@ -85,21 +85,43 @@ class UnigramModel(ModelContract):
         grad = b * (s - d * (numerics.digamma(b) - numerics.digamma(big_s))) - theta
         return value, grad
 
-    def f_hessian(self, theta, stats: ExpectedStats) -> np.ndarray:
+    def _curvature(self, theta, stats: ExpectedStats):
+        """f's Hessian as diag(h) + c b b', b = exp(theta), c = D psi'(sum b) (Minka 2000)."""
         theta = np.asarray(theta, dtype=float)
         s = stats.values
         b = _checked_exp(theta)
         big_s = float(b.sum())
         d = float(self.num_docs)
-        diag = (
+        h = (
             b * s
             - d * b * (numerics.digamma(b) - numerics.digamma(big_s))
             - d * _b2_trigamma(b)
             - 1.0
         )
-        hess = d * numerics.trigamma(big_s) * np.outer(b, b)
-        hess[np.diag_indices_from(hess)] += diag
+        return h, d * numerics.trigamma(big_s), b
+
+    def f_hessian(self, theta, stats: ExpectedStats) -> np.ndarray:
+        h, c, b = self._curvature(theta, stats)
+        hess = c * np.outer(b, b)
+        hess[np.diag_indices_from(hess)] += h
         return hess
+
+    def newton_direction(self, theta, stats, grad, sigma=None) -> np.ndarray:
+        """Sherman-Morrison solve against f's -Hessian diag(-h) - c b b' in
+        O(V); the delta objective steps on f's curvature too."""
+        h, c, b = self._curvature(theta, stats)
+
+        def solve(shift):
+            a = shift - h
+            if np.any(a <= 0.0):
+                return None
+            a_grad, a_b = grad / a, b / a
+            denom = 1.0 - c * float(b @ a_b)
+            if denom <= 0.0:
+                return None
+            return a_grad + a_b * (c * float(b @ a_grad) / denom)
+
+        return optimize.shifted_solve(solve, -h - c * b * b)
 
     def trace_grad(self, theta, sigma, stats: ExpectedStats) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)

@@ -1,5 +1,7 @@
 """Topic model with a logistic-normal document prior."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,25 @@ class TestCurvatureTraceGradient:
         hess = ctm._trace_hessian(pi, stats.values[None, :], sig[None, :])[0]
         np.testing.assert_array_equal(hess, hess.T)
         np.testing.assert_allclose(hess, fd, rtol=1e-3, atol=1e-5)
+
+    def test_delta_newton_direction_solves_its_exact_curvature(self):
+        # the reference path's delta Newton matrix is the negated Hessian of
+        # f + Tr{H sigma}/2, taken here by central differences of its gradient
+        rng = np.random.default_rng(4)
+        params = simple_params(4, 6)
+        model = ctm.CtmDocModel(params, Document({1: 3, 4: 2}))
+        stats = ExpectedStats(rng.uniform(0.2, 2.0, size=4))
+        sigma = np.diag(rng.uniform(0.1, 1.0, size=4))
+        theta = rng.uniform(-1.0, 1.0, size=4)
+
+        def grad(t):
+            return model.f_value_grad(t, stats)[1] + 0.5 * model.trace_grad(t, sigma, stats)
+
+        neg = -np.array([numerics.finite_diff_gradient(lambda t: grad(t)[i], theta)
+                         for i in range(4)])
+        assert np.all(np.linalg.eigvalsh(0.5 * (neg + neg.T)) > 0.0)
+        direction = model.newton_direction(theta, stats, grad(theta), sigma)
+        np.testing.assert_allclose(neg @ direction, grad(theta), rtol=1e-5, atol=1e-7)
 
     def test_rejects_dense_covariance(self):
         params = simple_params()
@@ -313,7 +334,7 @@ class TestBatchInference:
         weak = ctm.CtmParams(params.topics, np.zeros(5), np.diag(np.logspace(0, 6, 5)))
         docs = make_ctm_corpus(4, params, 10, tokens_per_doc=60)
         calls = []
-        newton = ctm._newton
+        newton = optimize.newton
 
         def counted(evaluate, x):
             count = [0]
@@ -323,49 +344,30 @@ class TestBatchInference:
                 return evaluate(theta, rows)
 
             out = newton(tally, x)
-            calls.append((count[0], int(out[1].sum())))
+            calls.append((count[0], int(np.sum(~out.converged))))
             return out
 
-        monkeypatch.setattr(ctm, "_newton", counted)
+        monkeypatch.setattr(optimize, "newton", counted)
         results = ctm.infer_docs(weak, docs, InferenceConfig(method="delta"))
         assert all(trace.converged for _, trace in results)
-        assert sum(capped for _, capped in calls) == 0
+        assert sum(stuck for _, stuck in calls) == 0
         assert max(count for count, _ in calls) <= 50
-
-    def test_newton_reports_rows_stopped_at_the_cap(self):
-        def evaluate(x, rows):
-            # a Newton matrix 1e6 times too stiff: every step is accepted but tiny
-            value = -0.5 * np.sum(x * x, axis=1)
-            return value, -x, np.broadcast_to(1e6 * np.eye(2), (len(rows), 2, 2))
-
-        x, capped = ctm._newton(evaluate, np.array([[1.0, -1.0], [0.0, 0.0]]))
-        assert capped.tolist() == [True, False]
-        assert 0.99 < x[0, 0] < 1.0 and x[1].tolist() == [0.0, 0.0]
 
     @pytest.mark.parametrize("method", ["laplace", "delta"])
     def test_refit_stopped_at_the_newton_cap_is_not_converged(self, method, monkeypatch):
         params = make_ctm_params(23, 3, 12)
         docs = make_ctm_corpus(24, params, 3, tokens_per_doc=40)
-        newton = ctm._newton
+        newton = optimize.newton
 
         def always_capped(evaluate, x):
-            return newton(evaluate, x)[0], np.ones(len(x), dtype=bool)
+            return dataclasses.replace(newton(evaluate, x), converged=np.zeros(len(x), dtype=bool))
 
         want = ctm.infer_docs(params, docs, InferenceConfig(method=method))
-        monkeypatch.setattr(ctm, "_newton", always_capped)
+        monkeypatch.setattr(optimize, "newton", always_capped)
         got = ctm.infer_docs(params, docs, InferenceConfig(method=method))
         for (_, want_trace), (_, got_trace) in zip(want, got):
             assert want_trace.converged and not got_trace.converged
             assert trace_rows(got_trace)[0] == trace_rows(want_trace)[0]
-
-    def test_exhausted_backtracking_raises_stall(self):
-        def evaluate(x, rows):
-            # finite at the start, no trial point is ever finite
-            value = np.where(np.all(x == 0.0, axis=1), 0.0, np.nan)
-            return value, np.ones_like(x), np.broadcast_to(np.eye(2), (len(rows), 2, 2))
-
-        with pytest.raises(optimize.LineSearchStallError):
-            ctm._newton(evaluate, np.zeros((3, 2)))
 
 
 class TestPredictive:

@@ -3,8 +3,9 @@ convergence control, exercised through small models with known posteriors."""
 
 import numpy as np
 import pytest
+import scipy.optimize
 
-from ncvi import engine, numerics, unigram
+from ncvi import blr, engine, numerics, optimize, unigram
 from ncvi.engine import InferenceConfig
 from ncvi.model import (
     ConjugateVariational,
@@ -14,7 +15,7 @@ from ncvi.model import (
     ModelContract,
 )
 
-from conftest import make_unigram_corpus, random_spd
+from conftest import make_blr_problem, make_unigram_corpus, random_spd
 
 
 class QuadraticModel(ModelContract):
@@ -127,6 +128,54 @@ class TestDeltaStep:
         assert all(b - a >= -1e-10 for a, b in zip(inner, inner[1:]))
 
 
+def trust_exact_argmax(value_grad, hessian, x0):
+    """scipy's trust-region minimizer with exact Hessians, run on -f: an
+    oracle for the Newton ascent that shares none of its code."""
+    res = scipy.optimize.minimize(
+        lambda t: -value_grad(t)[0], x0, jac=lambda t: -value_grad(t)[1],
+        hess=lambda t: -hessian(t), method="trust-exact", options={"gtol": 1e-9},
+    )
+    # it may stop once rounding hides the predicted gain, below gtol or not
+    assert np.linalg.norm(res.jac) <= 1e-7
+    return res.x
+
+
+class TestTrustRegionOracle:
+    """The Newton ascent lands where trust-exact does, within 1e-7."""
+
+    def test_blr_laplace_mode(self):
+        instances, _ = make_blr_problem(30, 200, 6)
+        model = blr.BlrModel(instances, blr.BlrPrior.standard(6))
+        q = blr.fit(instances, method="laplace")
+        want = trust_exact_argmax(model.f_value_grad, model.f_hessian, np.zeros(6))
+        np.testing.assert_allclose(q.mu, want, rtol=0, atol=1e-7)
+
+    def test_unigram_laplace_mode(self):
+        docs, _ = make_unigram_corpus(31, vocab_size=40, num_docs=20, tokens_per_doc=100)
+        model = unigram.UnigramModel(40, docs)
+        q0 = GaussianVariational(np.zeros(40), np.eye(40))
+        stats = model.expected_stats(model.conjugate_update(q0))
+        q = engine.laplace_step(model, stats, q0.mu)
+        want = trust_exact_argmax(
+            lambda t: model.f_value_grad(t, stats), lambda t: model.f_hessian(t, stats), q0.mu
+        )
+        np.testing.assert_allclose(q.mu, want, rtol=0, atol=1e-7)
+
+    def test_blr_delta_mean_at_fixed_sigma(self):
+        rng = np.random.default_rng(32)
+        instances, _ = make_blr_problem(33, 200, 6)
+        model = blr.BlrModel(instances, blr.BlrPrior.standard(6))
+        sigma = random_spd(rng, 6, spread=(0.5, 3.0))
+        objective = engine._objective(model, model.expected_stats(), sigma)
+        got = optimize.maximize(objective, np.zeros(6))
+        assert got.converged
+        def hessian(t):
+            return model.f_hessian(t) + 0.5 * model._trace_hessian(t, sigma)
+
+        want = trust_exact_argmax(objective, hessian, np.zeros(6))
+        np.testing.assert_allclose(got.argmax, want, rtol=0, atol=1e-7)
+
+
 class TestEtaExpectation:
     def test_exact_form_preferred_when_model_provides_it(self):
         docs, _ = make_unigram_corpus(4, vocab_size=3, num_docs=2)
@@ -231,11 +280,10 @@ class TestRunCoordinateAscent:
         class ExplodingModel(QuadraticModel):
             def __init__(self):
                 super().__init__(np.eye(2), np.zeros(2))
-                self.calls = 0
+                self.rounds = 0
 
             def f_hessian(self, theta, stats):
-                self.calls += 1
-                if self.calls >= 2:
+                if self.rounds >= 1:
                     return np.diag([1.0, -1.0])  # turns indefinite mid run
                 return -self._a
 
@@ -244,6 +292,10 @@ class TestRunCoordinateAscent:
                 return ExpectedStats(np.zeros(2))
 
             def conjugate_update(self, q_theta, data=None):
+                # closes an outer iteration: the ascent inside the first one
+                # reads f_hessian for its Newton steps, so the curvature turns
+                # indefinite only after that iteration is recorded
+                self.rounds += 1
                 return ConjugateVariational(None)
 
             def f_value_grad(self, theta, stats):

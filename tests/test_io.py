@@ -323,8 +323,6 @@ class TestCliErrors:
         ("fit-blr", ["--conv-tol", 0]),
         ("fit-ctm", ["--em-iters", 0]),
         ("fit-hblr", ["--em-iters", 0]),
-        ("fit-hblr", ["--threads", 0]),
-        ("fit-hblr", ["--threads", "x"]),
         ("fit-hblr", ["--phi0", 0]),
         ("fit-hblr", ["--phi1", 0]),
     ])

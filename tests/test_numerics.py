@@ -206,11 +206,14 @@ class TestSpdFactorize:
             _, ref = np.linalg.slogdet(a)
             assert fac.log_det == pytest.approx(ref, abs=1e-10)
 
-    def test_not_positive_definite_error_carries_pivot(self):
-        m = np.diag([1.0, -1.0, 2.0])
-        with pytest.raises(numerics.NotPositiveDefiniteError) as exc:
-            numerics.spd_factorize(m)
-        assert exc.value.pivot == 1
+    def test_solve_matches_inverse(self):
+        rng = np.random.default_rng(2)
+        b = rng.normal(size=(6, 6))
+        a = b.T @ b + np.eye(6)
+        fac = numerics.spd_factorize(a)
+        rhs = rng.normal(size=6)
+        np.testing.assert_allclose(fac.solve(rhs), fac.inverse() @ rhs, rtol=1e-10)
+        np.testing.assert_allclose(a @ fac.solve(rhs), rhs, atol=1e-10)
 
     def test_rejects_asymmetric(self):
         m = np.array([[1.0, 0.5], [0.2, 1.0]])

@@ -1,19 +1,51 @@
-"""Conjugate-gradient maximizer: exactness on quadratics, monotonicity,
-determinism, and failure modes."""
+"""Damped Newton ascent: exactness on quadratics, values that never decrease,
+rows independent of their batch, determinism, and failure modes."""
 
 import numpy as np
 import pytest
 
-from ncvi.optimize import LineSearchStallError, OptimizerConfig, maximize
+from ncvi.optimize import (
+    LineSearchStallError,
+    OptimizerConfig,
+    dense_direction,
+    maximize,
+    newton,
+)
 
 from conftest import random_spd
 
 
 def quadratic(a, b):
     def f(x):
-        return float(b @ x - 0.5 * x @ a @ x), b - a @ x
+        grad = b - a @ x
+        return float(b @ x - 0.5 * x @ a @ x), grad, np.linalg.solve(a, grad)
 
     return f
+
+
+def rosenbrock_like(x):
+    # smooth nonquadratic with curved valleys; its Hessian is indefinite in
+    # places, so the direction comes from the shifted dense solve
+    v = -((1.0 - x[0]) ** 2) - 5.0 * (x[1] - x[0] ** 2) ** 2
+    g = np.array([
+        2.0 * (1.0 - x[0]) + 20.0 * x[0] * (x[1] - x[0] ** 2),
+        -10.0 * (x[1] - x[0] ** 2),
+    ])
+    h = np.array([
+        [-2.0 + 20.0 * x[1] - 60.0 * x[0] ** 2, 20.0 * x[0]],
+        [20.0 * x[0], -10.0],
+    ])
+    return float(v), g, dense_direction(-h, g)
+
+
+def rows_of(objectives):
+    """A batched `evaluate` running objectives[r] on row r."""
+
+    def evaluate(x, rows):
+        out = [objectives[r](xi) for r, xi in zip(rows, x)]
+        return tuple(np.array([o[i] for o in out]) for i in range(3))
+
+    return evaluate
 
 
 class TestQuadratics:
@@ -22,7 +54,7 @@ class TestQuadratics:
 
         def f(x):
             d = x - c
-            return float(-d @ d), -2.0 * d
+            return float(-d @ d), -2.0 * d, -d
 
         res = maximize(f, np.zeros(2))
         np.testing.assert_allclose(res.argmax, c, atol=1e-8)
@@ -43,21 +75,20 @@ class TestQuadratics:
                 target = np.linalg.solve(a, b)
                 assert np.linalg.norm(res.argmax - target) <= 1e-8
 
-    def test_finite_termination_within_dimension_plus_slack(self):
-        # on a strictly concave quadratic the direction set stays conjugate,
-        # so the maximizer is reached in at most dim line searches
+    def test_exact_in_one_step(self):
         rng = np.random.default_rng(4)
-        for d in (2, 5, 10, 20):
-            a = random_spd(rng, d)
+        for d in (1, 2, 5, 20, 50):
+            a = random_spd(rng, d, spread=(0.5, 50.0))
             b = rng.normal(size=d)
-            res = maximize(quadratic(a, b), np.zeros(d), OptimizerConfig(grad_tol=1e-8))
-            assert res.converged
-            assert res.iterations <= d + 3
+            res = maximize(quadratic(a, b), rng.normal(size=d), OptimizerConfig(grad_tol=1e-8))
+            assert res.converged and res.iterations == 1
+            np.testing.assert_allclose(res.argmax, np.linalg.solve(a, b), rtol=0, atol=1e-10)
 
     def test_extreme_curvature_one_dimensional(self):
         for scale in (1e6, 1e-4):
             def f(x, scale=scale):
-                return float(-0.5 * scale * x @ x + x.sum()), 1.0 - scale * x
+                grad = 1.0 - scale * x
+                return float(-0.5 * scale * x @ x + x.sum()), grad, grad / scale
 
             res = maximize(f, np.zeros(1), OptimizerConfig(grad_tol=1e-10, max_iters=200))
             assert abs(res.argmax[0] - 1.0 / scale) <= 1e-8 / scale
@@ -66,37 +97,27 @@ class TestQuadratics:
 class TestContract:
     def test_constant_objective_converges_immediately(self):
         def f(x):
-            return 5.0, np.zeros_like(x)
+            return 5.0, np.zeros_like(x), np.zeros_like(x)
 
         res = maximize(f, np.array([1.0, 2.0]))
         assert res.converged
-        assert res.iterations <= 1
+        assert res.iterations == 0
         assert res.value == 5.0
 
-    def test_history_is_monotone_nondecreasing(self):
+    def test_values_never_decrease(self):
+        # iterates are deterministic, so stopping after k iterations gives
+        # the k-th iterate of the full run
         rng = np.random.default_rng(5)
-
-        def rosenbrock_like(x):
-            # smooth nonquadratic with curved valleys
-            v = -((1.0 - x[0]) ** 2) - 5.0 * (x[1] - x[0] ** 2) ** 2
-            g = np.array(
-                [
-                    2.0 * (1.0 - x[0]) + 20.0 * x[0] * (x[1] - x[0] ** 2),
-                    -10.0 * (x[1] - x[0] ** 2),
-                ]
-            )
-            return float(v), g
-
         for _ in range(5):
-            hist = []
-            maximize(
-                rosenbrock_like,
-                rng.normal(size=2),
-                OptimizerConfig(max_iters=300),
-                history=hist,
-            )
-            diffs = np.diff(hist)
-            assert (diffs >= -1e-12).all()
+            start = rng.normal(size=2)
+            full = maximize(rosenbrock_like, start, OptimizerConfig(grad_tol=1e-10))
+            assert full.converged
+            np.testing.assert_allclose(full.argmax, [1.0, 1.0], atol=1e-8)
+            values = [rosenbrock_like(start)[0]] + [
+                maximize(rosenbrock_like, start, OptimizerConfig(max_iters=k)).value
+                for k in range(1, full.iterations + 1)
+            ]
+            assert np.all(np.diff(values) >= 0.0)
 
     def test_value_never_below_start(self):
         rng = np.random.default_rng(6)
@@ -109,11 +130,9 @@ class TestContract:
 
     def test_deterministic(self):
         rng = np.random.default_rng(7)
-        a = random_spd(rng, 6)
-        b = rng.normal(size=6)
-        start = rng.normal(size=6)
-        r1 = maximize(quadratic(a, b), start)
-        r2 = maximize(quadratic(a, b), start)
+        start = rng.normal(size=2)
+        r1 = maximize(rosenbrock_like, start)
+        r2 = maximize(rosenbrock_like, start)
         np.testing.assert_array_equal(r1.argmax, r2.argmax)
         assert r1.value == r2.value
         assert r1.iterations == r2.iterations
@@ -136,25 +155,87 @@ class TestContract:
         assert np.linalg.norm(res.argmax - opt) <= 1e-10
 
 
+class TestBatchedRows:
+    def test_row_results_do_not_depend_on_the_batch(self):
+        rng = np.random.default_rng(10)
+        objectives = [rosenbrock_like] * 3 + [
+            quadratic(random_spd(rng, 2), rng.normal(size=2)) for _ in range(3)
+        ]
+        starts = rng.normal(size=(6, 2))
+        full = newton(rows_of(objectives), starts)
+        for r in range(6):
+            alone = maximize(objectives[r], starts[r])
+            assert np.array_equal(full.argmax[r], alone.argmax)
+            assert full.value[r] == alone.value
+            assert full.iterations[r] == alone.iterations
+            assert full.converged[r] == alone.converged
+        assert np.ptp(full.iterations) > 0  # rows really stop on their own
+
+    def test_reports_rows_stopped_at_the_cap(self):
+        def evaluate(x, rows):
+            # a Newton matrix 1e6 times too stiff: every step is accepted but tiny
+            return -0.5 * np.sum(x * x, axis=1), -x, -x / 1e6
+
+        res = newton(evaluate, np.array([[1.0, -1.0], [0.0, 0.0]]))
+        assert res.converged.tolist() == [False, True]
+        assert res.iterations.tolist() == [OptimizerConfig().max_iters, 0]
+        assert 0.99 < res.argmax[0, 0] < 1.0 and res.argmax[1].tolist() == [0.0, 0.0]
+
+    def test_exhausted_backtracking_raises_stall(self):
+        def evaluate(x, rows):
+            # finite at the start, no trial point is ever finite
+            value = np.where(np.all(x == 0.0, axis=1), 0.0, np.nan)
+            return value, np.ones_like(x), np.ones_like(x)
+
+        with pytest.raises(LineSearchStallError):
+            newton(evaluate, np.zeros((3, 2)))
+
+
+class TestDirections:
+    def test_dense_solve_where_positive_definite(self):
+        rng = np.random.default_rng(11)
+        a, b = random_spd(rng, 6), random_spd(rng, 6)
+        g = rng.normal(size=6)
+        want = np.linalg.solve(a, g)
+        np.testing.assert_allclose(dense_direction(a, g), want, rtol=1e-12)
+        # a positive definite `exact` matrix wins; an indefinite one falls back
+        np.testing.assert_allclose(dense_direction(b, g, exact=a), want, rtol=1e-12)
+        np.testing.assert_allclose(dense_direction(a, g, exact=-b), want, rtol=1e-12)
+
+    def test_indefinite_matrix_is_shifted_into_an_ascent_direction(self):
+        rng = np.random.default_rng(12)
+        q, _ = np.linalg.qr(rng.normal(size=(5, 5)))
+        m = q @ np.diag([3.0, 1.0, 0.5, -0.2, -4.0]) @ q.T
+        m = 0.5 * (m + m.T)
+        g = rng.normal(size=5)
+        d = dense_direction(m, g)
+        assert np.all(np.isfinite(d)) and g @ d > 0.0
+        # d solves (m + shift I) d = g for one shift beyond -min eigenvalue
+        shift = (g - m @ d) / d
+        np.testing.assert_allclose(shift, shift[0], rtol=1e-8)
+        assert shift[0] > 4.0
+
+
 class TestFailureModes:
     def test_nonfinite_start_is_input_error(self):
         def f(x):
-            return float("nan"), np.zeros_like(x)
+            return float("nan"), np.zeros_like(x), np.zeros_like(x)
 
         with pytest.raises(ValueError):
             maximize(f, np.zeros(2))
 
     def test_stall_error_carries_best_iterate(self):
-        # value jumps to -inf away from the start: no step can pass
+        # f = -(x - 2)^2 for x <= 1 and -inf beyond: the first step halves
+        # onto x = 1, after which no step can pass
         def f(x):
-            if np.linalg.norm(x) < 1e-30:
-                return 0.0, np.ones_like(x)
-            return float("-inf"), np.zeros_like(x)
+            value = -float((x[0] - 2.0) ** 2) if x[0] <= 1.0 else float("-inf")
+            return value, -2.0 * (x - 2.0), 2.0 - x
 
         with pytest.raises(LineSearchStallError) as exc:
-            maximize(f, np.zeros(2))
-        assert exc.value.best.value == 0.0
-        np.testing.assert_array_equal(exc.value.best.argmax, np.zeros(2))
+            maximize(f, np.zeros(1))
+        best = exc.value.best
+        assert best.value == -1.0 and best.iterations == 1 and not best.converged
+        np.testing.assert_array_equal(best.argmax, [1.0])
 
     def test_rejects_bad_config(self):
         with pytest.raises(ValueError):
@@ -164,4 +245,4 @@ class TestFailureModes:
 
     def test_rejects_non_vector_start(self):
         with pytest.raises(ValueError):
-            maximize(lambda x: (0.0, np.zeros_like(x)), np.zeros((2, 2)))
+            maximize(lambda x: (0.0, np.zeros_like(x), np.zeros_like(x)), np.zeros((2, 2)))

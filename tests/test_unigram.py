@@ -77,6 +77,42 @@ class TestExponentValueGrad:
             fd = numerics.finite_diff_gradient(trace_of_hessian, theta)
             np.testing.assert_allclose(tg, fd, rtol=1e-3, atol=1e-5)
 
+    def test_newton_direction_matches_dense_solve(self):
+        # Sherman-Morrison on diag(-h) - c b b' against the dense V x V solve
+        rng = np.random.default_rng(13)
+        checked = 0
+        for seed in range(40):
+            v = int(rng.integers(2, 30))
+            docs, _ = make_unigram_corpus(seed, vocab_size=v, num_docs=int(rng.integers(1, 6)))
+            model = unigram.UnigramModel(v, docs)
+            q = GaussianVariational(rng.normal(size=v), 0.5 * np.eye(v))
+            stats = model.expected_stats(model.conjugate_update(q))
+            theta = q.mu + rng.normal(scale=0.5, size=v)
+            neg = -model.f_hessian(theta, stats)
+            if np.linalg.eigvalsh(neg)[0] <= 0.0:
+                continue
+            grad = rng.normal(size=v)
+            got = model.newton_direction(theta, stats, grad)
+            want = np.linalg.solve(neg, grad)
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+            checked += 1
+        assert checked >= 30
+
+    def test_newton_direction_shifts_indefinite_curvature(self):
+        # large positive expected statistics make -H indefinite
+        rng = np.random.default_rng(14)
+        model = unigram.UnigramModel(5, [Document({0: 1})] * 2)
+        theta = rng.uniform(0.0, 1.0, size=5)
+        stats = ExpectedStats(np.full(5, 10.0))
+        neg = -model.f_hessian(theta, stats)
+        assert np.linalg.eigvalsh(neg)[0] < 0.0
+        grad = rng.normal(size=5)
+        d = model.newton_direction(theta, stats, grad)
+        assert grad @ d > 0.0
+        shift = (grad - neg @ d) / d  # (-H + shift I) d = grad
+        np.testing.assert_allclose(shift, shift[0], rtol=1e-8)
+        assert shift[0] > -np.linalg.eigvalsh(neg)[0]
+
     def test_overflow_guard(self):
         # f_value_grad rejects such a trial (TestRateUnderflow); the curvature
         # and the conjugate update, evaluated only at accepted points, raise
