@@ -323,6 +323,8 @@ class TestCliErrors:
         ("fit-blr", ["--conv-tol", 0]),
         ("fit-ctm", ["--em-iters", 0]),
         ("fit-hblr", ["--em-iters", 0]),
+        ("fit-hblr", ["--em-iters", "x"]),
+        ("fit-hblr", ["--nu-offset", -1]),
         ("fit-hblr", ["--phi0", 0]),
         ("fit-hblr", ["--phi1", 0]),
     ])
