@@ -12,7 +12,6 @@ The hierarchical variant shares a Gaussian prior across tasks and refits its
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass, field
 
@@ -172,23 +171,19 @@ class BlrModel(ModelContract):
 def fit(
     instances: list[LabeledInstance],
     prior: BlrPrior | None = None,
-    method: str | None = None,
-    cfg: engine.InferenceConfig | None = None,
+    method: str = "laplace",
     diag=None,
 ) -> GaussianVariational:
-    """Fit q(theta) with one curvature update; no conjugate alternation.
+    """Fit q(theta) with one `method` update; no conjugate alternation.
 
-    Starts from N(0, I) as in the study protocol.  The update is `method`
-    when given, else cfg.method.
+    Starts from N(0, I) as in the study protocol.
     """
-    cfg = cfg or engine.InferenceConfig()
-    if method is not None:
-        cfg = dataclasses.replace(cfg, method=method)
     model = BlrModel(instances, prior or BlrPrior.standard(instances[0].covariates.shape[0]))
-    return _fit_model(model, cfg.method, diag)
+    return _fit_model(model, method, diag)[0]
 
 
-def _fit_model(model: BlrModel, method: str, diag=None) -> GaussianVariational:
+def _fit_model(model: BlrModel, method: str, diag=None) -> tuple[GaussianVariational, float, bool]:
+    """q(theta), log|Sigma| and whether the refit's ascents converged."""
     init = GaussianVariational(np.zeros(model.dim), np.eye(model.dim))
     return engine._refit_q_theta(model, model.expected_stats(), init, method, diag)
 
@@ -256,7 +251,8 @@ def fit_hierarchical(
     """Alternate per-task posterior fits with MAP refits of the shared prior.
 
     Stops early once the shared mean moves less than cfg.conv_tol between
-    rounds.  The first round fits every task under the standard prior.
+    rounds; the fit has converged if every task refit of that last round
+    converged too.  The first round fits every task under the standard prior.
     """
     if not tasks or any(not t for t in tasks):
         raise ValueError("every task needs at least one instance")
@@ -275,11 +271,12 @@ def fit_hierarchical(
     for it in range(1, em_iters + 1):
         prior = BlrPrior(mu0.copy(), sigma0.copy())
         models = [BlrModel(instances, prior) for instances in tasks]
-        posteriors = [_fit_model(model, cfg.method) for model in models]
+        fits = [_fit_model(model, cfg.method) for model in models]
+        posteriors = [q for q, _, _ in fits]
 
         objective = 0.0
-        for model, q in zip(models, posteriors):
-            objective += engine.approx_objective(model, q, ConjugateVariational(None))
+        for model, (q, log_det, _) in zip(models, fits):
+            objective += engine.approx_objective(model, q, ConjugateVariational(None), log_det)
 
         new_mu0, new_sigma0 = hyper_update(posteriors, hier, mu0)
         mean_change = float(np.linalg.norm(new_mu0 - mu0))
@@ -288,7 +285,7 @@ def fit_hierarchical(
             engine.TraceRecord(it, objective, mean_change, time.perf_counter() - start)
         )
         if mean_change < cfg.conv_tol:
-            converged = True
+            converged = all(ok for _, _, ok in fits)
             break
 
     return HblrFit(posteriors, mu0, sigma0, trace, converged)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import blr, ctm, dataio, engine, evaluate, unigram
+from . import blr, ctm, dataio, engine, evaluate, numerics, unigram
 from .model import GaussianVariational
 
 __all__ = ["main"]
@@ -73,14 +73,16 @@ def _cmd_eval_ctm(args) -> int:
 
 
 def _cmd_fit_blr(args) -> int:
-    cfg = _inference(args)
+    _inference(args)  # rejects a bad --conv-tol as the other commands do
     instances, dim = dataio.parse_labeled(args.data)
     if not instances:
         raise CliInputError(f"{args.data}: no instances")
     start = time.perf_counter()
     prior = blr.BlrPrior.standard(dim)
-    q = blr.fit(instances, prior, cfg=cfg)
-    objective = engine.approx_objective(blr.BlrModel(instances, prior), q, None)
+    q = blr.fit(instances, prior, method=args.method)
+    # blr.fit hands back q alone, so log|Sigma| is derived from Sigma here
+    log_det = numerics.spd_factorize(q.sigma).log_det
+    objective = engine.approx_objective(blr.BlrModel(instances, prior), q, None, log_det)
     dataio.save_posterior(q, args.out)
     trace = _single_record_trace(
         objective, float(np.linalg.norm(q.mu)), time.perf_counter() - start
@@ -151,11 +153,14 @@ def _cmd_infer_unigram(args) -> int:
         raise CliInputError(f"{args.corpus}: no documents")
     q_theta, q_z, trace = unigram.infer(docs, vocab, cfg)
     if not trace.converged:
-        print(
-            f"warning: stopped at the {cfg.max_outer_iters}-iteration cap; the mean still "
-            f"moved {trace.records[-1].mean_change:.3g} > --conv-tol {cfg.conv_tol:g}",
-            file=sys.stderr,
+        moved = trace.records[-1].mean_change
+        cause = (
+            f"stopped at the {cfg.max_outer_iters}-iteration cap; the mean still "
+            f"moved {moved:.3g} > --conv-tol {cfg.conv_tol:g}"
+            if moved >= cfg.conv_tol
+            else "the last q(theta) refit stopped short of the optimizer's gradient tolerance"
         )
+        print(f"warning: {cause}", file=sys.stderr)
     var = np.diag(q_theta.sigma)
     with open(args.out, "w") as handle:
         handle.write("term,posterior_mean,posterior_var\n")

@@ -9,7 +9,11 @@ Two interchangeable q(theta) updates, both climbing by damped Newton steps
   f(mu) + Tr{Hessian_f(mu) Sigma}/2 + log|Sigma|/2 by alternating Newton
   ascent in mu (at fixed Sigma) with the closed-form Sigma update.
 
-The capped jitter and NonConcaveError guard only Sigma at the mode.  The q(z)
+Both take Sigma and log|Sigma| from one Cholesky factor of f's negated
+curvature and return (q, log|Sigma|, converged), converged meaning that every
+Newton ascent of the refit reached the optimizer's grad_tol; the monitor
+approx_objective reuses that log|Sigma|.  The capped jitter and
+NonConcaveError guard only Sigma at the mode, dense or diagonal.  The q(z)
 update is each model's conjugate_update, which owns whatever expectation of
 eta(theta) under q(theta) it needs.
 """
@@ -95,10 +99,12 @@ class NonConcaveError(ArithmeticError):
     """-Hessian stayed indefinite after exhausting the jitter budget."""
 
 
-def _neg_hessian_factorization(hessian, diag=None):
-    """Factor -hessian, doubling a diagonal jitter from _JITTER_INIT on failure."""
+def _covariance(hessian, diagonal, diag=None):
+    """Sigma = (-hessian)^{-1}, or the inverse of its diagonal alone, and
+    log|Sigma|, both from one factor.  Where that is not positive definite a
+    diagonal jitter, doubling from _JITTER_INIT, is added to it."""
     neg = -np.asarray(hessian, dtype=float)
-    neg = 0.5 * (neg + neg.T)
+    neg = np.diag(np.diag(neg)) if diagonal else 0.5 * (neg + neg.T)
     jitter = 0.0
     while jitter <= _JITTER_MAX:
         try:
@@ -108,7 +114,7 @@ def _neg_hessian_factorization(hessian, diag=None):
             continue
         if jitter and diag is not None:
             diag.setdefault("jitter_events", []).append(jitter)
-        return fact
+        return fact.inverse(), -fact.log_det
     raise NonConcaveError(f"negated Hessian not positive definite after jitter {_JITTER_MAX:g}")
 
 
@@ -134,31 +140,14 @@ def laplace_step(
     init: np.ndarray,
     *,
     diag=None,
-) -> GaussianVariational:
-    """Fit q(theta) = N(m, (-Hessian f(m))^{-1}) at the mode m of f."""
+) -> tuple[GaussianVariational, float, bool]:
+    """Fit q(theta) = N(m, (-Hessian f(m))^{-1}) at the mode m of f.
+
+    Returns q, log|Sigma| and whether the ascent to m converged.
+    """
     result = optimize.maximize(_objective(model, stats), init)
-    hess = model.f_hessian(result.argmax, stats)
-    fact = _neg_hessian_factorization(hess, diag)
-    return GaussianVariational(result.argmax, fact.inverse())
-
-
-def _delta_sigma_update(model, mu, stats, diag):
-    """Closed-form maximizer of Tr{H Sigma}/2 + log|Sigma|/2 over Sigma."""
-    hess = model.f_hessian(mu, stats)
-    if model.delta_diagonal:
-        d = -np.diag(hess).copy()
-        if np.any(d <= 0.0):
-            jitter = _JITTER_INIT
-            while jitter <= _JITTER_MAX and np.any(d + jitter <= 0.0):
-                jitter *= 2.0
-            if jitter > _JITTER_MAX:
-                raise NonConcaveError("diagonal curvature not negative after jitter")
-            if diag is not None:
-                diag.setdefault("jitter_events", []).append(jitter)
-            d = d + jitter
-        return np.diag(1.0 / d), -float(np.sum(np.log(d)))
-    fact = _neg_hessian_factorization(hess, diag)
-    return fact.inverse(), -fact.log_det
+    sigma, log_det = _covariance(model.f_hessian(result.argmax, stats), False, diag)
+    return GaussianVariational(result.argmax, sigma), log_det, result.converged
 
 
 def delta_step(
@@ -167,33 +156,34 @@ def delta_step(
     init_q: GaussianVariational,
     *,
     diag=None,
-) -> GaussianVariational:
+) -> tuple[GaussianVariational, float, bool]:
     """Maximize f(mu) + Tr{H(mu) Sigma}/2 + log|Sigma|/2 by alternation.
 
     The mu step climbs with gradient grad f(mu) + trace_grad(mu, Sigma)/2 at
     fixed Sigma along the model's Newton direction for that objective; Sigma
     then has the closed-form update (-Hessian)^{-1}, or its diagonal analogue
-    for models that restrict Sigma to a diagonal.
+    for models that restrict Sigma to a diagonal.  Returns q, log|Sigma| and
+    whether every mu ascent converged.
     """
-    mu = np.array(init_q.mu, dtype=float, copy=True)
-    sigma = np.array(init_q.sigma, dtype=float, copy=True)
+    mu, sigma = init_q.mu, init_q.sigma
     if model.delta_diagonal:
         sigma = np.diag(np.diag(sigma))
 
+    converged = True
     prev = -np.inf
     for _ in range(_DELTA_INNER_ROUNDS):
         result = optimize.maximize(_objective(model, stats, sigma), mu)
-        mu = result.argmax
-        sigma, log_det = _delta_sigma_update(model, mu, stats, diag)
-        value, _ = model.f_value_grad(mu, stats)
+        mu, converged = result.argmax, converged and result.converged
         hess = model.f_hessian(mu, stats)
+        sigma, log_det = _covariance(hess, model.delta_diagonal, diag)
+        value, _ = model.f_value_grad(mu, stats)
         current = value + 0.5 * float(np.sum(hess * sigma)) + 0.5 * log_det
         if diag is not None:
             diag.setdefault("delta_inner", []).append(current)
         if current - prev < _DELTA_INNER_TOL:
             break
         prev = current
-    return GaussianVariational(mu, sigma)
+    return GaussianVariational(mu, sigma), log_det, converged
 
 
 def _refit_q_theta(
@@ -202,23 +192,27 @@ def _refit_q_theta(
     q_theta: GaussianVariational,
     method: str,
     diag=None,
-) -> GaussianVariational:
+) -> tuple[GaussianVariational, float, bool]:
     """The q(theta) update named by `method`, started from q_theta."""
     if method == "laplace":
         return laplace_step(model, stats, q_theta.mu, diag=diag)
-    return delta_step(model, stats, q_theta, diag=diag)
+    if method == "delta":
+        return delta_step(model, stats, q_theta, diag=diag)
+    raise ValueError(f"unknown method '{method}'")
 
 
 def approx_objective(
     model: ModelContract,
     q_theta: GaussianVariational,
     q_z: ConjugateVariational,
+    log_det: float,
 ) -> float:
     """Second-order surrogate of the variational objective.
 
     Expands f to second order around the variational mean, E[f] ~ f(mu) +
-    Tr{H Sigma}/2, and adds the Gaussian log-determinant term and the
-    conjugate-factor entropy.  The optimized f drops log-joint terms that are
+    Tr{H Sigma}/2, and adds the Gaussian term log|Sigma|/2, from the
+    log_det of the factor that produced Sigma, and the conjugate-factor
+    entropy.  The optimized f drops log-joint terms that are
     constant in theta (expected observation likelihood and carrier); they vary
     across outer iterations through q(z), so the model adds them back here via
     qz_model_terms.  A monitor of progress, not the quantity either step
@@ -227,7 +221,6 @@ def approx_objective(
     stats = model.expected_stats(q_z)
     value, _ = model.f_value_grad(q_theta.mu, stats)
     hess = model.f_hessian(q_theta.mu, stats)
-    log_det = numerics.spd_factorize(q_theta.sigma).log_det
     return (
         value
         + 0.5 * (float(np.sum(hess * q_theta.sigma)) + log_det)
@@ -246,30 +239,32 @@ def run_coordinate_ascent(
 ) -> tuple[GaussianVariational, ConjugateVariational, InferenceTrace]:
     """Alternate q(theta) and q(z) updates until the mean stops moving.
 
-    Convergence is the L2 norm of the change in the variational mean dropping
-    below cfg.conv_tol.  Any step failure propagates with `trace` attached.
+    The loop stops once the L2 norm of the change in the variational mean
+    drops below cfg.conv_tol.  The run has converged if the last q(theta)
+    refit's ascents also reached the optimizer's grad_tol, so a refit that
+    stopped short (at its iteration cap, or once steps stopped raising the
+    objective) reports converged=False.  Any step failure propagates with
+    `trace` attached.
     """
     cfg = cfg or InferenceConfig()
-    q_theta = GaussianVariational(
-        np.array(init_q_theta.mu, dtype=float, copy=True),
-        np.array(init_q_theta.sigma, dtype=float, copy=True),
-    )
-    q_z = init_q_z
+    q_theta, q_z = init_q_theta, init_q_z
     trace = InferenceTrace()
     start = time.perf_counter()
     try:
         for it in range(1, cfg.max_outer_iters + 1):
             stats = model.expected_stats(q_z)
             prev_mu = q_theta.mu
-            q_theta = _refit_q_theta(model, stats, q_theta, cfg.method, diag)
+            q_theta, log_det, refit_converged = _refit_q_theta(
+                model, stats, q_theta, cfg.method, diag
+            )
             q_z = model.conjugate_update(q_theta, data)
             mean_change = float(np.linalg.norm(q_theta.mu - prev_mu))
-            objective = approx_objective(model, q_theta, q_z)
+            objective = approx_objective(model, q_theta, q_z, log_det)
             trace.append(
                 TraceRecord(it, objective, mean_change, time.perf_counter() - start)
             )
             if mean_change < cfg.conv_tol:
-                trace.converged = True
+                trace.converged = refit_converged
                 break
     except ArithmeticError as err:
         err.trace = trace

@@ -110,9 +110,9 @@ class SpdFactorization:
         inv, info = _lapack.dpotri(self._chol, lower=1)
         if info != 0:
             raise ValueError(f"dpotri failed with info={info}")
-        # dpotri fills one triangle only
-        out = np.tril(inv) + np.tril(inv, -1).T
-        return out
+        # dpotri fills the lower triangle over dpotrf's zeros; inv.T first
+        # keeps the sum C-ordered, which later matrix products' bits follow
+        return inv.T + np.tril(inv, -1)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         return _lapack.dpotrs(self._chol, b, lower=1)[0]
@@ -138,7 +138,7 @@ def spd_factorize(m: np.ndarray) -> SpdFactorization:
         raise NotPositiveDefiniteError(f"not positive definite at pivot {info - 1}")
     if info < 0:
         raise ValueError(f"dpotrf rejected argument {-info}")
-    return SpdFactorization(np.tril(c))
+    return SpdFactorization(c)  # dpotrf zeroes the upper triangle
 
 
 def _factorize_input(m: np.ndarray, name: str) -> SpdFactorization:

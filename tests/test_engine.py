@@ -1,11 +1,13 @@
 """Coordinate-ascent engine: curvature updates, the objective monitor, and
 convergence control, exercised through small models with known posteriors."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.optimize
 
-from ncvi import blr, engine, numerics, optimize, unigram
+from ncvi import blr, ctm, engine, numerics, optimize, unigram
 from ncvi.engine import InferenceConfig
 from ncvi.model import (
     ConjugateVariational,
@@ -15,7 +17,13 @@ from ncvi.model import (
     ModelContract,
 )
 
-from conftest import make_blr_problem, make_unigram_corpus, random_spd
+from conftest import (
+    make_blr_problem,
+    make_ctm_corpus,
+    make_ctm_params,
+    make_unigram_corpus,
+    random_spd,
+)
 
 
 class QuadraticModel(ModelContract):
@@ -53,7 +61,7 @@ class QuadraticModel(ModelContract):
 class TestLaplaceStep:
     def test_one_dimensional_unit_bowl(self):
         model = QuadraticModel(np.eye(1), np.array([1.0]))
-        q = engine.laplace_step(model, model.expected_stats(None), np.zeros(1))
+        q, _, _ = engine.laplace_step(model, model.expected_stats(None), np.zeros(1))
         assert q.mu[0] == pytest.approx(1.0, abs=1e-8)
         assert q.sigma[0, 0] == pytest.approx(1.0, abs=1e-8)
 
@@ -63,7 +71,7 @@ class TestLaplaceStep:
             a = random_spd(rng, d)
             c = rng.normal(size=d)
             model = QuadraticModel(a, c)
-            q = engine.laplace_step(model, model.expected_stats(None), np.zeros(d))
+            q, _, _ = engine.laplace_step(model, model.expected_stats(None), np.zeros(d))
             np.testing.assert_allclose(q.mu, c, atol=1e-8)
             np.testing.assert_allclose(q.sigma, np.linalg.inv(a), atol=1e-8)
 
@@ -72,7 +80,7 @@ class TestLaplaceStep:
         a = random_spd(rng, 4)
         c = rng.normal(size=4)
         model = QuadraticModel(a, c)
-        q = engine.laplace_step(model, model.expected_stats(None), np.zeros(4))
+        q, _, _ = engine.laplace_step(model, model.expected_stats(None), np.zeros(4))
         _, g = model.f_value_grad(q.mu, None)
         assert np.linalg.norm(g) <= 1e-6
 
@@ -83,22 +91,44 @@ class TestLaplaceStep:
                 h[0, 0] = 0.0  # one exactly flat direction
                 return h
 
+        class DiagonalFlatModel(FlatModel):
+            delta_diagonal = True
+
         model = FlatModel(np.eye(2), np.zeros(2))
         diag = {}
-        q = engine.laplace_step(
+        q, log_det, _ = engine.laplace_step(
             model, model.expected_stats(None), np.zeros(2), diag=diag
         )
         assert diag["jitter_events"]
-        numerics.spd_factorize(q.sigma)
+        assert log_det == pytest.approx(numerics.spd_factorize(q.sigma).log_det, rel=1e-12)
+
+        # the diagonal delta update jitters in the same loop
+        model = DiagonalFlatModel(np.eye(2), np.zeros(2))
+        diag = {}
+        q, log_det, _ = engine.delta_step(
+            model, model.expected_stats(None), GaussianVariational(np.zeros(2), np.eye(2)),
+            diag=diag,
+        )
+        assert diag["jitter_events"]
+        assert q.sigma[0, 1] == q.sigma[1, 0] == 0.0
+        assert q.sigma[0, 0] == pytest.approx(1.0 / diag["jitter_events"][-1], rel=1e-12)
+        assert log_det == pytest.approx(float(np.sum(np.log(np.diag(q.sigma)))), rel=1e-12)
 
     def test_jitter_budget_exhaustion_is_numerical_error(self):
         class ConcavelessModel(QuadraticModel):
             def f_hessian(self, theta, stats):
                 return np.diag([1.0, -1.0])  # saddle no jitter in budget fixes
 
+        class DiagonalConcavelessModel(ConcavelessModel):
+            delta_diagonal = True
+
         model = ConcavelessModel(np.eye(2), np.zeros(2))
         with pytest.raises(engine.NonConcaveError):
             engine.laplace_step(model, model.expected_stats(None), np.zeros(2))
+        model = DiagonalConcavelessModel(np.eye(2), np.zeros(2))
+        q0 = GaussianVariational(np.zeros(2), np.eye(2))
+        with pytest.raises(engine.NonConcaveError):
+            engine.delta_step(model, model.expected_stats(None), q0)
 
 
 class TestDeltaStep:
@@ -109,8 +139,8 @@ class TestDeltaStep:
             c = rng.normal(size=d)
             model = QuadraticModel(a, c)
             stats = model.expected_stats(None)
-            ql = engine.laplace_step(model, stats, np.zeros(d))
-            qd = engine.delta_step(
+            ql, _, _ = engine.laplace_step(model, stats, np.zeros(d))
+            qd, _, _ = engine.delta_step(
                 model, stats, GaussianVariational(np.zeros(d), np.eye(d))
             )
             np.testing.assert_allclose(qd.mu, ql.mu, atol=1e-8)
@@ -155,7 +185,7 @@ class TestTrustRegionOracle:
         model = unigram.UnigramModel(40, docs)
         q0 = GaussianVariational(np.zeros(40), np.eye(40))
         stats = model.expected_stats(model.conjugate_update(q0))
-        q = engine.laplace_step(model, stats, q0.mu)
+        q, _, _ = engine.laplace_step(model, stats, q0.mu)
         want = trust_exact_argmax(
             lambda t: model.f_value_grad(t, stats), lambda t: model.f_hessian(t, stats), q0.mu
         )
@@ -192,8 +222,8 @@ class TestApproxObjective:
         c = rng.normal(size=3)
         model = QuadraticModel(a, c)
         stats = model.expected_stats(None)
-        q = engine.laplace_step(model, stats, np.zeros(3))
-        got = engine.approx_objective(model, q, ConjugateVariational(None))
+        q, log_det, _ = engine.laplace_step(model, stats, np.zeros(3))
+        got = engine.approx_objective(model, q, ConjugateVariational(None), log_det)
         value, _ = model.f_value_grad(q.mu, stats)
         hess = model.f_hessian(q.mu, stats)
         expect = value + 0.5 * (
@@ -214,6 +244,42 @@ class TestApproxObjective:
         assert len(objs) >= 2
         np.testing.assert_allclose(objs[1:], objs[1], atol=1e-9)
 
+    @pytest.mark.parametrize("method", ["laplace", "delta"])
+    @pytest.mark.parametrize("problem", ["blr", "unigram", "ctm"])
+    def test_trace_objectives_match_the_monitor_from_sigma(self, monkeypatch, problem, method):
+        # each trace objective, built from the refit's own log|Sigma|, equals
+        # the monitor with log|Sigma| factorized from Sigma afresh
+        real = engine.approx_objective
+        calls = []
+
+        def spy(model, q_theta, q_z, log_det):
+            calls.append((model, q_theta, q_z))
+            return real(model, q_theta, q_z, log_det)
+
+        monkeypatch.setattr(engine, "approx_objective", spy)
+        cfg = InferenceConfig(method=method, conv_tol=1e-12, max_outer_iters=4)
+        if problem == "blr":
+            tasks = [make_blr_problem(seed, 40, 3)[0] for seed in (40, 41, 42)]
+            trace = blr.fit_hierarchical(tasks, cfg=cfg, em_iters=3).trace
+        else:
+            if problem == "unigram":
+                docs, _ = make_unigram_corpus(43, vocab_size=8, num_docs=5)
+                model = unigram.UnigramModel(8, docs)
+            else:
+                params = make_ctm_params(44, 4, 30)
+                model = ctm.CtmDocModel(params, make_ctm_corpus(45, params, 1)[0])
+            q0 = GaussianVariational(np.zeros(model.dim), np.eye(model.dim))
+            qz0 = model.conjugate_update(q0)
+            _, _, trace = engine.run_coordinate_ascent(model, None, q0, qz0, cfg)
+        per_record = len(calls) // len(trace)
+        assert len(trace) >= 2 and per_record * len(trace) == len(calls)
+        for i, record in enumerate(trace.records):
+            want = sum(
+                real(model, q, q_z, numerics.spd_factorize(q.sigma).log_det)
+                for model, q, q_z in calls[i * per_record:(i + 1) * per_record]
+            )
+            assert record.objective == pytest.approx(want, rel=1e-10, abs=0)
+
     def test_seeded_unigram_run_is_nondecreasing(self):
         for seed in (0, 1, 2):
             docs, _ = make_unigram_corpus(seed, vocab_size=5, num_docs=4)
@@ -223,11 +289,6 @@ class TestApproxObjective:
             diffs = np.diff(objs)
             assert (diffs >= -1e-6).all()
 
-    def test_non_positive_definite_sigma_rejected(self):
-        model = QuadraticModel(np.eye(2), np.zeros(2))
-        q = GaussianVariational(np.zeros(2), np.diag([1.0, -1.0]))
-        with pytest.raises(numerics.NotPositiveDefiniteError):
-            engine.approx_objective(model, q, ConjugateVariational(None))
 
 
 class TestRunCoordinateAscent:
@@ -275,6 +336,35 @@ class TestRunCoordinateAscent:
         _, _, trace = unigram.infer(docs, 4, cfg)
         assert trace.converged
         assert trace.records[-1].mean_change < cfg.conv_tol
+
+    def test_one_laplace_iteration_factorizes_once(self, monkeypatch):
+        # the monitor reuses log|Sigma| from the factor that produced Sigma
+        docs, _ = make_unigram_corpus(12, vocab_size=6, num_docs=4)
+        model = unigram.UnigramModel(6, docs)
+        q0 = GaussianVariational(np.zeros(6), np.eye(6))
+        qz0 = model.conjugate_update(q0)
+        real = numerics.spd_factorize
+        calls = []
+        monkeypatch.setattr(numerics, "spd_factorize", lambda m: calls.append(m) or real(m))
+        engine.run_coordinate_ascent(model, None, q0, qz0, InferenceConfig(max_outer_iters=1))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("method", ["laplace", "delta"])
+    def test_refit_stopped_short_is_not_converged(self, monkeypatch, method):
+        real = optimize.maximize
+
+        def stopped_short(*args, **kwargs):
+            return dataclasses.replace(real(*args, **kwargs), converged=False)
+
+        monkeypatch.setattr(optimize, "maximize", stopped_short)
+        model = QuadraticModel(np.eye(2), np.ones(2))
+        q0 = GaussianVariational(np.zeros(2), np.eye(2))
+        cfg = InferenceConfig(method=method)
+        _, _, trace = engine.run_coordinate_ascent(model, None, q0, ConjugateVariational(None), cfg)
+        # the mean test stopped the loop, but the run is not converged
+        assert len(trace) < cfg.max_outer_iters
+        assert trace.records[-1].mean_change < cfg.conv_tol
+        assert not trace.converged
 
     def test_step_error_carries_partial_trace(self):
         class ExplodingModel(QuadraticModel):

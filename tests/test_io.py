@@ -1,9 +1,11 @@
 """File formats and the command-line entry points."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from ncvi import cli, ctm, dataio, engine
+from ncvi import cli, ctm, dataio, engine, optimize
 from ncvi.model import GaussianVariational
 
 from conftest import make_ctm_params, make_unigram_corpus, random_spd
@@ -237,6 +239,25 @@ class TestCliCommands:
         assert len(lines) == 13
         var = [float(l.split(",")[2]) for l in lines[1:]]
         assert all(v > 0.0 for v in var)
+
+    def test_infer_unigram_warns_when_the_last_refit_stopped_short(
+        self, clidata, tmp_path, capsys, monkeypatch
+    ):
+        real = optimize.maximize
+
+        def stopped_short(*args, **kwargs):
+            return dataclasses.replace(real(*args, **kwargs), converged=False)
+
+        monkeypatch.setattr(optimize, "maximize", stopped_short)
+        out = tmp_path / "rates.csv"
+        assert run_cli(["infer-unigram", "--corpus", clidata / "corpus.txt",
+                        "--out", out]) == 0
+        err = capsys.readouterr().err
+        assert "empty document" in err
+        assert "warning: the last q(theta) refit stopped short of the optimizer's " \
+               "gradient tolerance" in err
+        assert "iteration cap" not in err
+        assert len(out.read_text().splitlines()) == 13
 
     def test_repeated_runs_reproduce_traces(self, clidata, tmp_path):
         paths = []

@@ -215,6 +215,19 @@ class TestSpdFactorize:
         np.testing.assert_allclose(fac.solve(rhs), fac.inverse() @ rhs, rtol=1e-10)
         np.testing.assert_allclose(a @ fac.solve(rhs), rhs, atol=1e-10)
 
+    def test_inverse_is_exactly_symmetric_and_c_ordered(self):
+        # downstream matrix products round by memory layout, so the inverse
+        # keeps the row-major layout every caller was written against
+        rng = np.random.default_rng(3)
+        b = rng.normal(size=(7, 7))
+        inv = numerics.spd_factorize(b.T @ b + np.eye(7)).inverse()
+        assert np.array_equal(inv, inv.T)
+        assert inv.flags["C_CONTIGUOUS"]
+
+    def test_rejects_indefinite(self):
+        with pytest.raises(numerics.NotPositiveDefiniteError):
+            numerics.spd_factorize(np.diag([1.0, -1.0]))
+
     def test_rejects_asymmetric(self):
         m = np.array([[1.0, 0.5], [0.2, 1.0]])
         with pytest.raises(ValueError):
