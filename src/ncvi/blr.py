@@ -288,4 +288,5 @@ def fit_hierarchical(
             converged = all(ok for _, _, ok in fits)
             break
 
+    trace.converged = converged
     return HblrFit(posteriors, mu0, sigma0, trace, converged)

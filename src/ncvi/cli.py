@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import blr, ctm, dataio, engine, evaluate, numerics, unigram
+from . import blr, ctm, dataio, engine, evaluate, unigram
 from .model import GaussianVariational
 
 __all__ = ["main"]
@@ -35,11 +35,25 @@ def _inference(args) -> engine.InferenceConfig:
     return engine.InferenceConfig(method=args.method, conv_tol=args.conv_tol)
 
 
-def _single_record_trace(objective: float, mean_change: float, seconds: float) -> engine.InferenceTrace:
+def _single_record_trace(objective, mean_change, seconds, converged=True) -> engine.InferenceTrace:
     trace = engine.InferenceTrace()
     trace.append(engine.TraceRecord(1, objective, mean_change, seconds))
-    trace.converged = True
+    trace.converged = converged
     return trace
+
+
+def _warn_unless_converged(trace: engine.InferenceTrace, cap=None, conv_tol=None) -> None:
+    """Name why a fit has not converged: its iteration cap, with the mean
+    still moving, or a last q(theta) refit that stopped short."""
+    if trace.converged:
+        return
+    moved = trace.records[-1].mean_change
+    if cap is not None and moved >= conv_tol:
+        cause = (f"stopped at the {cap}-iteration cap; the mean still moved "
+                 f"{moved:.3g} > --conv-tol {conv_tol:g}")
+    else:
+        cause = "the last q(theta) refit stopped short of the optimizer's gradient tolerance"
+    print(f"warning: {cause}", file=sys.stderr)
 
 
 def _cmd_fit_ctm(args) -> int:
@@ -78,15 +92,14 @@ def _cmd_fit_blr(args) -> int:
     if not instances:
         raise CliInputError(f"{args.data}: no instances")
     start = time.perf_counter()
-    prior = blr.BlrPrior.standard(dim)
-    q = blr.fit(instances, prior, method=args.method)
-    # blr.fit hands back q alone, so log|Sigma| is derived from Sigma here
-    log_det = numerics.spd_factorize(q.sigma).log_det
-    objective = engine.approx_objective(blr.BlrModel(instances, prior), q, None, log_det)
+    model = blr.BlrModel(instances, blr.BlrPrior.standard(dim))
+    q, log_det, converged = blr._fit_model(model, args.method)
+    objective = engine.approx_objective(model, q, None, log_det)
     dataio.save_posterior(q, args.out)
     trace = _single_record_trace(
-        objective, float(np.linalg.norm(q.mu)), time.perf_counter() - start
+        objective, float(np.linalg.norm(q.mu)), time.perf_counter() - start, converged
     )
+    _warn_unless_converged(trace)
     trace.to_csv(str(args.out) + ".trace.csv")
     return 0
 
@@ -114,6 +127,7 @@ def _cmd_fit_hblr(args) -> int:
         dim, nu_offset=args.nu_offset, phi0_scale=args.phi0, phi1_scale=args.phi1,
     )
     result = blr.fit_hierarchical(tasks, hier, cfg=cfg, em_iters=args.em_iters)
+    _warn_unless_converged(result.trace, args.em_iters, cfg.conv_tol)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for path, q in zip(paths, result.posteriors):
@@ -152,16 +166,8 @@ def _cmd_infer_unigram(args) -> int:
     if not docs:
         raise CliInputError(f"{args.corpus}: no documents")
     q_theta, q_z, trace = unigram.infer(docs, vocab, cfg)
-    if not trace.converged:
-        moved = trace.records[-1].mean_change
-        cause = (
-            f"stopped at the {cfg.max_outer_iters}-iteration cap; the mean still "
-            f"moved {moved:.3g} > --conv-tol {cfg.conv_tol:g}"
-            if moved >= cfg.conv_tol
-            else "the last q(theta) refit stopped short of the optimizer's gradient tolerance"
-        )
-        print(f"warning: {cause}", file=sys.stderr)
-    var = np.diag(q_theta.sigma)
+    _warn_unless_converged(trace, cfg.max_outer_iters, cfg.conv_tol)
+    var = q_theta.sigma.diagonal()
     with open(args.out, "w") as handle:
         handle.write("term,posterior_mean,posterior_var\n")
         for i in range(vocab):

@@ -9,13 +9,13 @@ Two interchangeable q(theta) updates, both climbing by damped Newton steps
   f(mu) + Tr{Hessian_f(mu) Sigma}/2 + log|Sigma|/2 by alternating Newton
   ascent in mu (at fixed Sigma) with the closed-form Sigma update.
 
-Both take Sigma and log|Sigma| from one Cholesky factor of f's negated
-curvature and return (q, log|Sigma|, converged), converged meaning that every
-Newton ascent of the refit reached the optimizer's grad_tol; the monitor
-approx_objective reuses that log|Sigma|.  The capped jitter and
-NonConcaveError guard only Sigma at the mode, dense or diagonal.  The q(z)
-update is each model's conjugate_update, which owns whatever expectation of
-eta(theta) under q(theta) it needs.
+Each model owns its curvature; the engine handles no Hessian matrix.  Both
+refits take Sigma and log|Sigma| from the model's covariance, one factor of
+f's negated curvature, and return (q, log|Sigma|, converged), converged
+meaning that every Newton ascent of the refit reached the optimizer's
+grad_tol; the monitor approx_objective reuses that log|Sigma|.  The engine
+keeps the jitter policy, the capped jitter and NonConcaveError guarding Sigma.
+The q(z) update is each model's conjugate_update.
 """
 
 from __future__ import annotations
@@ -99,22 +99,19 @@ class NonConcaveError(ArithmeticError):
     """-Hessian stayed indefinite after exhausting the jitter budget."""
 
 
-def _covariance(hessian, diagonal, diag=None):
-    """Sigma = (-hessian)^{-1}, or the inverse of its diagonal alone, and
-    log|Sigma|, both from one factor.  Where that is not positive definite a
-    diagonal jitter, doubling from _JITTER_INIT, is added to it."""
-    neg = -np.asarray(hessian, dtype=float)
-    neg = np.diag(np.diag(neg)) if diagonal else 0.5 * (neg + neg.T)
+def _covariance(model: ModelContract, theta, stats: ExpectedStats, diagonal: bool, diag=None):
+    """The model's Sigma and log|Sigma| at theta, and the diagonal jitter,
+    doubling from _JITTER_INIT, that its negated curvature needed."""
     jitter = 0.0
     while jitter <= _JITTER_MAX:
         try:
-            fact = numerics.spd_factorize(neg + jitter * np.eye(len(neg)) if jitter else neg)
+            sigma, log_det = model.covariance(theta, stats, jitter, diagonal)
         except numerics.NotPositiveDefiniteError:
             jitter = 2.0 * jitter or _JITTER_INIT
             continue
         if jitter and diag is not None:
             diag.setdefault("jitter_events", []).append(jitter)
-        return fact.inverse(), -fact.log_det
+        return sigma, log_det, jitter
     raise NonConcaveError(f"negated Hessian not positive definite after jitter {_JITTER_MAX:g}")
 
 
@@ -127,7 +124,7 @@ def _objective(model: ModelContract, stats: ExpectedStats, sigma=None):
         if not np.isfinite(value):
             return value, grad, grad
         if sigma is not None:
-            value += 0.5 * float(np.sum(model.f_hessian(theta, stats) * sigma))
+            value += 0.5 * model.hessian_trace(theta, stats, sigma)
             grad = grad + 0.5 * model.trace_grad(theta, sigma, stats)
         return value, grad, model.newton_direction(theta, stats, grad, sigma)
 
@@ -146,7 +143,7 @@ def laplace_step(
     Returns q, log|Sigma| and whether the ascent to m converged.
     """
     result = optimize.maximize(_objective(model, stats), init)
-    sigma, log_det = _covariance(model.f_hessian(result.argmax, stats), False, diag)
+    sigma, log_det, _ = _covariance(model, result.argmax, stats, False, diag)
     return GaussianVariational(result.argmax, sigma), log_det, result.converged
 
 
@@ -162,8 +159,9 @@ def delta_step(
     The mu step climbs with gradient grad f(mu) + trace_grad(mu, Sigma)/2 at
     fixed Sigma along the model's Newton direction for that objective; Sigma
     then has the closed-form update (-Hessian)^{-1}, or its diagonal analogue
-    for models that restrict Sigma to a diagonal.  Returns q, log|Sigma| and
-    whether every mu ascent converged.
+    for models that restrict Sigma to a diagonal, at which Tr{H Sigma} is
+    -dim + jitter Tr{Sigma}.  Returns q, log|Sigma| and whether every mu
+    ascent converged.
     """
     mu, sigma = init_q.mu, init_q.sigma
     if model.delta_diagonal:
@@ -174,10 +172,9 @@ def delta_step(
     for _ in range(_DELTA_INNER_ROUNDS):
         result = optimize.maximize(_objective(model, stats, sigma), mu)
         mu, converged = result.argmax, converged and result.converged
-        hess = model.f_hessian(mu, stats)
-        sigma, log_det = _covariance(hess, model.delta_diagonal, diag)
+        sigma, log_det, jitter = _covariance(model, mu, stats, model.delta_diagonal, diag)
         value, _ = model.f_value_grad(mu, stats)
-        current = value + 0.5 * float(np.sum(hess * sigma)) + 0.5 * log_det
+        current = value + 0.5 * (jitter * float(np.sum(sigma.diagonal())) - model.dim + log_det)
         if diag is not None:
             diag.setdefault("delta_inner", []).append(current)
         if current - prev < _DELTA_INNER_TOL:
@@ -220,10 +217,9 @@ def approx_objective(
     """
     stats = model.expected_stats(q_z)
     value, _ = model.f_value_grad(q_theta.mu, stats)
-    hess = model.f_hessian(q_theta.mu, stats)
     return (
         value
-        + 0.5 * (float(np.sum(hess * q_theta.sigma)) + log_det)
+        + 0.5 * (model.hessian_trace(q_theta.mu, stats, q_theta.sigma) + log_det)
         + model.qz_entropy(q_z)
         + model.qz_model_terms(q_z)
     )

@@ -2,10 +2,10 @@
 
 A model bundles everything the generic engine needs: the nonconjugate
 exponent f(theta) = eta(theta)' E[t(z)] - a(eta(theta)) + log p(theta) with
-its first two derivatives, the gradient of theta -> Tr{H(theta) Sigma} for
-the curvature-corrected update, the Newton direction both updates climb by,
-the expected sufficient statistics of the conjugate factor, and the
-closed-form conjugate update.
+its first two derivatives, the covariance its curvature gives, the value and
+gradient of theta -> Tr{H(theta) Sigma} for the curvature-corrected update,
+the Newton direction both updates climb by, the expected sufficient
+statistics of the conjugate factor, and the closed-form conjugate update.
 """
 
 from __future__ import annotations
@@ -73,7 +73,8 @@ class LabeledInstance:
 
 @dataclass
 class GaussianVariational:
-    """q(theta) = N(mu, sigma)."""
+    """q(theta) = N(mu, sigma).  sigma is a dense matrix, or any covariance
+    read through `.diagonal()` and `@` (unigram's numerics.DiagPlusRankOne)."""
 
     mu: np.ndarray
     sigma: np.ndarray
@@ -115,7 +116,9 @@ class ModelContract(abc.ABC):
 
     Immutable after construction, so one model serves every update of its
     problem.  `delta_diagonal` marks models whose curvature-corrected path
-    restricts the covariance to a diagonal.
+    restricts the covariance to a diagonal.  The engine reads f's curvature
+    only through covariance, hessian_trace and newton_direction, whose dense
+    defaults from f_hessian are the reference a structured override matches.
     """
 
     delta_diagonal: bool = False
@@ -136,6 +139,19 @@ class ModelContract(abc.ABC):
     @abc.abstractmethod
     def trace_grad(self, theta: np.ndarray, sigma: np.ndarray, stats: ExpectedStats) -> np.ndarray:
         """Gradient of theta -> Tr{Hessian_f(theta) sigma} at fixed sigma."""
+
+    def covariance(self, theta, stats: ExpectedStats, shift: float, diagonal: bool):
+        """Sigma = (-Hessian_f + shift I)^{-1}, or the inverse of that matrix's
+        diagonal, and log|Sigma| from one factor of it; NotPositiveDefiniteError
+        where it is not positive definite.  Default: dense Cholesky."""
+        neg = -np.asarray(self.f_hessian(theta, stats), dtype=float)
+        neg = np.diag(np.diag(neg)) if diagonal else 0.5 * (neg + neg.T)
+        fact = numerics.spd_factorize(neg + shift * np.eye(len(neg)) if shift else neg)
+        return fact.inverse(), -fact.log_det
+
+    def hessian_trace(self, theta, stats: ExpectedStats, sigma) -> float:
+        """Tr{Hessian_f(theta) sigma}, the value whose gradient is trace_grad."""
+        return float(np.sum(self.f_hessian(theta, stats) * sigma))
 
     def newton_direction(self, theta, stats: ExpectedStats, grad, sigma=None) -> np.ndarray:
         """Solve of a positive definite Newton matrix against `grad` for f or,

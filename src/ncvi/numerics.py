@@ -1,9 +1,10 @@
-"""Special functions and dense SPD linear algebra shared by every model.
+"""Special functions and SPD linear algebra shared by every model.
 
 The gamma family (ln Gamma, psi, psi', psi'') and the sigmoids are thin
 wrappers over scipy.special that add the contract the models rely on: the
 gamma family raises ValueError for a non-finite or non-positive argument, and
 a scalar or 0-d argument gives a Python float while an array keeps its shape.
+The SPD matrices are dense Cholesky factors, or diagonal plus rank one.
 Everything here is stateless.
 """
 
@@ -25,6 +26,7 @@ __all__ = [
     "log_sigmoid",
     "sigmoid",
     "NotPositiveDefiniteError",
+    "DiagPlusRankOne",
     "SpdFactorization",
     "spd_factorize",
     "finite_diff_gradient",
@@ -93,7 +95,26 @@ def sigmoid(a):
 
 
 class NotPositiveDefiniteError(ArithmeticError):
-    """Cholesky factorization hit a nonpositive pivot."""
+    """A matrix required to be positive definite is not: a Cholesky pivot or
+    a Sherman-Morrison term was nonpositive."""
+
+
+class DiagPlusRankOne:
+    """diag(d) + k u u' in O(V), read as a dense matrix is: `.diagonal()` and
+    `@`.  No __array__, and numpy operators refuse it: never densified by accident."""
+
+    __array_ufunc__ = None
+
+    def __init__(self, d: np.ndarray, k: float, u: np.ndarray):
+        self._d, self._k, self._u = d, float(k), u
+
+    def diagonal(self) -> np.ndarray:
+        return self._d + self._k * self._u * self._u
+
+    def __matmul__(self, x):
+        x = np.asarray(x, dtype=float)
+        d, u = (self._d, self._u) if x.ndim == 1 else (self._d[:, None], self._u[:, None])
+        return d * x + (self._k * u) * (self._u @ x)
 
 
 class SpdFactorization:

@@ -5,9 +5,16 @@ z_d ~ Dirichlet(exp(theta)) and counts x_d ~ Multinomial(z_d).  The Dirichlet
 natural-parameter map eta(theta) = exp(theta) keeps E[eta] available in
 closed form, so both the curvature updates and the exact conjugate update
 can be exercised end to end on this model.
+
+f's Hessian is diag(h) + c b b' with b = exp(theta) (Minka, "Estimating a
+Dirichlet distribution", 2000), so Newton directions, Sigma (held as a
+numerics.DiagPlusRankOne), log|Sigma| and Tr{H Sigma} cost O(V): inference
+forms no V x V matrix, and only the reference f_hessian is dense.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -44,6 +51,21 @@ def _b3_polygamma_2(b: np.ndarray) -> np.ndarray:
     return -2.0 + b * (b * (b * numerics.polygamma_2(b + 1.0)))
 
 
+def _shifted_inverse(h, c, b, shift):
+    """(diag(a) - c b b')^{-1}, a = shift - h and c >= 0, by Sherman-Morrison,
+    with its log-determinant by the determinant lemma; None where the matrix is
+    not positive definite: exactly where a_i or 1 - c b' a^{-1} b is not positive."""
+    a = shift - h
+    if np.any(a <= 0.0):
+        return None
+    a_b = b / a
+    denom = 1.0 - c * float(b @ a_b)
+    if denom <= 0.0:
+        return None
+    log_det = -(float(np.sum(np.log(a))) + math.log(denom))
+    return numerics.DiagPlusRankOne(1.0 / a, c / denom, a_b), log_det
+
+
 class UnigramModel(ModelContract):
     def __init__(self, vocab_size: int, documents: list[Document]):
         if vocab_size < 2:
@@ -61,10 +83,6 @@ class UnigramModel(ModelContract):
     @property
     def num_docs(self) -> int:
         return len(self._docs)
-
-    @property
-    def counts(self) -> np.ndarray:
-        return self._counts
 
     def f_value_grad(self, theta, stats: ExpectedStats):
         theta = np.asarray(theta, dtype=float)
@@ -92,19 +110,27 @@ class UnigramModel(ModelContract):
         b = _checked_exp(theta)
         big_s = float(b.sum())
         d = float(self.num_docs)
-        h = (
-            b * s
-            - d * b * (numerics.digamma(b) - numerics.digamma(big_s))
-            - d * _b2_trigamma(b)
-            - 1.0
-        )
+        psi = numerics.digamma(b) - numerics.digamma(big_s)
+        h = b * s - d * b * psi - d * _b2_trigamma(b) - 1.0
         return h, d * numerics.trigamma(big_s), b
 
     def f_hessian(self, theta, stats: ExpectedStats) -> np.ndarray:
         h, c, b = self._curvature(theta, stats)
-        hess = c * np.outer(b, b)
-        hess[np.diag_indices_from(hess)] += h
-        return hess
+        return c * np.outer(b, b) + np.diag(h)
+
+    def covariance(self, theta, stats: ExpectedStats, shift: float, diagonal: bool):
+        """The contract's Sigma and log|Sigma| in O(V)."""
+        h, c, b = self._curvature(theta, stats)
+        if diagonal:  # diag(shift - h - c b^2) alone
+            h, c = h + c * b * b, 0.0
+        if (inverse := _shifted_inverse(h, c, b, shift)) is None:
+            raise numerics.NotPositiveDefiniteError("negated Hessian not positive definite")
+        return inverse
+
+    def hessian_trace(self, theta, stats: ExpectedStats, sigma) -> float:
+        """Tr{(diag(h) + c b b') sigma} = h' diag(sigma) + c b' sigma b."""
+        h, c, b = self._curvature(theta, stats)
+        return float(h @ sigma.diagonal()) + c * float(b @ (sigma @ b))
 
     def newton_direction(self, theta, stats, grad, sigma=None) -> np.ndarray:
         """Sherman-Morrison solve against f's -Hessian diag(-h) - c b b' in
@@ -112,14 +138,8 @@ class UnigramModel(ModelContract):
         h, c, b = self._curvature(theta, stats)
 
         def solve(shift):
-            a = shift - h
-            if np.any(a <= 0.0):
-                return None
-            a_grad, a_b = grad / a, b / a
-            denom = 1.0 - c * float(b @ a_b)
-            if denom <= 0.0:
-                return None
-            return a_grad + a_b * (c * float(b @ a_grad) / denom)
+            inverse = _shifted_inverse(h, c, b, shift)
+            return None if inverse is None else inverse[0] @ grad
 
         return optimize.shifted_solve(solve, -h - c * b * b)
 
@@ -129,16 +149,14 @@ class UnigramModel(ModelContract):
         b = _checked_exp(theta)
         big_s = float(b.sum())
         d = float(self.num_docs)
-        sig_diag = np.diag(sigma)
+        sig_diag = sigma.diagonal()
         psi_s = numerics.digamma(big_s)
         tri_s = numerics.trigamma(big_s)
         pg2_s = numerics.polygamma_2(big_s)
         sigma_b = sigma @ b
         out = sig_diag * b * s
         out -= d * sig_diag * (
-            b * numerics.digamma(b)
-            + 3.0 * _b2_trigamma(b)
-            + _b3_polygamma_2(b)
+            b * numerics.digamma(b) + 3.0 * _b2_trigamma(b) + _b3_polygamma_2(b)
         )
         out += d * psi_s * sig_diag * b
         out += d * tri_s * b * float(sig_diag @ b)
@@ -154,7 +172,7 @@ class UnigramModel(ModelContract):
         return ExpectedStats(per_doc.sum(axis=0))
 
     def eta_expectation(self, q_theta: GaussianVariational) -> np.ndarray:
-        arg = q_theta.mu + 0.5 * np.diag(q_theta.sigma)
+        arg = q_theta.mu + 0.5 * q_theta.sigma.diagonal()
         return _checked_exp(arg)
 
     def conjugate_update(self, q_theta: GaussianVariational, data=None) -> ConjugateVariational:
@@ -187,6 +205,7 @@ def infer(
 ):
     """Fit q(theta) q(z) for a corpus, starting from q(theta) = N(0, I)."""
     model = UnigramModel(vocab_size, documents)
-    q0 = GaussianVariational(np.zeros(model.dim), np.eye(model.dim))
+    eye = numerics.DiagPlusRankOne(np.ones(model.dim), 0.0, np.zeros(model.dim))
+    q0 = GaussianVariational(np.zeros(model.dim), eye)
     qz0 = model.conjugate_update(q0)
     return engine.run_coordinate_ascent(model, None, q0, qz0, cfg, diag)

@@ -113,6 +113,10 @@ class TestLaplaceStep:
         assert q.sigma[0, 1] == q.sigma[1, 0] == 0.0
         assert q.sigma[0, 0] == pytest.approx(1.0 / diag["jitter_events"][-1], rel=1e-12)
         assert log_det == pytest.approx(float(np.sum(np.log(np.diag(q.sigma)))), rel=1e-12)
+        # the inner objective's Tr{H Sigma} at the jittered Sigma, formed densely
+        value, _ = model.f_value_grad(q.mu, None)
+        dense = value + 0.5 * (float(np.sum(model.f_hessian(q.mu, None) * q.sigma)) + log_det)
+        assert diag["delta_inner"][-1] == pytest.approx(dense, rel=1e-12)
 
     def test_jitter_budget_exhaustion_is_numerical_error(self):
         class ConcavelessModel(QuadraticModel):
@@ -275,7 +279,7 @@ class TestApproxObjective:
         assert len(trace) >= 2 and per_record * len(trace) == len(calls)
         for i, record in enumerate(trace.records):
             want = sum(
-                real(model, q, q_z, numerics.spd_factorize(q.sigma).log_det)
+                real(model, q, q_z, numerics.spd_factorize(q.sigma @ np.eye(q.dim)).log_det)
                 for model, q, q_z in calls[i * per_record:(i + 1) * per_record]
             )
             assert record.objective == pytest.approx(want, rel=1e-10, abs=0)
@@ -338,16 +342,45 @@ class TestRunCoordinateAscent:
         assert trace.records[-1].mean_change < cfg.conv_tol
 
     def test_one_laplace_iteration_factorizes_once(self, monkeypatch):
-        # the monitor reuses log|Sigma| from the factor that produced Sigma
+        # one covariance per iteration, whose log|Sigma| the monitor reuses;
+        # unigram's is O(V) and factorizes nothing, CTM's dense default once
         docs, _ = make_unigram_corpus(12, vocab_size=6, num_docs=4)
-        model = unigram.UnigramModel(6, docs)
-        q0 = GaussianVariational(np.zeros(6), np.eye(6))
-        qz0 = model.conjugate_update(q0)
-        real = numerics.spd_factorize
-        calls = []
-        monkeypatch.setattr(numerics, "spd_factorize", lambda m: calls.append(m) or real(m))
-        engine.run_coordinate_ascent(model, None, q0, qz0, InferenceConfig(max_outer_iters=1))
-        assert len(calls) == 1
+        params = make_ctm_params(13, 4, 30)
+        problems = [
+            (unigram.UnigramModel(6, docs), 0),
+            (ctm.CtmDocModel(params, make_ctm_corpus(14, params, 1)[0]), 1),
+        ]
+        factorizations, in_ascent = [], []
+        real_factorize, real_maximize = numerics.spd_factorize, optimize.maximize
+
+        def ascent(*args, **kwargs):
+            # Newton directions inside the ascent may factorize; not counted
+            in_ascent.append(True)
+            try:
+                return real_maximize(*args, **kwargs)
+            finally:
+                in_ascent.pop()
+
+        def factorize(m):
+            if not in_ascent:
+                factorizations.append(m)
+            return real_factorize(m)
+
+        monkeypatch.setattr(numerics, "spd_factorize", factorize)
+        monkeypatch.setattr(optimize, "maximize", ascent)
+        for model, want in problems:
+            covariances = []
+            monkeypatch.setattr(
+                model, "covariance",
+                lambda *a, real=model.covariance: covariances.append(a) or real(*a),
+            )
+            q0 = GaussianVariational(np.zeros(model.dim), np.eye(model.dim))
+            factorizations.clear()
+            engine.run_coordinate_ascent(
+                model, None, q0, model.conjugate_update(q0), InferenceConfig(max_outer_iters=1)
+            )
+            assert len(covariances) == 1
+            assert len(factorizations) == want
 
     @pytest.mark.parametrize("method", ["laplace", "delta"])
     def test_refit_stopped_short_is_not_converged(self, monkeypatch, method):

@@ -230,6 +230,42 @@ class TestCliCommands:
         trace = (out / "trace.csv").read_text().splitlines()
         assert trace[0] == "iter,objective,mean_change,seconds"
 
+    @pytest.mark.parametrize("command", ["fit-blr", "fit-hblr"])
+    @pytest.mark.parametrize("method", ["laplace", "delta"])
+    def test_converged_blr_fits_print_no_warning(self, clidata, tmp_path, capsys,
+                                                 command, method):
+        data = ["--data", clidata / "train.txt"] if command == "fit-blr" else \
+            ["--tasks", clidata / "tasks"]
+        assert run_cli([command, *data, "--out", tmp_path / "o", "--method", method]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command", ["fit-blr", "fit-hblr"])
+    def test_blr_fits_warn_when_the_last_refit_stopped_short(
+        self, clidata, tmp_path, capsys, monkeypatch, command
+    ):
+        real = optimize.maximize
+
+        def stopped_short(*args, **kwargs):
+            return dataclasses.replace(real(*args, **kwargs), converged=False)
+
+        monkeypatch.setattr(optimize, "maximize", stopped_short)
+        data = ["--data", clidata / "train.txt"] if command == "fit-blr" else \
+            ["--tasks", clidata / "tasks"]
+        out = tmp_path / "o"
+        assert run_cli([command, *data, "--out", out]) == 0
+        assert capsys.readouterr().err == "warning: the last q(theta) refit stopped " \
+            "short of the optimizer's gradient tolerance\n"
+        assert dataio.load_posterior(out if command == "fit-blr" else out / "prior.post").dim == 3
+
+    def test_fit_hblr_warns_at_its_em_iteration_cap(self, clidata, tmp_path, capsys):
+        out = tmp_path / "hier"
+        assert run_cli(["fit-hblr", "--tasks", clidata / "tasks", "--out", out,
+                        "--em-iters", 1]) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("warning: stopped at the 1-iteration cap; the mean still moved")
+        assert err.endswith("> --conv-tol 0.0001\n")
+        assert len((out / "trace.csv").read_text().splitlines()) == 2
+
     def test_infer_unigram(self, clidata, tmp_path):
         out = tmp_path / "rates.csv"
         assert run_cli(["infer-unigram", "--corpus", clidata / "corpus.txt",

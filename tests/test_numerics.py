@@ -239,6 +239,28 @@ class TestSpdFactorize:
             numerics.spd_factorize(m)
 
 
+class TestDiagPlusRankOne:
+    def test_diagonal_and_products_match_the_dense_matrix(self):
+        rng = np.random.default_rng(17)
+        for v, k in ((1, 0.0), (4, 2.5), (9, -0.3)):
+            d, u = rng.uniform(0.5, 2.0, size=v), rng.normal(size=v)
+            sigma = numerics.DiagPlusRankOne(d, k, u)
+            dense = np.diag(d) + k * np.outer(u, u)
+            np.testing.assert_allclose(sigma.diagonal(), np.diag(dense), rtol=1e-15)
+            x, xs = rng.normal(size=v), rng.normal(size=(v, 3))
+            np.testing.assert_allclose(sigma @ x, dense @ x, rtol=1e-13, atol=1e-15)
+            np.testing.assert_allclose(sigma @ xs, dense @ xs, rtol=1e-13, atol=1e-15)
+            np.testing.assert_allclose(sigma @ np.eye(v), dense, rtol=1e-15, atol=0)
+
+    def test_numpy_operators_refuse_it(self):
+        # elementwise use of a dense matrix's operators would be wrong here
+        sigma = numerics.DiagPlusRankOne(np.ones(3), 1.0, np.ones(3))
+        with pytest.raises(TypeError):
+            np.eye(3) * sigma
+        with pytest.raises(TypeError):
+            np.sum(sigma + 1.0)
+
+
 class TestFiniteDiffGradient:
     def test_quadratic_at_origin(self):
         g = numerics.finite_diff_gradient(lambda x: float(x @ x), np.zeros(3))

@@ -1,12 +1,20 @@
 """Reference model: log-normal prior over Dirichlet parameters with
 per-document Dirichlet-multinomial observations."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from ncvi import numerics, unigram
+from ncvi import engine, numerics, unigram
 from ncvi.engine import InferenceConfig
-from ncvi.model import ConjugateVariational, Document, ExpectedStats, GaussianVariational
+from ncvi.model import (
+    ConjugateVariational,
+    Document,
+    ExpectedStats,
+    GaussianVariational,
+    ModelContract,
+)
 
 from conftest import make_unigram_corpus
 
@@ -126,6 +134,131 @@ class TestExponentValueGrad:
             model.eta_expectation(GaussianVariational(theta, np.zeros((2, 2))))
 
 
+class DenseUnigramModel(unigram.UnigramModel):
+    """The unigram model on the contract's dense defaults: the reference for
+    its O(V) covariance and trace of the Hessian."""
+
+    covariance = ModelContract.covariance
+    hessian_trace = ModelContract.hessian_trace
+
+
+def curvature_points(seed, count):
+    """Models and points around the posterior, some with -H indefinite."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        v = int(rng.integers(2, 30))
+        docs, _ = make_unigram_corpus(seed + i, vocab_size=v, num_docs=int(rng.integers(1, 6)))
+        model = unigram.UnigramModel(v, docs)
+        q = GaussianVariational(rng.normal(size=v), 0.5 * np.eye(v))
+        stats = model.expected_stats(model.conjugate_update(q))
+        yield model, q.mu + rng.normal(scale=0.5, size=v), stats
+
+
+def dense_or_error(covariance):
+    try:
+        return covariance()
+    except numerics.NotPositiveDefiniteError as err:
+        return err
+
+
+class TestStructuredCurvature:
+    """The O(V) covariance and Tr{H Sigma} against the contract's dense
+    defaults, within 1e-12 relative."""
+
+    @pytest.mark.parametrize("diagonal", [False, True])
+    def test_covariance_matches_dense_default(self, diagonal):
+        checked = 0
+        for model, theta, stats in curvature_points(20, 40):
+            for shift in (0.0, 0.37):
+                want = dense_or_error(
+                    lambda: ModelContract.covariance(model, theta, stats, shift, diagonal)
+                )
+                got = dense_or_error(lambda: model.covariance(theta, stats, shift, diagonal))
+                # both paths raise at exactly the same points
+                assert isinstance(got, Exception) == isinstance(want, Exception)
+                if isinstance(want, Exception):
+                    continue
+                (sigma, log_det), (dense, dense_log_det) = got, want
+                scale = np.max(np.abs(dense))
+                assert np.max(np.abs(sigma @ np.eye(model.dim) - dense)) <= 1e-12 * scale
+                assert np.max(np.abs(sigma.diagonal() - np.diag(dense))) <= 1e-12 * scale
+                assert log_det == pytest.approx(dense_log_det, rel=1e-12, abs=1e-12)
+                checked += 1
+        assert checked >= 40
+
+    def test_indefinite_points_raise_on_both_paths(self):
+        # positive expected statistics make -H indefinite, negative ones
+        # keep it positive definite
+        rng = np.random.default_rng(21)
+        raised = 0
+        for _ in range(30):
+            v = int(rng.integers(2, 8))
+            model = unigram.UnigramModel(v, [Document({0: 1})] * 2)
+            theta = rng.uniform(-1.0, 1.0, size=v)
+            stats = ExpectedStats(rng.uniform(-20.0, 5.0, size=v))
+            for shift, diagonal in ((0.0, False), (0.0, True), (0.5, False)):
+                want = dense_or_error(
+                    lambda: ModelContract.covariance(model, theta, stats, shift, diagonal)
+                )
+                got = dense_or_error(lambda: model.covariance(theta, stats, shift, diagonal))
+                assert isinstance(got, Exception) == isinstance(want, Exception)
+                raised += isinstance(got, Exception)
+        assert 20 <= raised <= 70
+
+    def test_hessian_trace_matches_dense_default(self):
+        rng = np.random.default_rng(22)
+        checked = 0
+        for model, theta, stats in curvature_points(23, 30):
+            a = rng.normal(size=(model.dim, model.dim))
+            sigmas = [a @ a.T / model.dim + np.eye(model.dim)]
+            try:
+                sigmas.append(model.covariance(theta, stats, 0.0, False)[0])
+            except numerics.NotPositiveDefiniteError:
+                pass
+            for sigma in sigmas:
+                dense = sigma @ np.eye(model.dim)
+                want = ModelContract.hessian_trace(model, theta, stats, dense)
+                # dense and structured sigma alike go through the O(V) path
+                assert model.hessian_trace(theta, stats, sigma) == pytest.approx(want, rel=1e-12)
+                checked += 1
+        assert checked >= 45
+
+    @pytest.mark.parametrize("method", ["laplace", "delta"])
+    def test_inference_matches_dense_defaults(self, method):
+        docs, _ = make_unigram_corpus(24, vocab_size=30, num_docs=10, tokens_per_doc=60)
+        cfg = InferenceConfig(method=method)
+        q, _, trace = unigram.infer(docs, 30, cfg)
+        model = DenseUnigramModel(30, docs)
+        q0 = GaussianVariational(np.zeros(30), np.eye(30))
+        dense_q, _, dense_trace = engine.run_coordinate_ascent(
+            model, None, q0, model.conjugate_update(q0), cfg
+        )
+        assert isinstance(dense_q.sigma, np.ndarray)
+        assert len(trace) == len(dense_trace) >= 3
+        np.testing.assert_allclose(q.mu, dense_q.mu, rtol=0, atol=1e-7)
+        np.testing.assert_allclose(q.sigma.diagonal(), np.diag(dense_q.sigma), rtol=1e-7)
+        np.testing.assert_allclose(
+            [r.objective for r in trace.records],
+            [r.objective for r in dense_trace.records],
+            rtol=1e-8,
+        )
+
+    @pytest.mark.parametrize("method", ["laplace", "delta"])
+    def test_large_vocabulary_allocates_no_vocab_squared_matrix(self, method):
+        # one 5000 x 5000 float64 matrix alone would take 200 MB
+        docs, _ = make_unigram_corpus(25, vocab_size=5000, num_docs=20, tokens_per_doc=200)
+        cfg = InferenceConfig(method=method, max_outer_iters=2)
+        tracemalloc.start()
+        try:
+            q, _, trace = unigram.infer(docs, 5000, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
+        assert len(trace) >= 1
+        assert np.all(np.isfinite(np.exp(q.mu))) and np.all(q.sigma.diagonal() > 0.0)
+
+
 class TestRateUnderflow:
     """exp(theta) underflowing to 0, or passing the overflow guard, in a
     line-search trial is a rejected step, not an input error or a numerical
@@ -173,14 +306,14 @@ class TestRateUnderflow:
         docs, _ = make_unigram_corpus(1, 100, 50, tokens_per_doc=200)
         q, _, trace = unigram.infer(docs, 100, InferenceConfig(method="delta"))
         assert trace.converged
-        assert np.all(np.isfinite(q.mu)) and np.all(np.diag(q.sigma) > 0.0)
+        assert np.all(np.isfinite(q.mu)) and np.all(q.sigma.diagonal() > 0.0)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_laplace_reproducer_runs_to_the_cap(self):
         docs, _ = make_unigram_corpus(1, 100, 200, tokens_per_doc=200)
         q, _, trace = unigram.infer(docs, 100)
         assert not trace.converged and len(trace) == 100
-        assert np.all(np.isfinite(q.mu)) and np.all(np.diag(q.sigma) > 0.0)
+        assert np.all(np.isfinite(q.mu)) and np.all(q.sigma.diagonal() > 0.0)
 
 
 class TestExpectedStats:
@@ -281,7 +414,7 @@ class TestInference:
         many, _ = make_unigram_corpus(8, vocab_size=3, num_docs=40, tokens_per_doc=50)
         q_few, _, _ = unigram.infer(few, 3)
         q_many, _, _ = unigram.infer(many, 3)
-        assert np.trace(q_many.sigma) < np.trace(q_few.sigma)
+        assert q_many.sigma.diagonal().sum() < q_few.sigma.diagonal().sum()
 
     def test_rejects_tiny_vocabulary(self):
         with pytest.raises(ValueError):
