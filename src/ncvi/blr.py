@@ -239,7 +239,6 @@ class HblrFit:
     prior_mean: np.ndarray
     prior_cov: np.ndarray
     trace: engine.InferenceTrace
-    converged: bool = False
 
 
 def fit_hierarchical(
@@ -266,7 +265,6 @@ def fit_hierarchical(
     trace = engine.InferenceTrace()
     start = time.perf_counter()
     posteriors: list[GaussianVariational] = []
-    converged = False
 
     for it in range(1, em_iters + 1):
         prior = BlrPrior(mu0.copy(), sigma0.copy())
@@ -285,8 +283,7 @@ def fit_hierarchical(
             engine.TraceRecord(it, objective, mean_change, time.perf_counter() - start)
         )
         if mean_change < cfg.conv_tol:
-            converged = all(ok for _, _, ok in fits)
+            trace.converged = all(ok for _, _, ok in fits)
             break
 
-    trace.converged = converged
-    return HblrFit(posteriors, mu0, sigma0, trace, converged)
+    return HblrFit(posteriors, mu0, sigma0, trace)

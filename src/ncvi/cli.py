@@ -87,7 +87,6 @@ def _cmd_eval_ctm(args) -> int:
 
 
 def _cmd_fit_blr(args) -> int:
-    _inference(args)  # rejects a bad --conv-tol as the other commands do
     instances, dim = dataio.parse_labeled(args.data)
     if not instances:
         raise CliInputError(f"{args.data}: no instances")
@@ -207,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("fit-blr", help="fit a logistic regression posterior")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_common(p, conv_tol=False)
     p.set_defaults(func=_cmd_fit_blr)
 
     p = commands.add_parser("fit-hblr", help="fit tasks under a shared learned prior")

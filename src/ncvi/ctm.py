@@ -5,10 +5,12 @@ so eta(theta) = theta - log sum_k exp(theta_k) and the log normalizer of the
 assignment family vanishes.  The curvature-corrected update restricts the
 per-document covariance to a diagonal.
 
-The model maths is written once over a leading document axis.  `infer_docs`
-fits all documents at once with the shared damped Newton loop
-(optimize.newton, one document per row) on the exact K x K Hessian;
-`CtmDocModel`, its one-document view, runs on the generic engine with the
+The model maths is written once over a leading document axis, on a corpus
+packed once (`_corpus`) into one row per (document, term) pair.
+`_coordinate_ascent` fits all documents at once with the shared damped Newton
+loop (optimize.newton, one document per row) on the exact K x K Hessian, for
+`infer_docs` and for `em_fit`'s E-step, whose M-step reads the stacked fit.
+`CtmDocModel`, the one-document view, runs on the generic engine with the
 same Newton matrices as the reference path.  Sums over terms use np.bincount
 (row order) and products with the prior precision np.einsum, not BLAS, so a
 document's result is bitwise independent of the rest of its batch.
@@ -95,8 +97,6 @@ class CtmDocState:
 
     q_theta: GaussianVariational
     phi: np.ndarray  # (num unique terms, K)
-    term_ids: np.ndarray
-    term_counts: np.ndarray
     objective: float  # final per-document approximate objective
 
 
@@ -161,19 +161,25 @@ def _qz_terms(phi, log_beta, counts, doc, num_docs):
     return _doc_sums(counts[:, None] * np.stack([entropy, model], axis=1), doc, num_docs).T
 
 
-def _doc_terms(params: CtmParams, doc: Document):
-    """Term ids, counts and log topic columns (one row per term) of a document."""
-    items = doc.items()
-    term_ids = np.array([i for i, _ in items], dtype=int)
-    term_counts = np.array([c for _, c in items], dtype=float)
-    if np.any(term_ids >= params.vocab_size):
+def _corpus(docs: list[Document]):
+    """Term ids and counts of every (document, term) pair in document order,
+    and each pair's document."""
+    items = [doc.items() for doc in docs]
+    ids = np.array([i for pairs in items for i, _ in pairs], dtype=int)
+    counts = np.array([c for pairs in items for _, c in pairs], dtype=float)
+    return ids, counts, np.repeat(np.arange(len(docs)), [len(pairs) for pairs in items])
+
+
+def _log_beta(params: CtmParams, ids):
+    """Log topic columns of the given terms, one row per term."""
+    if np.any(ids >= params.vocab_size):
         raise ValueError("document term outside the topic vocabulary")
-    cols = params.topics[:, term_ids]  # (K, U)
-    if cols.size and np.any(cols.max(axis=0) <= 0.0):
-        bad = int(term_ids[np.argmax(cols.max(axis=0) <= 0.0)])
+    cols = params.topics.T[ids]  # (terms, K), C-ordered
+    if cols.size and np.any(cols.max(axis=1) <= 0.0):
+        bad = int(ids[np.argmax(cols.max(axis=1) <= 0.0)])
         raise ValueError(f"term {bad} has zero probability under every topic")
     with np.errstate(divide="ignore"):
-        return term_ids, term_counts, np.log(cols.T)
+        return np.log(cols)
 
 
 class CtmDocModel(ModelContract):
@@ -184,8 +190,8 @@ class CtmDocModel(ModelContract):
 
     def __init__(self, params: CtmParams, doc: Document):
         self._params = params
-        _, self._term_counts, self._log_beta = _doc_terms(params, doc)
-        self._doc = np.zeros(self._term_counts.size, dtype=int)
+        ids, self._term_counts, self._doc = _corpus([doc])
+        self._log_beta = _log_beta(params, ids)
 
     @property
     def dim(self) -> int:
@@ -310,17 +316,24 @@ def _coordinate_ascent(params, counts, log_beta, doc, num_docs, cfg):
     once its mean moves less than cfg.conv_tol.  A document whose last
     q(theta) refit stopped short of the optimizer's grad_tol (at its
     iteration cap, or once steps stopped raising the objective) reports
-    converged=False."""
+    converged=False.  An empty document starts retired at the prior, with
+    objective 0: its exponent is the prior density alone, whose curvature
+    fit is exact.  Returns stacked mu, Sigma, objective and phi, and traces."""
     refit = _laplace if cfg.method == "laplace" else _delta
-    k = params.num_topics
-    mu = np.zeros((num_docs, k))
-    sigma = np.broadcast_to(np.eye(k), (num_docs, k, k)).copy()
+    live = np.bincount(doc, minlength=num_docs) > 0
+    mu = np.where(live[:, None], 0.0, params.prior_mean)
+    sigma = np.where(live[:, None, None], np.eye(params.num_topics), params.prior_cov)
+    objective = np.zeros(num_docs)
     phi = _assignments(mu[doc], log_beta)
     stats = _doc_sums(counts[:, None] * phi, doc, num_docs)
     traces = [engine.InferenceTrace() for _ in range(num_docs)]
-    active = np.arange(num_docs)
+    for d in np.flatnonzero(~live):
+        traces[d].converged = True
+    active = np.flatnonzero(live)
     start = time.perf_counter()
     for it in range(1, cfg.max_outer_iters + 1):
+        if not active.size:
+            break
         rows = np.flatnonzero(np.isin(doc, active))
         sub = np.searchsorted(active, doc[rows])
         n = active.size
@@ -333,15 +346,21 @@ def _coordinate_ascent(params, counts, log_beta, doc, num_docs, cfg):
         obj = value + 0.5 * (curvature + log_det) + entropy + model
         change = np.linalg.norm(new_mu - mu[active], axis=1)
         mu[active], sigma[active], stats[active] = new_mu, new_sigma, new_stats
+        objective[active] = obj
         phi[rows] = new_phi
         seconds = time.perf_counter() - start
         for d, o, c, short in zip(active, obj, change, stuck):
             traces[d].append(engine.TraceRecord(it, float(o), float(c), seconds))
             traces[d].converged = bool(c < cfg.conv_tol and not short)
         active = active[change >= cfg.conv_tol]
-        if not active.size:
-            break
-    return mu, sigma, phi, traces
+    return mu, sigma, objective, phi, traces
+
+
+def _doc_states(mu, sigma, objective, phi, doc) -> list[CtmDocState]:
+    """Split a stacked fit into one state per document."""
+    splits = np.cumsum(np.bincount(doc, minlength=len(mu)))[:-1]
+    return [CtmDocState(GaussianVariational(m, s), p, float(o))
+            for m, s, o, p in zip(mu, sigma, objective, np.split(phi, splits))]
 
 
 def infer_docs(
@@ -354,29 +373,12 @@ def infer_docs(
     Each document starts from mean zero with unit covariance and an
     assignment update computed from that start, and stops on its own
     mean-change test, so its result does not depend on the other documents.
-    An empty document short-circuits to the prior: the exponent is the prior
-    density alone, whose curvature fit is exact.
+    An empty document returns the prior.
     """
+    ids, counts, doc = _corpus(docs)
     cfg = cfg or engine.InferenceConfig()
-    k = params.num_topics
-    terms = [_doc_terms(params, doc) for doc in docs]
-    live = [d for d, (ids, _, _) in enumerate(terms) if ids.size]
-    results = []
-    for ids, counts, _ in terms:
-        trace = engine.InferenceTrace()
-        trace.converged = True
-        q = GaussianVariational(params.prior_mean.copy(), params.prior_cov.copy())
-        results.append((CtmDocState(q, np.zeros((0, k)), ids, counts, 0.0), trace))
-    if live:
-        sizes = [terms[d][0].size for d in live]
-        counts, log_beta = (np.concatenate([terms[d][j] for d in live]) for j in (1, 2))
-        doc = np.repeat(np.arange(len(live)), sizes)
-        mu, sigma, phi, traces = _coordinate_ascent(params, counts, log_beta, doc, len(live), cfg)
-        for i, (d, phi_d) in enumerate(zip(live, np.split(phi, np.cumsum(sizes)[:-1]))):
-            q = GaussianVariational(mu[i], sigma[i])
-            state = CtmDocState(q, phi_d, *terms[d][:2], traces[i].records[-1].objective)
-            results[d] = (state, traces[i])
-    return results
+    *fit, traces = _coordinate_ascent(params, counts, _log_beta(params, ids), doc, len(docs), cfg)
+    return list(zip(_doc_states(*fit, doc), traces))
 
 
 def infer_doc(
@@ -403,15 +405,6 @@ class CtmFit:
     doc_states: list[CtmDocState] = field(default_factory=list)
 
 
-def _doc_bound(state: CtmDocState, params: CtmParams) -> float:
-    # Completes the per-document monitor into a data-bound contribution:
-    # adds the prior and entropy constants the monitor drops.  An empty
-    # document contributes zero.
-    if state.term_ids.size == 0:
-        return 0.0
-    return state.objective - 0.5 * params.prior_log_det + 0.5 * state.q_theta.dim
-
-
 def em_fit(
     documents: list[Document],
     vocab_size: int,
@@ -427,18 +420,17 @@ def em_fit(
     """
     if not documents:
         raise ValueError("cannot fit a topic model to an empty corpus")
-    used_terms = set()
-    for doc in documents:
-        used_terms.update(doc.counts.keys())
+    ids, counts, doc = _corpus(documents)
+    used_terms = np.unique(ids).size
     if num_topics < 1:
         raise ValueError("need at least 1 topic")
-    if num_topics > len(used_terms):
-        raise ValueError(
-            f"{num_topics} topics exceed the {len(used_terms)} distinct terms in use"
-        )
+    if num_topics > used_terms:
+        raise ValueError(f"{num_topics} topics exceed the {used_terms} distinct terms in use")
     if em_iters < 1:
         raise ValueError("em_iters must be at least 1")
     cfg = cfg or engine.InferenceConfig()
+    num_docs = len(documents)
+    live = np.bincount(doc, minlength=num_docs) > 0
 
     rng = np.random.default_rng(seed)
     topics = rng.dirichlet(np.ones(vocab_size), size=num_topics)
@@ -446,32 +438,26 @@ def em_fit(
     topics /= topics.sum(axis=1, keepdims=True)
     params = CtmParams(topics, np.zeros(num_topics), np.eye(num_topics))
 
-    fit = CtmFit(
-        params=params,
-        trace=engine.InferenceTrace(),
-        word_count=int(sum(doc.total() for doc in documents)),
-    )
+    fit = CtmFit(params=params, trace=engine.InferenceTrace(), word_count=int(counts.sum()))
     start = time.perf_counter()
 
     for it in range(1, em_iters + 1):
-        states = [state for state, _ in infer_docs(params, documents, cfg)]
+        mu, sigma, objective, phi, _ = _coordinate_ascent(
+            params, counts, _log_beta(params, ids), doc, num_docs, cfg
+        )
+        # Each document's monitor plus the prior and entropy constants it
+        # drops; an empty document contributes zero.  Summed in document order.
+        doc_bounds = objective - 0.5 * params.prior_log_det + 0.5 * num_topics
+        bound = sum(np.where(live, doc_bounds, 0.0).tolist())
 
-        bound = sum(_doc_bound(state, params) for state in states)
+        new_mu0 = mu.mean(axis=0)
+        dev = mu - new_mu0
+        cov_sum = np.sum(sigma + dev[:, :, None] * dev[:, None, :], axis=0)
+        new_sigma0 = cov_sum / num_docs + _COV_RIDGE * np.eye(num_topics)
 
-        beta_acc = np.zeros((num_topics, vocab_size))
-        means = np.zeros((len(documents), num_topics))
-        cov_acc = np.zeros((num_topics, num_topics))
-        for d, state in enumerate(states):
-            means[d] = state.q_theta.mu
-            if state.phi.size:
-                beta_acc[:, state.term_ids] += (state.phi * state.term_counts[:, None]).T
-        new_mu0 = means.mean(axis=0)
-        for d, state in enumerate(states):
-            dev = means[d] - new_mu0
-            cov_acc += state.q_theta.sigma + np.outer(dev, dev)
-        new_sigma0 = cov_acc / len(documents) + _COV_RIDGE * np.eye(num_topics)
-
-        topics = beta_acc + _BETA_SMOOTH
+        # C order keeps the bits of the row sums below
+        beta = np.ascontiguousarray(_doc_sums(counts[:, None] * phi, ids, vocab_size).T)
+        topics = beta + _BETA_SMOOTH
         topics /= topics.sum(axis=1, keepdims=True)
         mean_change = float(np.linalg.norm(new_mu0 - params.prior_mean))
         params = CtmParams(topics, new_mu0, new_sigma0)
@@ -480,7 +466,7 @@ def em_fit(
         fit.trace.append(
             engine.TraceRecord(it, bound, mean_change, time.perf_counter() - start)
         )
-        fit.doc_states = states
 
     fit.params = params
+    fit.doc_states = _doc_states(mu, sigma, objective, phi, doc)
     return fit

@@ -311,7 +311,7 @@ class TestHierarchicalFit:
 
     def test_task_refit_stopped_short_is_not_converged(self, monkeypatch):
         tasks = self.make_tasks(17)
-        assert blr.fit_hierarchical(tasks).converged
+        assert blr.fit_hierarchical(tasks).trace.converged
         real = optimize.maximize
 
         def stopped_short(*args, **kwargs):
@@ -320,7 +320,7 @@ class TestHierarchicalFit:
         monkeypatch.setattr(optimize, "maximize", stopped_short)
         out = blr.fit_hierarchical(tasks)
         # the shared mean settled before the round cap, but a refit fell short
-        assert len(out.trace) < 20 and not out.converged
+        assert len(out.trace) < 20 and not out.trace.converged
 
     def test_rejects_em_iters_below_one(self):
         with pytest.raises(ValueError):

@@ -427,6 +427,47 @@ class TestEmFit:
         assert [r.objective for r in fit.trace.records] == fit.bounds
         assert [r.iteration for r in fit.trace.records] == [1, 2, 3]
 
+    @pytest.mark.parametrize("method", ["laplace", "delta"])
+    def test_packed_m_step_matches_a_per_document_loop(self, method):
+        params = make_ctm_params(13, 3, 15)
+        docs = make_ctm_corpus(14, params, 40, tokens_per_doc=30)
+        docs = docs[:5] + [Document({})] + docs[5:]
+        cfg = InferenceConfig(method=method)
+        fit = ctm.em_fit(docs, 15, 3, cfg, em_iters=1, seed=3)
+
+        # the seeded start of em_fit, then its E-step document by document
+        topics = np.random.default_rng(3).dirichlet(np.ones(15), size=3)
+        topics = np.maximum(topics, ctm._BETA_SMOOTH)
+        topics /= topics.sum(axis=1, keepdims=True)
+        start = ctm.CtmParams(topics, np.zeros(3), np.eye(3))
+        states = [state for state, _ in ctm.infer_docs(start, docs, cfg)]
+        bound = 0.0
+        beta_acc = np.zeros((3, 15))
+        means = np.array([state.q_theta.mu for state in states])
+        for doc, state in zip(docs, states):
+            ids = np.array([i for i, _ in doc.items()], dtype=int)
+            counts = np.array([c for _, c in doc.items()], dtype=float)
+            if ids.size:
+                bound += state.objective - 0.5 * start.prior_log_det + 0.5 * 3
+                beta_acc[:, ids] += (state.phi * counts[:, None]).T
+        mu0 = means.mean(axis=0)
+        cov_acc = np.zeros((3, 3))
+        for state in states:
+            dev = state.q_theta.mu - mu0
+            cov_acc += state.q_theta.sigma + np.outer(dev, dev)
+        topics = beta_acc + ctm._BETA_SMOOTH
+        topics /= topics.sum(axis=1, keepdims=True)
+
+        assert fit.bounds == [bound]
+        assert np.array_equal(fit.params.topics, topics)
+        assert np.array_equal(fit.params.prior_mean, mu0)
+        sigma0 = cov_acc / len(docs) + ctm._COV_RIDGE * np.eye(3)
+        assert np.array_equal(fit.params.prior_cov, sigma0)
+        empty = fit.doc_states[5]
+        assert np.array_equal(empty.q_theta.mu, start.prior_mean)
+        assert np.array_equal(empty.q_theta.sigma, start.prior_cov)
+        assert empty.phi.shape == (0, 3) and empty.objective == 0.0
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ctm.em_fit([], 3, 2)

@@ -1,4 +1,4 @@
-"""Held-out scoring, classification metrics, and the paired test."""
+"""Held-out scoring and classification metrics."""
 
 import numpy as np
 import pytest
@@ -7,8 +7,6 @@ from ncvi import ctm, evaluate
 from ncvi.model import Document, GaussianVariational
 
 from conftest import make_ctm_corpus, make_ctm_params, make_instance
-
-T_CRIT_4_05 = 2.1318  # one-sided 5% critical value at 4 degrees of freedom
 
 
 class TestSplitDocument:
@@ -91,6 +89,11 @@ class TestHeldoutLoglik:
         report = evaluate.heldout_corpus(params, docs)
         assert report.unit_ids == ("doc0",)
 
+    def test_corpus_with_nothing_to_split_gives_an_empty_report(self):
+        params = make_ctm_params(7, 2, 6)
+        report = evaluate.heldout_corpus(params, [Document({2: 1}), Document({}), Document({0: 1})])
+        assert report.unit_ids == () and report.values == ()
+
 
 class TestClassificationMetrics:
     def test_accuracy_extremes(self):
@@ -137,41 +140,3 @@ class TestClassificationMetrics:
             evaluate.MetricReport("m", ("u0",), (1.0, 2.0))
         with pytest.raises(ValueError):
             evaluate.MetricReport("m", (), ()).mean
-
-
-class TestPairedTTest:
-    def test_identical_scores_are_not_significant(self):
-        t, sig = evaluate.paired_t_test([0.3, 0.1, 0.2], [0.3, 0.1, 0.2])
-        assert t == 0.0
-        assert not sig
-
-    def test_constant_positive_shift_is_significant(self):
-        # exactly representable scores keep the differences exactly constant
-        b = np.array([0.25, 0.5, 0.75, 1.0, 1.25])
-        t, sig = evaluate.paired_t_test(b + 1.0, b)
-        assert t == pytest.approx(1e15)
-        assert sig
-        t_down, sig_down = evaluate.paired_t_test(b, b + 1.0)
-        assert t_down == pytest.approx(-1e15)
-        assert not sig_down
-
-    def test_frozen_example_against_tabulated_critical_value(self):
-        diffs = np.array([0.5, -0.1, 0.4, 0.3, 0.2])
-        t, sig = evaluate.paired_t_test(diffs, np.zeros(5))
-        assert t == pytest.approx(2.5253, abs=2e-4)
-        assert t > T_CRIT_4_05
-        assert sig
-
-    def test_one_sided_asymmetry(self):
-        diffs = np.array([0.5, -0.1, 0.4, 0.3, 0.2])
-        t_neg, sig_neg = evaluate.paired_t_test(np.zeros(5), diffs)
-        assert t_neg == pytest.approx(-2.5253, abs=2e-4)
-        assert not sig_neg
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            evaluate.paired_t_test([1.0], [0.5])
-        with pytest.raises(ValueError):
-            evaluate.paired_t_test([1.0, 2.0], [0.5, 0.6, 0.7])
-        with pytest.raises(ValueError):
-            evaluate.paired_t_test([1.0, 2.0], [0.5, 0.6], level=0.0)

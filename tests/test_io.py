@@ -1,5 +1,6 @@
 """File formats and the command-line entry points."""
 
+import argparse
 import dataclasses
 
 import numpy as np
@@ -306,6 +307,53 @@ class TestCliCommands:
         assert mask_seconds(tmp_path / "r1.csv.trace.csv") == \
             mask_seconds(tmp_path / "r2.csv.trace.csv")
 
+    def test_every_subcommand_reads_every_option_it_declares(self, clidata, tmp_path,
+                                                            monkeypatch):
+        # An option no command reads is a knob that does nothing.
+        reads, declared = set(), {}
+
+        class Recording(argparse.Namespace):
+            def __getattribute__(self, name):
+                reads.add(name)
+                return super().__getattribute__(name)
+
+        build = cli.build_parser
+
+        def recording_parser():
+            parser = build()
+            parse = parser.parse_args
+
+            def parse_args(argv):
+                plain = parse(argv)
+                declared[plain.command] = set(vars(plain)) - {"command", "func"}
+                args = Recording(**vars(plain))
+                reads.clear()
+                return args
+
+            parser.parse_args = parse_args
+            return parser
+
+        monkeypatch.setattr(cli, "build_parser", recording_parser)
+        model, post = tmp_path / "model.txt", tmp_path / "coef.post"
+        runs = [
+            ["fit-ctm", "--corpus", clidata / "corpus.txt", "--k", 2, "--em-iters", 1,
+             "--out", model],
+            ["eval-ctm", "--model", model, "--corpus", clidata / "corpus.txt",
+             "--out", tmp_path / "scores.csv"],
+            ["fit-blr", "--data", clidata / "train.txt", "--out", post],
+            ["eval-blr", "--posterior", post, "--data", clidata / "train.txt",
+             "--out", tmp_path / "metrics.csv"],
+            ["fit-hblr", "--tasks", clidata / "tasks", "--em-iters", 2,
+             "--out", tmp_path / "hfit"],
+            ["infer-unigram", "--corpus", clidata / "corpus.txt", "--out", tmp_path / "rates.csv"],
+        ]
+        unread = {}
+        for argv in runs:
+            assert run_cli(argv) == 0
+            unread[argv[0]] = declared[argv[0]] - reads
+        assert len(declared) == len(runs)
+        assert unread == {argv[0]: set() for argv in runs}
+
 
 class TestUnigramUnderflow:
     """Valid corpora whose line-search trials drive a rate exp(theta) to 0."""
@@ -377,7 +425,7 @@ class TestCliErrors:
         assert f"{bad}:2:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,flags", [
-        ("fit-blr", ["--conv-tol", 0]),
+        ("fit-blr", ["--method", "newton"]),
         ("fit-ctm", ["--em-iters", 0]),
         ("fit-hblr", ["--em-iters", 0]),
         ("fit-hblr", ["--em-iters", "x"]),
