@@ -240,12 +240,13 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
+    except (ArithmeticError, np.linalg.LinAlgError) as err:
+        # LinAlgError subclasses ValueError, so it is caught first
+        print(f"numerical failure: {err}", file=sys.stderr)
+        return 2
     except (CliInputError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except ArithmeticError as err:
-        print(f"numerical failure: {err}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -12,8 +12,9 @@ loop (optimize.newton, one document per row) on the exact K x K Hessian, for
 `infer_docs` and for `em_fit`'s E-step, whose M-step reads the stacked fit.
 `CtmDocModel`, the one-document view, runs on the generic engine with the
 same Newton matrices as the reference path.  Sums over terms use np.bincount
-(row order) and products with the prior precision np.einsum, not BLAS, so a
-document's result is bitwise independent of the rest of its batch.
+(row order), products with the prior precision np.einsum, not BLAS, and the
+Laplace Sigma a stacked numerics.spd_factorize, so a document's result is
+bitwise independent of the rest of its batch.
 """
 
 from __future__ import annotations
@@ -248,8 +249,8 @@ def _solve(mat, grad):
 
 
 def _laplace(params, stats, mu, sigma):
-    """The mode of f per document, Sigma = (-H)^{-1} there (exactly
-    symmetric, from the Cholesky factor), log|Sigma| and the mask of ascents
+    """The mode of f per document, Sigma = (-H)^{-1} there and log|Sigma|,
+    both from numerics' stacked Cholesky factor, and the mask of ascents
     that stopped short of the optimizer's grad_tol."""
 
     def evaluate(theta, rows):
@@ -259,13 +260,10 @@ def _laplace(params, stats, mu, sigma):
     result = optimize.newton(evaluate, mu)
     mu = result.argmax
     try:
-        chol = np.linalg.cholesky(-_hessian(numerics.softmax(mu, axis=1), stats, params))
-    except np.linalg.LinAlgError:
+        fact = numerics.spd_factorize(-_hessian(numerics.softmax(mu, axis=1), stats, params))
+    except numerics.NotPositiveDefiniteError:
         raise engine.NonConcaveError("negated Hessian not positive definite") from None
-    inv_chol = np.linalg.inv(chol)
-    sigma = np.einsum("dji,djk->dik", inv_chol, inv_chol)
-    log_det = -2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
-    return mu, sigma, log_det, ~result.converged
+    return mu, fact.inverse(), -fact.log_det, ~result.converged
 
 
 def _delta(params, stats, mu, sigma):

@@ -8,6 +8,7 @@ with 17 significant digits, which round-trips doubles exactly.
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 
 import numpy as np
@@ -45,19 +46,47 @@ def _read_lines(path) -> list[str]:
     return text.splitlines()
 
 
-def _header_int(path, lines: list[str], tag: str) -> int:
+def _sparse_rows(path, tag: str, key: str, pair_form: str, convert, valid):
+    """The grammar both sparse formats share: header "<tag> <size>", then per
+    non-blank line "<head> idx:value ..." with unique 0-based ids below size
+    and values that `convert` parses and `valid` accepts (as `pair_form`
+    says).  Returns the size and, lazily, each line's number, head and dict."""
+    lines = _read_lines(path)
     if not lines:
         raise ParseError(path, 1, f'missing header line "{tag} <int>"')
-    parts = lines[0].split()
-    if len(parts) != 2 or parts[0] != tag:
+    header = lines[0].split()
+    if len(header) != 2 or header[0] != tag:
         raise ParseError(path, 1, f'header must be "{tag} <int>", got {lines[0]!r}')
     try:
-        value = int(parts[1])
+        size = int(header[1])
     except ValueError:
-        raise ParseError(path, 1, f"header size {parts[1]!r} is not an integer") from None
-    if value < 1:
-        raise ParseError(path, 1, f"declared size must be positive, got {value}")
-    return value
+        raise ParseError(path, 1, f"header size {header[1]!r} is not an integer") from None
+    if size < 1:
+        raise ParseError(path, 1, f"declared size must be positive, got {size}")
+
+    def rows():
+        for line_no, line in enumerate(lines[1:], start=2):
+            if not (parts := line.split()):
+                continue
+            values = {}
+            for pos, pair in enumerate(parts[1:], start=1):
+                idx_s, _, value_s = pair.partition(":")
+                try:
+                    idx, value = int(idx_s), convert(value_s)
+                    if not valid(value):
+                        raise ValueError(value_s)
+                except ValueError:
+                    raise ParseError(
+                        path, line_no, f"pair {pos} ({pair!r}) is not {pair_form}"
+                    ) from None
+                if not 0 <= idx < size:
+                    raise ParseError(path, line_no, f"{key} id {idx} outside 0..{size - 1}")
+                if idx in values:
+                    raise ParseError(path, line_no, f"duplicate {key} id {idx}")
+                values[idx] = value
+            yield line_no, parts[0], values
+
+    return size, rows()
 
 
 def parse_corpus(path, warn=None) -> tuple[list[Document], int]:
@@ -67,44 +96,19 @@ def parse_corpus(path, warn=None) -> tuple[list[Document], int]:
     Empty documents ("0" lines) are accepted; each is reported through the
     optional warn callback.
     """
-    lines = _read_lines(path)
-    vocab_size = _header_int(path, lines, "V")
+    vocab_size, rows = _sparse_rows(
+        path, "V", "term", "idx:count with a positive integer count", int, lambda c: c > 0
+    )
     documents: list[Document] = []
-    for offset, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split()
+    for line_no, head, counts in rows:
         try:
-            declared = int(parts[0])
+            declared = int(head)
         except ValueError:
-            raise ParseError(path, offset, f"term count {parts[0]!r} is not an integer") from None
-        pairs = parts[1:]
-        if len(pairs) != declared:
-            raise ParseError(
-                path, offset,
-                f"declared {declared} terms but found {len(pairs)} idx:count pairs",
-            )
-        counts: dict[int, int] = {}
-        for pos, pair in enumerate(pairs, start=1):
-            idx_s, _, count_s = pair.partition(":")
-            try:
-                idx, count = int(idx_s), int(count_s)
-            except ValueError:
-                raise ParseError(
-                    path, offset, f"pair {pos} ({pair!r}) is not idx:count"
-                ) from None
-            if idx < 0 or idx >= vocab_size:
-                raise ParseError(
-                    path, offset,
-                    f"term id {idx} outside the declared vocabulary of {vocab_size}",
-                )
-            if count <= 0:
-                raise ParseError(path, offset, f"count for term {idx} must be positive")
-            if idx in counts:
-                raise ParseError(path, offset, f"duplicate term id {idx}")
-            counts[idx] = count
+            raise ParseError(path, line_no, f"term count {head!r} is not an integer") from None
+        if len(counts) != declared:
+            raise ParseError(path, line_no, f"declared {declared} terms, found {len(counts)} pairs")
         if not counts and warn is not None:
-            warn(f"{path}:{offset}: empty document")
+            warn(f"{path}:{line_no}: empty document")
         documents.append(Document(counts))
     return documents, vocab_size
 
@@ -112,39 +116,16 @@ def parse_corpus(path, warn=None) -> tuple[list[Document], int]:
 def parse_labeled(path) -> tuple[list[LabeledInstance], int]:
     """Read labeled instances: header "P <int>", then "label idx:value ..."
     per line with label in {0,1} and unlisted covariates equal to zero."""
-    lines = _read_lines(path)
-    dim = _header_int(path, lines, "P")
+    dim, rows = _sparse_rows(
+        path, "P", "covariate", "idx:value with a finite value", float, math.isfinite
+    )
     instances: list[LabeledInstance] = []
-    for offset, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if parts[0] not in ("0", "1"):
-            raise ParseError(path, offset, f"label must be 0 or 1, got {parts[0]!r}")
-        label = int(parts[0])
+    for line_no, head, values in rows:
+        if head not in ("0", "1"):
+            raise ParseError(path, line_no, f"label must be 0 or 1, got {head!r}")
         covariates = np.zeros(dim)
-        seen: set[int] = set()
-        for pos, pair in enumerate(parts[1:], start=1):
-            idx_s, _, value_s = pair.partition(":")
-            try:
-                idx = int(idx_s)
-                value = float(value_s)
-            except ValueError:
-                raise ParseError(
-                    path, offset, f"pair {pos} ({pair!r}) is not idx:value"
-                ) from None
-            if idx < 0 or idx >= dim:
-                raise ParseError(
-                    path, offset, f"covariate id {idx} outside dimension {dim}"
-                )
-            if idx in seen:
-                raise ParseError(path, offset, f"duplicate covariate id {idx}")
-            if not np.isfinite(value):
-                raise ParseError(path, offset, f"covariate {idx} value is not finite")
-            seen.add(idx)
-            covariates[idx] = value
-        z = (1, 0) if label == 1 else (0, 1)
-        instances.append(LabeledInstance(covariates, z))
+        covariates[list(values)] = list(values.values())
+        instances.append(LabeledInstance(covariates, (1, 0) if head == "1" else (0, 1)))
     return instances, dim
 
 

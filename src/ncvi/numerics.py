@@ -4,8 +4,9 @@ The gamma family (ln Gamma, psi, psi', psi'') and the sigmoids are thin
 wrappers over scipy.special that add the contract the models rely on: the
 gamma family raises ValueError for a non-finite or non-positive argument, and
 a scalar or 0-d argument gives a Python float while an array keeps its shape.
-The SPD matrices are dense Cholesky factors, or diagonal plus rank one.
-Everything here is stateless.
+The SPD matrices are dense Cholesky factors from numpy, of one matrix or of
+a stack, or diagonal plus rank one; scipy serves only the gamma family and
+the sigmoids.  Everything here is stateless.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import math
 
 import numpy as np
 import scipy.special as _sps
-from scipy.linalg import lapack as _lapack
 
 __all__ = [
     "log_gamma",
@@ -95,8 +95,8 @@ def sigmoid(a):
 
 
 class NotPositiveDefiniteError(ArithmeticError):
-    """A matrix required to be positive definite is not: a Cholesky pivot or
-    a Sherman-Morrison term was nonpositive."""
+    """A matrix required to be positive definite is not: an entry was not
+    finite, or a Cholesky pivot or a Sherman-Morrison term was nonpositive."""
 
 
 class DiagPlusRankOne:
@@ -118,57 +118,58 @@ class DiagPlusRankOne:
 
 
 class SpdFactorization:
-    """Lower-triangular Cholesky handle exposing log_det and inverse."""
+    """Lower-triangular Cholesky factor of one matrix or of a stack (..., n, n),
+    exposing log_det, inverse and solve."""
 
     def __init__(self, lower: np.ndarray):
         self._chol = lower
 
     @property
-    def log_det(self) -> float:
-        return 2.0 * float(np.sum(np.log(np.diag(self._chol))))
+    def log_det(self):
+        """log|m|, a float for one matrix and one per matrix for a stack."""
+        diag = np.diagonal(self._chol, axis1=-2, axis2=-1)
+        return _float_or_array(2.0 * np.sum(np.log(diag), axis=-1))
 
     def inverse(self) -> np.ndarray:
-        inv, info = _lapack.dpotri(self._chol, lower=1)
-        if info != 0:
-            raise ValueError(f"dpotri failed with info={info}")
-        # dpotri fills the lower triangle over dpotrf's zeros; inv.T first
-        # keeps the sum C-ordered, which later matrix products' bits follow
-        return inv.T + np.tril(inv, -1)
+        # L^{-T} L^{-1} from the inverse factor: exactly symmetric and
+        # C-ordered, and each matrix of a stack gets the bits it gets alone
+        inv_chol = np.linalg.inv(self._chol)
+        return np.einsum("...ji,...jk->...ik", inv_chol, inv_chol)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        return _lapack.dpotrs(self._chol, b, lower=1)[0]
+        """m^{-1} b, for b shaped as np.linalg.solve takes it."""
+        return np.linalg.solve(self._chol.swapaxes(-1, -2), np.linalg.solve(self._chol, b))
 
 
 def spd_factorize(m: np.ndarray) -> SpdFactorization:
-    """Cholesky-factorize a symmetric positive definite matrix.
+    """Cholesky-factorize a symmetric positive definite matrix, or each matrix
+    of a stack (..., n, n).
 
-    No pivoting: a nonpositive pivot raises NotPositiveDefiniteError, which
-    the jitter and shift policies upstream rely on.  Symmetry is required up
-    to 1e-12 relative.
+    No pivoting: a nonpositive pivot or a non-finite entry raises
+    NotPositiveDefiniteError, which the jitter and shift policies upstream
+    rely on.  Symmetry is required up to 1e-12 relative to each matrix.
     """
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("spd_factorize requires a square matrix")
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError("spd_factorize requires square matrices")
     if not np.all(np.isfinite(m)):
-        raise ValueError("spd_factorize requires finite entries")
-    scale = max(1.0, float(np.max(np.abs(m))))
-    if float(np.max(np.abs(m - m.T))) > 1e-12 * scale:
+        raise NotPositiveDefiniteError("spd_factorize requires finite entries")
+    scale = np.maximum(1.0, np.max(np.abs(m), axis=(-2, -1)))
+    if np.any(np.max(np.abs(m - m.swapaxes(-1, -2)), axis=(-2, -1)) > 1e-12 * scale):
         raise ValueError("spd_factorize requires a symmetric matrix")
-    c, info = _lapack.dpotrf(m, lower=1)
-    if info > 0:
-        raise NotPositiveDefiniteError(f"not positive definite at pivot {info - 1}")
-    if info < 0:
-        raise ValueError(f"dpotrf rejected argument {-info}")
-    return SpdFactorization(c)  # dpotrf zeroes the upper triangle
+    try:
+        return SpdFactorization(np.linalg.cholesky(m))
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefiniteError("not positive definite") from None
 
 
 def _factorize_input(m: np.ndarray, name: str) -> SpdFactorization:
-    """spd_factorize for a covariance given as input: one that is not
-    positive definite is an input error (ValueError), not a numerical one."""
+    """spd_factorize for a covariance given as input: one that is not finite
+    and positive definite is an input error (ValueError), not a numerical one."""
     try:
         return spd_factorize(m)
     except NotPositiveDefiniteError:
-        raise ValueError(f"{name} must be positive definite") from None
+        raise ValueError(f"{name} must be finite and positive definite") from None
 
 
 def finite_diff_gradient(f, x: np.ndarray, h=None) -> np.ndarray:

@@ -161,7 +161,7 @@ def shifted_solve(solve, diagonal):
     shift = 0.0
     floor = _SHIFT_MIN * max(float(np.max(np.abs(diagonal))), 1e-300)
     while (direction := solve(shift)) is None:
-        shift = max(10.0 * shift, floor)
+        shift = 10.0 * shift or floor  # a NaN floor raises below, not loops
         if not np.isfinite(shift):
             raise ArithmeticError("no diagonal shift makes the Newton matrix positive definite")
     return direction

@@ -31,3 +31,12 @@ def test_benchmark_tracer_finds_every_traced_name():
     env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    # numerics factorizes on numpy alone; scipy.linalg costs startup on every command
+    root = Path(__file__).resolve().parent.parent
+    code = "import sys, ncvi.cli; sys.exit('scipy.linalg' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

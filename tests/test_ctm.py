@@ -309,6 +309,27 @@ class TestBatchInference:
                 assert state.objective == pytest.approx(ref_trace.records[-1].objective, rel=1e-7)
                 assert len(trace) == len(ref_trace)
 
+    def test_laplace_covariance_keeps_the_inline_cholesky_bits(self):
+        # the reference recipe, per document: Cholesky, Sigma = L^-T L^-1
+        # from the inverse factor, log|Sigma| = -2 sum log diag L
+        params = make_ctm_params(25, 5, 30)
+        stats = np.random.default_rng(26).integers(0, 40, size=(8, 5)).astype(float)
+        mu, sigma, log_det, _ = ctm._laplace(params, stats, np.zeros((8, 5)), None)
+        chol = np.linalg.cholesky(-ctm._hessian(numerics.softmax(mu, axis=1), stats, params))
+        inv_chol = np.linalg.inv(chol)
+        assert np.array_equal(sigma, np.einsum("dji,djk->dik", inv_chol, inv_chol))
+        want = -2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
+        assert np.array_equal(log_det, want)
+
+    def test_laplace_factorization_failure_is_non_concave(self, monkeypatch):
+        def fail(m):
+            raise numerics.NotPositiveDefiniteError("not positive definite")
+
+        params = make_ctm_params(25, 3, 12)
+        monkeypatch.setattr(numerics, "spd_factorize", fail)
+        with pytest.raises(engine.NonConcaveError):
+            ctm._laplace(params, np.ones((2, 3)), np.zeros((2, 3)), None)
+
     def test_rejects_bad_terms_anywhere_in_the_batch(self):
         params = simple_params(2, 3)
         good = Document({0: 2, 1: 1})

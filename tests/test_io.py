@@ -418,6 +418,40 @@ class TestCliErrors:
         assert err.startswith(f"error: {model}:")
         assert "invalid model values" in err and "positive definite" in err
 
+    @pytest.mark.parametrize("entry", ["inf", "nan"])
+    def test_non_finite_prior_exits_one(self, clidata, tmp_path, capsys, entry):
+        params = make_ctm_params(0, 2, 12)
+        model = tmp_path / "m.txt"
+        dataio.save_ctm_params(params, model)
+        lines = model.read_text().splitlines()
+        lines[-1] = lines[-1].split()[0] + f" {entry}"  # the last variance
+        model.write_text("\n".join(lines) + "\n")
+        assert run_cli(["eval-ctm", "--model", model, "--corpus",
+                        clidata / "corpus.txt", "--out", tmp_path / "s.csv"]) == 1
+        err = capsys.readouterr().err
+        assert "invalid model values" in err and "positive definite" in err
+
+    @pytest.mark.parametrize("method", ["laplace", "delta"])
+    def test_overflowing_hessian_exits_two(self, tmp_path, capsys, method):
+        data = write(tmp_path / "d.txt", "P 2\n1 0:1e200 1:1\n0 0:-1e200 1:2\n1 0:3 1:1\n")
+        with np.errstate(all="ignore"):
+            code = run_cli(["fit-blr", "--data", data, "--method", method,
+                            "--out", tmp_path / "o"])
+        assert code == 2
+        assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["laplace", "delta"])
+    def test_singular_newton_matrix_exits_two(self, clidata, tmp_path, capsys, method):
+        # a prior variance of 1e200 leaves -H singular along the all-ones
+        # direction, where softmax is flat; np.linalg.solve raises LinAlgError
+        params = make_ctm_params(0, 2, 12)
+        model = tmp_path / "m.txt"
+        dataio.save_ctm_params(
+            ctm.CtmParams(params.topics, params.prior_mean, 1e200 * np.eye(2)), model)
+        assert run_cli(["eval-ctm", "--model", model, "--corpus", clidata / "corpus.txt",
+                        "--method", method, "--out", tmp_path / "s.csv"]) == 2
+        assert "numerical failure" in capsys.readouterr().err
+
     def test_parse_error_exits_one(self, tmp_path, capsys):
         bad = write(tmp_path / "bad.txt", "V 3\n1 9:1\n")
         assert run_cli(["infer-unigram", "--corpus", bad,

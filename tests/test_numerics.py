@@ -234,9 +234,35 @@ class TestSpdFactorize:
             numerics.spd_factorize(m)
 
     def test_rejects_nonfinite(self):
+        # a numerical failure, like a nonpositive pivot: an overflowed
+        # Hessian must reach the jitter and shift policies, not look like bad input
         m = np.array([[1.0, 0.0], [0.0, np.inf]])
-        with pytest.raises(ValueError):
+        with pytest.raises(numerics.NotPositiveDefiniteError):
             numerics.spd_factorize(m)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9, 40])
+    def test_stack_gives_each_matrix_its_bits_alone(self, n):
+        rng = np.random.default_rng(n)
+        b = rng.normal(size=(2, 3, n, n))
+        stack = b.swapaxes(-1, -2) @ b + np.eye(n)
+        stack = 0.5 * (stack + stack.swapaxes(-1, -2))
+        fac = numerics.spd_factorize(stack)
+        inv, log_det = fac.inverse(), fac.log_det
+        assert inv.shape == stack.shape and log_det.shape == (2, 3)
+        rhs = rng.normal(size=(2, 3, n, 1))
+        solved = fac.solve(rhs)
+        for i in np.ndindex(2, 3):
+            alone = numerics.spd_factorize(stack[i])
+            assert np.array_equal(inv[i], alone.inverse())
+            assert log_det[i] == alone.log_det and isinstance(alone.log_det, float)
+            np.testing.assert_allclose(stack[i] @ solved[i], rhs[i], atol=1e-10)
+
+    def test_stack_fails_as_its_worst_matrix(self):
+        good = np.eye(2)
+        with pytest.raises(numerics.NotPositiveDefiniteError):
+            numerics.spd_factorize(np.stack([good, np.diag([1.0, -1.0])]))
+        with pytest.raises(ValueError, match="symmetric"):
+            numerics.spd_factorize(np.stack([good, np.array([[1.0, 0.5], [0.2, 1.0]])]))
 
 
 class TestDiagPlusRankOne:

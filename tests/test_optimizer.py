@@ -215,6 +215,13 @@ class TestDirections:
         np.testing.assert_allclose(shift, shift[0], rtol=1e-8)
         assert shift[0] > 4.0
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_matrix_raises_rather_than_shifting_forever(self, bad):
+        m = np.eye(3)
+        m[1, 1] = bad
+        with pytest.raises(ArithmeticError):
+            dense_direction(m, np.ones(3))
+
 
 class TestFailureModes:
     def test_nonfinite_start_is_input_error(self):
