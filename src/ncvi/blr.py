@@ -155,7 +155,8 @@ class BlrModel(ModelContract):
         return -(self._t.T * (w2 * quad)) @ self._t
 
     def newton_direction(self, theta, stats, grad, sigma=None) -> np.ndarray:
-        """For the delta objective, its exact -Hessian where positive definite."""
+        """For the delta profile, -H - Hessian{Tr(H sigma)}/2 at fixed sigma
+        where positive definite; the profile's exact term costs O(N^2 P)."""
         neg = -self.f_hessian(theta)
         exact = None if sigma is None else neg - 0.5 * self._trace_hessian(theta, sigma)
         return optimize.dense_direction(neg, grad, exact)

@@ -140,6 +140,16 @@ def _trace_hessian(pi, stats, sig):
     return stats.sum(axis=1)[:, None, None] * hess
 
 
+def _profile_neg_hessian(pi, stats, sig, neg_hess):
+    """-Hessian of the delta profile per document at Sigma(theta) = diag(sig),
+    sig_i = 1/(shift - h_ii), given f's: the fixed-Sigma matrix minus
+    sum_i sig_i^2 grad h_ii grad h_ii'/2, grad h_ii = n (2 pi_i - 1) pi_i (e_i - pi)."""
+    n = stats.sum(axis=1)[:, None, None]
+    grad_h = n * ((2.0 * pi - 1.0) * pi)[:, :, None] * (np.eye(pi.shape[1]) - pi[:, None, :])
+    moved = np.einsum("di,dij,dik->djk", sig * sig, grad_h, grad_h)
+    return neg_hess - 0.5 * (_trace_hessian(pi, stats, sig) + moved)
+
+
 def _assignments(mu_rows, log_beta):
     # phi_wk proportional to beta_kw exp(mu_k).  log sum_j exp(mu_j) and the
     # second-order correction of E[eta_k], whose Hessian -(diag pi - pi pi')
@@ -217,12 +227,12 @@ class CtmDocModel(ModelContract):
         return _trace_grad(self._pi(theta), stats.values[None, :], sig_diag[None, :])[0]
 
     def newton_direction(self, theta, stats: ExpectedStats, grad, sigma=None) -> np.ndarray:
-        """For the delta objective, its exact -Hessian where positive definite."""
+        """For the delta profile, its exact -Hessian where positive definite."""
         pi, s = self._pi(theta), stats.values[None, :]
         neg = -_hessian(pi, s, self._params)[0]
         if sigma is None:
             return optimize.dense_direction(neg, grad)
-        exact = neg - 0.5 * _trace_hessian(pi, s, np.diag(sigma)[None, :])[0]
+        exact = _profile_neg_hessian(pi, s, np.diag(sigma)[None, :], neg[None])[0]
         return optimize.dense_direction(neg, grad, exact)
 
     def expected_stats(self, q_z: ConjugateVariational) -> ExpectedStats:
@@ -267,45 +277,27 @@ def _laplace(params, stats, mu, sigma):
 
 
 def _delta(params, stats, mu, sigma):
-    """Alternate a damped Newton ascent of f + Tr{H diag(sig)}/2 in mu with
-    the closed-form diagonal Sigma update, each document for up to
-    _DELTA_INNER_ROUNDS rounds.  The Newton matrix is the exact -Hessian of
-    that objective where it is positive definite, else f's -Hessian: the
-    trace term's curvature dominates where a weak prior direction meets
-    small topic proportions."""
-    mu = mu.copy()
-    sig = np.diagonal(sigma, axis1=1, axis2=2).copy()
-    log_det = np.zeros(len(mu))
-    stuck = np.zeros(len(mu), dtype=bool)
-    prev = np.full(len(mu), -np.inf)
-    todo = np.arange(len(mu))
-    for _ in range(engine._DELTA_INNER_ROUNDS):
-        s, fixed = stats[todo], sig[todo]
+    """A damped Newton ascent of the delta profile per document, at the
+    diagonal Sigma(theta) = diag(-H)^{-1}, on g's exact -Hessian where
+    positive definite (the trace term's curvature dominates along weak prior
+    directions), else f's; mu, Sigma, log|Sigma| and the stopped-short mask."""
 
-        def evaluate(theta, rows):
-            value, grad, pi = _value_grad(theta, s[rows], params)
-            hess = _hessian(pi, s[rows], params)
-            h_diag = np.diagonal(hess, axis1=1, axis2=2)
-            value = value + 0.5 * np.sum(h_diag * fixed[rows], axis=1)
-            grad = grad + 0.5 * _trace_grad(pi, s[rows], fixed[rows])
-            exact = -hess - 0.5 * _trace_hessian(pi, s[rows], fixed[rows])
-            concave = np.linalg.eigvalsh(exact)[:, :1, None] > 0.0
-            return value, grad, _solve(np.where(concave, exact, -hess), grad)
+    def evaluate(theta, rows):
+        s = stats[rows]
+        value, grad, pi = _value_grad(theta, s, params)
+        neg = -_hessian(pi, s, params)
+        sig = 1.0 / np.diagonal(neg, axis1=1, axis2=2)
+        value = value + 0.5 * (np.sum(np.log(sig), axis=1) - mu.shape[1])
+        grad = grad + 0.5 * _trace_grad(pi, s, sig)
+        exact = _profile_neg_hessian(pi, s, sig, neg)
+        concave = np.linalg.eigvalsh(exact)[:, :1, None] > 0.0
+        return value, grad, _solve(np.where(concave, exact, neg), grad)
 
-        result = optimize.newton(evaluate, mu[todo])
-        mu[todo] = result.argmax
-        stuck[todo] |= ~result.converged
-        value, _, pi = _value_grad(mu[todo], s, params)
-        h_diag = np.diagonal(_hessian(pi, s, params), axis1=1, axis2=2)
-        sig[todo] = 1.0 / -h_diag
-        log_det[todo] = -np.sum(np.log(-h_diag), axis=1)
-        current = value + 0.5 * np.sum(h_diag * sig[todo], axis=1) + 0.5 * log_det[todo]
-        done = current - prev[todo] < engine._DELTA_INNER_TOL
-        prev[todo] = current
-        todo = todo[~done]
-        if not todo.size:
-            break
-    return mu, sig[:, :, None] * np.eye(mu.shape[1]), log_det, stuck
+    result = optimize.newton(evaluate, mu)
+    mu = result.argmax
+    _, _, pi = _value_grad(mu, stats, params)
+    sig = -1.0 / np.diagonal(_hessian(pi, stats, params), axis1=1, axis2=2)
+    return mu, sig[:, :, None] * np.eye(mu.shape[1]), np.sum(np.log(sig), axis=1), ~result.converged
 
 
 def _coordinate_ascent(params, counts, log_beta, doc, num_docs, cfg):

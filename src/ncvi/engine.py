@@ -6,8 +6,9 @@ Two interchangeable q(theta) updates, both climbing by damped Newton steps
 - laplace_step: maximize f and set the covariance from the curvature at the
   mode m, Sigma = (-Hessian f(m))^{-1}.
 - delta_step: maximize the curvature-corrected objective
-  f(mu) + Tr{Hessian_f(mu) Sigma}/2 + log|Sigma|/2 by alternating Newton
-  ascent in mu (at fixed Sigma) with the closed-form Sigma update.
+  f(mu) + Tr{Hessian_f(mu) Sigma}/2 + log|Sigma|/2 by one Newton ascent of its
+  profile g(mu) = f(mu) + (log|Sigma(mu)| - dim)/2 at the closed-form Sigma
+  update Sigma(mu) = (-Hessian f(mu))^{-1}, or the inverse diagonal.
 
 Each model owns its curvature; the engine handles no Hessian matrix.  Both
 refits take Sigma and log|Sigma| from the model's covariance, one factor of
@@ -39,8 +40,6 @@ __all__ = [
     "run_coordinate_ascent",
 ]
 
-_DELTA_INNER_TOL = 1e-8
-_DELTA_INNER_ROUNDS = 10
 # diagonal jitter for an indefinite -Hessian: starts here, doubles up to the cap
 _JITTER_INIT = 1e-6
 _JITTER_MAX = 1e-2
@@ -115,17 +114,24 @@ def _covariance(model: ModelContract, theta, stats: ExpectedStats, diagonal: boo
     raise NonConcaveError(f"negated Hessian not positive definite after jitter {_JITTER_MAX:g}")
 
 
-def _objective(model: ModelContract, stats: ExpectedStats, sigma=None):
-    """f, or given sigma the delta objective f + Tr{H sigma}/2 at that fixed
-    sigma, with its gradient and the model's Newton direction for it."""
+def _objective(model: ModelContract, stats: ExpectedStats, shift=None):
+    """f or, given a shift, the delta profile g = f + (log|Sigma| - dim)/2 at
+    Sigma = model.covariance(theta, stats, shift, delta_diagonal), -inf where
+    that is undefined; with the gradient, by the envelope theorem
+    grad f + trace_grad(theta, Sigma)/2, and the model's Newton direction."""
 
     def objective(theta):
         value, grad = model.f_value_grad(theta, stats)
         if not np.isfinite(value):
             return value, grad, grad
-        if sigma is not None:
-            value += 0.5 * model.hessian_trace(theta, stats, sigma)
-            grad = grad + 0.5 * model.trace_grad(theta, sigma, stats)
+        if shift is None:
+            return value, grad, model.newton_direction(theta, stats, grad)
+        try:
+            sigma, log_det = model.covariance(theta, stats, shift, model.delta_diagonal)
+        except numerics.NotPositiveDefiniteError:
+            return -np.inf, grad, grad
+        grad = grad + 0.5 * model.trace_grad(theta, sigma, stats)
+        value += 0.5 * (log_det - model.dim)
         return value, grad, model.newton_direction(theta, stats, grad, sigma)
 
     return objective
@@ -154,33 +160,21 @@ def delta_step(
     *,
     diag=None,
 ) -> tuple[GaussianVariational, float, bool]:
-    """Maximize f(mu) + Tr{H(mu) Sigma}/2 + log|Sigma|/2 by alternation.
-
-    The mu step climbs with gradient grad f(mu) + trace_grad(mu, Sigma)/2 at
-    fixed Sigma along the model's Newton direction for that objective; Sigma
-    then has the closed-form update (-Hessian)^{-1}, or its diagonal analogue
-    for models that restrict Sigma to a diagonal, at which Tr{H Sigma} is
-    -dim + jitter Tr{Sigma}.  Returns q, log|Sigma| and whether every mu
-    ascent converged.
-    """
-    mu, sigma = init_q.mu, init_q.sigma
-    if model.delta_diagonal:
-        sigma = np.diag(np.diag(sigma))
-
-    converged = True
-    prev = -np.inf
-    for _ in range(_DELTA_INNER_ROUNDS):
-        result = optimize.maximize(_objective(model, stats, sigma), mu)
-        mu, converged = result.argmax, converged and result.converged
-        sigma, log_det, jitter = _covariance(model, mu, stats, model.delta_diagonal, diag)
-        value, _ = model.f_value_grad(mu, stats)
-        current = value + 0.5 * (jitter * float(np.sum(sigma.diagonal())) - model.dim + log_det)
-        if diag is not None:
-            diag.setdefault("delta_inner", []).append(current)
-        if current - prev < _DELTA_INNER_TOL:
-            break
-        prev = current
-    return GaussianVariational(mu, sigma), log_det, converged
+    """Maximize f(mu) + Tr{H(mu) Sigma}/2 + log|Sigma|/2 by one Newton ascent
+    of its profile from init_q's mean, with Sigma's curvature shifted by the
+    jitter the start needed (g stays an exact profile at a fixed shift).
+    Where no jitter within the cap defines Sigma there, the ascent first
+    climbs f.  Returns q, log|Sigma| and whether every ascent converged."""
+    mu, converged = init_q.mu, True
+    try:
+        shift = _covariance(model, mu, stats, model.delta_diagonal, diag)[2]
+    except NonConcaveError:
+        result = optimize.maximize(_objective(model, stats), mu)
+        mu, converged = result.argmax, result.converged
+        shift = _covariance(model, mu, stats, model.delta_diagonal, diag)[2]
+    result = optimize.maximize(_objective(model, stats, shift), mu)
+    sigma, log_det = model.covariance(result.argmax, stats, shift, model.delta_diagonal)
+    return GaussianVariational(result.argmax, sigma), log_det, converged and result.converged
 
 
 def _refit_q_theta(

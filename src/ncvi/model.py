@@ -155,9 +155,11 @@ class ModelContract(abc.ABC):
 
     def newton_direction(self, theta, stats: ExpectedStats, grad, sigma=None) -> np.ndarray:
         """Solve of a positive definite Newton matrix against `grad` for f or,
-        given sigma, for f + Tr{Hessian_f sigma}/2 at that fixed sigma.
-        Default: f's negated Hessian for both, by optimize.dense_direction;
-        unigram keeps f's for both, BLR and CTM add the trace term's."""
+        given sigma = Sigma(theta) from covariance at the ascent's shift, for
+        the delta profile g = f + (log|Sigma(theta)| - dim)/2.  Default: f's
+        negated Hessian for both, by optimize.dense_direction; unigram keeps
+        it, BLR adds the curvature of Tr{H sigma}/2 at fixed sigma, and CTM
+        uses -Hessian g itself."""
         return optimize.dense_direction(-self.f_hessian(theta, stats), grad)
 
     @abc.abstractmethod

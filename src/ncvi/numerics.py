@@ -26,6 +26,7 @@ __all__ = [
     "log_sigmoid",
     "sigmoid",
     "NotPositiveDefiniteError",
+    "NonFiniteMatrixError",
     "DiagPlusRankOne",
     "SpdFactorization",
     "spd_factorize",
@@ -95,8 +96,13 @@ def sigmoid(a):
 
 
 class NotPositiveDefiniteError(ArithmeticError):
-    """A matrix required to be positive definite is not: an entry was not
-    finite, or a Cholesky pivot or a Sherman-Morrison term was nonpositive."""
+    """A matrix required to be positive definite is not: a Cholesky pivot or
+    a Sherman-Morrison term was nonpositive."""
+
+
+class NonFiniteMatrixError(ArithmeticError):
+    """A matrix required to be positive definite has a non-finite entry: it
+    overflowed, and no diagonal shift or jitter makes it definite."""
 
 
 class DiagPlusRankOne:
@@ -145,15 +151,15 @@ def spd_factorize(m: np.ndarray) -> SpdFactorization:
     """Cholesky-factorize a symmetric positive definite matrix, or each matrix
     of a stack (..., n, n).
 
-    No pivoting: a nonpositive pivot or a non-finite entry raises
-    NotPositiveDefiniteError, which the jitter and shift policies upstream
-    rely on.  Symmetry is required up to 1e-12 relative to each matrix.
+    No pivoting: a nonpositive pivot raises NotPositiveDefiniteError, which
+    the jitter and shift policies upstream rely on, and a non-finite entry
+    NonFiniteMatrixError.  Symmetry is required up to 1e-12 relative.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError("spd_factorize requires square matrices")
     if not np.all(np.isfinite(m)):
-        raise NotPositiveDefiniteError("spd_factorize requires finite entries")
+        raise NonFiniteMatrixError("matrix overflowed: it has non-finite entries")
     scale = np.maximum(1.0, np.max(np.abs(m), axis=(-2, -1)))
     if np.any(np.max(np.abs(m - m.swapaxes(-1, -2)), axis=(-2, -1)) > 1e-12 * scale):
         raise ValueError("spd_factorize requires a symmetric matrix")
@@ -168,7 +174,7 @@ def _factorize_input(m: np.ndarray, name: str) -> SpdFactorization:
     and positive definite is an input error (ValueError), not a numerical one."""
     try:
         return spd_factorize(m)
-    except NotPositiveDefiniteError:
+    except (NotPositiveDefiniteError, NonFiniteMatrixError):
         raise ValueError(f"{name} must be finite and positive definite") from None
 
 

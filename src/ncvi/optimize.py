@@ -157,11 +157,14 @@ def maximize(objective, init, config: OptimizerConfig | None = None) -> OptimRes
 def shifted_solve(solve, diagonal):
     """`solve(shift)` for a Newton matrix with `diagonal` plus shift * I, at
     shift 0 and then growing tenfold from _SHIFT_MIN * max|diagonal| until
-    `solve` returns a direction rather than None (not positive definite)."""
+    `solve` returns a direction rather than None (not positive definite).
+    A non-finite diagonal raises numerics.NonFiniteMatrixError at once."""
+    if not np.all(np.isfinite(diagonal)):
+        raise numerics.NonFiniteMatrixError("Newton matrix overflowed: it has non-finite entries")
     shift = 0.0
     floor = _SHIFT_MIN * max(float(np.max(np.abs(diagonal))), 1e-300)
     while (direction := solve(shift)) is None:
-        shift = 10.0 * shift or floor  # a NaN floor raises below, not loops
+        shift = 10.0 * shift or floor
         if not np.isfinite(shift):
             raise ArithmeticError("no diagonal shift makes the Newton matrix positive definite")
     return direction

@@ -134,7 +134,7 @@ class UnigramModel(ModelContract):
 
     def newton_direction(self, theta, stats, grad, sigma=None) -> np.ndarray:
         """Sherman-Morrison solve against f's -Hessian diag(-h) - c b b' in
-        O(V); the delta objective steps on f's curvature too."""
+        O(V); the delta profile steps on f's curvature too."""
         h, c, b = self._curvature(theta, stats)
 
         def solve(shift):

@@ -117,23 +117,26 @@ class TestCurvatureTraceGradient:
         np.testing.assert_allclose(hess, fd, rtol=1e-3, atol=1e-5)
 
     def test_delta_newton_direction_solves_its_exact_curvature(self):
-        # the reference path's delta Newton matrix is the negated Hessian of
-        # f + Tr{H sigma}/2, taken here by central differences of its gradient
+        # the delta Newton matrix is the negated Hessian of the profile
+        # g = f + (log|Sigma(theta)| - K)/2, taken here by central
+        # differences of g's gradient, with Sigma(theta) = diag(-H)^{-1}
         rng = np.random.default_rng(4)
         params = simple_params(4, 6)
         model = ctm.CtmDocModel(params, Document({1: 3, 4: 2}))
         stats = ExpectedStats(rng.uniform(0.2, 2.0, size=4))
-        sigma = np.diag(rng.uniform(0.1, 1.0, size=4))
         theta = rng.uniform(-1.0, 1.0, size=4)
+        profile = engine._objective(model, stats, 0.0)
 
         def grad(t):
-            return model.f_value_grad(t, stats)[1] + 0.5 * model.trace_grad(t, sigma, stats)
+            return profile(t)[1]
 
         neg = -np.array([numerics.finite_diff_gradient(lambda t: grad(t)[i], theta)
                          for i in range(4)])
         assert np.all(np.linalg.eigvalsh(0.5 * (neg + neg.T)) > 0.0)
+        sigma, _ = model.covariance(theta, stats, 0.0, True)
         direction = model.newton_direction(theta, stats, grad(theta), sigma)
         np.testing.assert_allclose(neg @ direction, grad(theta), rtol=1e-5, atol=1e-7)
+        assert np.array_equal(profile(theta)[2], direction)
 
     def test_rejects_dense_covariance(self):
         params = simple_params()

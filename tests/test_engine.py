@@ -113,10 +113,14 @@ class TestLaplaceStep:
         assert q.sigma[0, 1] == q.sigma[1, 0] == 0.0
         assert q.sigma[0, 0] == pytest.approx(1.0 / diag["jitter_events"][-1], rel=1e-12)
         assert log_det == pytest.approx(float(np.sum(np.log(np.diag(q.sigma)))), rel=1e-12)
-        # the inner objective's Tr{H Sigma} at the jittered Sigma, formed densely
+        # the profile at the ascent's fixed jitter is the delta objective with
+        # Tr{(H - jitter I) Sigma} at the jittered Sigma, formed densely
+        jitter = diag["jitter_events"][-1]
         value, _ = model.f_value_grad(q.mu, None)
-        dense = value + 0.5 * (float(np.sum(model.f_hessian(q.mu, None) * q.sigma)) + log_det)
-        assert diag["delta_inner"][-1] == pytest.approx(dense, rel=1e-12)
+        shifted = model.f_hessian(q.mu, None) - jitter * np.eye(2)
+        dense = value + 0.5 * (float(np.sum(shifted * q.sigma)) + log_det)
+        profile = engine._objective(model, model.expected_stats(None), jitter)
+        assert profile(q.mu)[0] == pytest.approx(dense, rel=1e-12)
 
     def test_jitter_budget_exhaustion_is_numerical_error(self):
         class ConcavelessModel(QuadraticModel):
@@ -133,6 +137,21 @@ class TestLaplaceStep:
         q0 = GaussianVariational(np.zeros(2), np.eye(2))
         with pytest.raises(engine.NonConcaveError):
             engine.delta_step(model, model.expected_stats(None), q0)
+
+    @pytest.mark.parametrize("method", ["laplace", "delta"])
+    def test_overflowed_curvature_fails_at_once(self, method):
+        class OverflowModel(QuadraticModel):
+            def f_hessian(self, theta, stats):
+                return np.array([[-np.inf, 0.0], [0.0, -1.0]])
+
+        model = OverflowModel(np.eye(2), np.zeros(2))
+        calls = []
+        real = model.covariance
+        model.covariance = lambda *args: calls.append(args) or real(*args)
+        q0 = GaussianVariational(np.ones(2), np.eye(2))
+        with pytest.raises(numerics.NonFiniteMatrixError, match="overflowed"):
+            engine._refit_q_theta(model, model.expected_stats(None), q0, method)
+        assert len(calls) <= 1  # no jitter retries
 
 
 class TestDeltaStep:
@@ -151,15 +170,70 @@ class TestDeltaStep:
             np.testing.assert_allclose(qd.sigma, ql.sigma, atol=1e-8)
 
     def test_inner_objective_nondecreasing(self):
+        # the refit climbs the profile g = f + (log|Sigma(mu)| - dim)/2, and
+        # the returned Sigma and log|Sigma| are those of g at the returned mean
         docs, _ = make_unigram_corpus(3, vocab_size=4, num_docs=3)
         model = unigram.UnigramModel(4, docs)
         q0 = GaussianVariational(np.zeros(4), np.eye(4))
-        qz = model.conjugate_update(q0)
-        stats = model.expected_stats(qz)
-        diag = {}
-        engine.delta_step(model, stats, q0, diag=diag)
-        inner = diag["delta_inner"]
-        assert all(b - a >= -1e-10 for a, b in zip(inner, inner[1:]))
+        stats = model.expected_stats(model.conjugate_update(q0))
+        q, log_det, converged = engine.delta_step(model, stats, q0)
+        profile = engine._objective(model, stats, 0.0)
+        assert converged and profile(q.mu)[0] >= profile(q0.mu)[0]
+        assert np.linalg.norm(profile(q.mu)[1]) <= 1e-6
+        dense = q.sigma @ np.eye(4)
+        np.testing.assert_allclose(dense, np.linalg.inv(-model.f_hessian(q.mu, stats)), rtol=1e-10)
+        assert log_det == pytest.approx(np.linalg.slogdet(dense)[1], rel=1e-10)
+        value, _ = model.f_value_grad(q.mu, stats)
+        assert profile(q.mu)[0] == pytest.approx(value + 0.5 * (log_det - 4), rel=1e-12)
+
+    @pytest.mark.parametrize("problem", ["blr", "unigram"])
+    def test_matches_the_alternation_reference(self, problem):
+        model, stats = delta_problem(problem)
+        q0 = GaussianVariational(np.zeros(model.dim), np.eye(model.dim))
+        q, _, converged = engine.delta_step(model, stats, q0)
+        mu, sigma = delta_alternation(model, stats, q0)
+        # one ascent to grad_tol against alternation run to a 1e-12 change:
+        # 3.2e-8 relative measured, on the alternation's own fixed point
+        assert converged
+        np.testing.assert_allclose(q.mu, mu, rtol=1e-6, atol=0)
+        np.testing.assert_allclose(q.sigma @ np.eye(model.dim), sigma, rtol=1e-6, atol=0)
+
+
+def delta_problem(problem):
+    """A model with a fixed q(z), for the delta refit."""
+    if problem == "blr":
+        instances, _ = make_blr_problem(33, 200, 6)
+        model = blr.BlrModel(instances, blr.BlrPrior.standard(6))
+        return model, model.expected_stats()
+    if problem == "ctm":
+        params = make_ctm_params(44, 4, 30)
+        model = ctm.CtmDocModel(params, make_ctm_corpus(45, params, 1)[0])
+    else:
+        docs, _ = make_unigram_corpus(43, vocab_size=8, num_docs=5)
+        model = unigram.UnigramModel(8, docs)
+    q0 = GaussianVariational(np.zeros(model.dim), np.eye(model.dim))
+    return model, model.expected_stats(model.conjugate_update(q0))
+
+
+def delta_alternation(model, stats, q0):
+    """The delta update as the paper alternates it: a Newton ascent of
+    f + Tr{H Sigma}/2 in mu at fixed Sigma, stepping on f's dense curvature,
+    then the closed-form Sigma = (-H)^{-1}, until the delta objective
+    f + Tr{H Sigma}/2 + log|Sigma|/2 changes by less than 1e-12."""
+    mu, sigma, prev = q0.mu, q0.sigma, -np.inf
+    while True:
+        def objective(theta, sigma=sigma):
+            value, grad = model.f_value_grad(theta, stats)
+            value += 0.5 * float(np.sum(model.f_hessian(theta, stats) * sigma))
+            grad = grad + 0.5 * model.trace_grad(theta, sigma, stats)
+            return value, grad, np.linalg.solve(-model.f_hessian(theta, stats), grad)
+
+        mu = optimize.maximize(objective, mu, optimize.OptimizerConfig(grad_tol=1e-12)).argmax
+        sigma = np.linalg.inv(-model.f_hessian(mu, stats))
+        value = objective(mu)[0] + 0.5 * np.linalg.slogdet(sigma)[1]
+        if value - prev < 1e-12:
+            return mu, sigma
+        prev = value
 
 
 def trust_exact_argmax(value_grad, hessian, x0):
@@ -195,19 +269,49 @@ class TestTrustRegionOracle:
         )
         np.testing.assert_allclose(q.mu, want, rtol=0, atol=1e-7)
 
-    def test_blr_delta_mean_at_fixed_sigma(self):
-        rng = np.random.default_rng(32)
+    def test_blr_delta_profile_mode(self):
         instances, _ = make_blr_problem(33, 200, 6)
         model = blr.BlrModel(instances, blr.BlrPrior.standard(6))
-        sigma = random_spd(rng, 6, spread=(0.5, 3.0))
-        objective = engine._objective(model, model.expected_stats(), sigma)
-        got = optimize.maximize(objective, np.zeros(6))
-        assert got.converged
-        def hessian(t):
-            return model.f_hessian(t) + 0.5 * model._trace_hessian(t, sigma)
+        q = blr.fit(instances, method="delta")
+        profile = engine._objective(model, model.expected_stats(), 0.0)
+        want = trust_exact_argmax(
+            lambda t: profile(t)[:2], lambda t: profile_hessian(profile, t), np.zeros(6)
+        )
+        np.testing.assert_allclose(q.mu, want, rtol=0, atol=1e-7)
 
-        want = trust_exact_argmax(objective, hessian, np.zeros(6))
-        np.testing.assert_allclose(got.argmax, want, rtol=0, atol=1e-7)
+
+def profile_hessian(profile, theta):
+    """Hessian of the delta profile by central differences of its gradient."""
+    rows = [numerics.finite_diff_gradient(lambda t: profile(t)[1][i], theta)
+            for i in range(theta.size)]
+    return 0.5 * (np.array(rows) + np.array(rows).T)
+
+
+class TestDeltaProfile:
+    """g = f + (log|Sigma(mu)| - dim)/2 and its envelope gradient
+    grad f + trace_grad(mu, Sigma(mu))/2, for a dense (BLR), diagonal (CTM)
+    and diagonal-plus-rank-one (unigram) Sigma, unshifted and shifted."""
+
+    @pytest.mark.parametrize("shift", [0.0, 0.5])
+    @pytest.mark.parametrize("problem", ["blr", "ctm", "unigram"])
+    def test_gradient_matches_finite_differences(self, problem, shift):
+        model, stats = delta_problem(problem)
+        theta, _, _ = engine.laplace_step(model, stats, np.zeros(model.dim))
+        theta = theta.mu + np.random.default_rng(46).normal(scale=0.05, size=model.dim)
+        profile = engine._objective(model, stats, shift)
+        value, grad, _ = profile(theta)
+        assert np.isfinite(value)
+        fd = numerics.finite_diff_gradient(lambda t: profile(t)[0], theta)
+        np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-7)
+
+    def test_undefined_trial_is_rejected(self):
+        # where f's negated curvature is not positive definite, g has no Sigma
+        docs, _ = make_unigram_corpus(1, 100, 50, tokens_per_doc=200)
+        model = unigram.UnigramModel(100, docs)
+        q0 = GaussianVariational(np.zeros(100), np.eye(100))
+        stats = model.expected_stats(model.conjugate_update(q0))
+        value, _, _ = engine._objective(model, stats, 0.0)(q0.mu)
+        assert value == -np.inf
 
 
 class TestEtaExpectation:

@@ -438,7 +438,9 @@ class TestCliErrors:
             code = run_cli(["fit-blr", "--data", data, "--method", method,
                             "--out", tmp_path / "o"])
         assert code == 2
-        assert "numerical failure" in capsys.readouterr().err
+        # fails at once and names the overflow, not the shift or jitter policy
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "overflowed" in err
 
     @pytest.mark.parametrize("method", ["laplace", "delta"])
     def test_singular_newton_matrix_exits_two(self, clidata, tmp_path, capsys, method):

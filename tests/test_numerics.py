@@ -234,10 +234,10 @@ class TestSpdFactorize:
             numerics.spd_factorize(m)
 
     def test_rejects_nonfinite(self):
-        # a numerical failure, like a nonpositive pivot: an overflowed
-        # Hessian must reach the jitter and shift policies, not look like bad input
+        # a numerical failure, not bad input, and not a nonpositive pivot: no
+        # jitter or shift makes an overflowed Hessian finite, so none is tried
         m = np.array([[1.0, 0.0], [0.0, np.inf]])
-        with pytest.raises(numerics.NotPositiveDefiniteError):
+        with pytest.raises(numerics.NonFiniteMatrixError, match="overflowed"):
             numerics.spd_factorize(m)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 9, 40])

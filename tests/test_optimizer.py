@@ -10,7 +10,9 @@ from ncvi.optimize import (
     dense_direction,
     maximize,
     newton,
+    shifted_solve,
 )
+from ncvi.numerics import NonFiniteMatrixError
 
 from conftest import random_spd
 
@@ -221,6 +223,13 @@ class TestDirections:
         m[1, 1] = bad
         with pytest.raises(ArithmeticError):
             dense_direction(m, np.ones(3))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_diagonal_fails_before_any_solve(self, bad):
+        # no shift makes an overflowed matrix finite, so none is tried, even
+        # by a structured solve that would not refuse it
+        with pytest.raises(NonFiniteMatrixError, match="overflowed"):
+            shifted_solve(lambda shift: pytest.fail("solved"), np.array([1.0, bad]))
 
 
 class TestFailureModes:
