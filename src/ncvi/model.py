@@ -98,17 +98,14 @@ class ExpectedStats:
     values: np.ndarray
 
 
-def dirichlet_entropy(alpha: np.ndarray) -> float:
-    """Entropy of Dirichlet(alpha)."""
+def dirichlet_entropy(alpha: np.ndarray):
+    """Entropy of Dirichlet(alpha) per row of the last axis; a float for one vector."""
     alpha = np.asarray(alpha, dtype=float)
-    a0 = float(alpha.sum())
-    k = alpha.size
-    log_norm = float(np.sum(numerics.log_gamma(alpha))) - numerics.log_gamma(a0)
-    return (
-        log_norm
-        + (a0 - k) * numerics.digamma(a0)
-        - float(np.sum((alpha - 1.0) * numerics.digamma(alpha)))
-    )
+    a0 = alpha.sum(axis=-1)
+    log_norm = np.sum(numerics.log_gamma(alpha), axis=-1) - numerics.log_gamma(a0)
+    psi_term = np.sum((alpha - 1.0) * numerics.digamma(alpha), axis=-1)
+    out = log_norm + (a0 - alpha.shape[-1]) * numerics.digamma(a0) - psi_term
+    return float(out) if np.ndim(out) == 0 else out
 
 
 class ModelContract(abc.ABC):

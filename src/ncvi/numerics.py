@@ -1,12 +1,11 @@
 """Special functions and SPD linear algebra shared by every model.
 
-The gamma family (ln Gamma, psi, psi', psi'') and the sigmoids are thin
-wrappers over scipy.special that add the contract the models rely on: the
-gamma family raises ValueError for a non-finite or non-positive argument, and
-a scalar or 0-d argument gives a Python float while an array keeps its shape.
-The SPD matrices are dense Cholesky factors from numpy, of one matrix or of
-a stack, or diagonal plus rank one; scipy serves only the gamma family and
-the sigmoids.  Everything here is stateless.
+The gamma family (ln Gamma, psi, psi', psi'') wraps scipy.special, loaded on
+first use (only unigram and `model.dirichlet_entropy` reach it), and raises
+ValueError for a non-finite or non-positive argument.  The sigmoids are numpy.
+Both give a Python float for a scalar or 0-d argument and keep an array's
+shape.  The SPD matrices are dense Cholesky factors from numpy, of one matrix
+or of a stack, or diagonal plus rank one.  Everything here is stateless.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.special as _sps
 
 __all__ = [
     "log_gamma",
@@ -45,26 +43,29 @@ def _float_or_array(out):
     return float(out) if np.ndim(out) == 0 else out
 
 
+def _sps():
+    import scipy.special  # here, not at the top: its import costs every command ~0.3 s
+    return scipy.special
+
+
 def log_gamma(x):
     """ln Gamma(x) for x > 0, scalar or array."""
-    return _float_or_array(_sps.gammaln(_validated_positive(x, "log_gamma")))
+    return _float_or_array(_sps().gammaln(_validated_positive(x, "log_gamma")))
 
 
 def digamma(x):
     """Psi(x), the derivative of ln Gamma, for x > 0."""
-    return _float_or_array(_sps.psi(_validated_positive(x, "digamma")))
+    return _float_or_array(_sps().psi(_validated_positive(x, "digamma")))
 
 
 def trigamma(x):
     """Psi'(x) = zeta(2, x), the second derivative of ln Gamma, for x > 0."""
-    return _float_or_array(_sps.zeta(2.0, _validated_positive(x, "trigamma")))
+    return _float_or_array(_sps().zeta(2.0, _validated_positive(x, "trigamma")))
 
 
 def polygamma_2(x):
     """Psi''(x) = -2 zeta(3, x), the third derivative of ln Gamma, for x > 0."""
-    return _float_or_array(
-        -2.0 * _sps.zeta(3.0, _validated_positive(x, "polygamma_2"))
-    )
+    return _float_or_array(-2.0 * _sps().zeta(3.0, _validated_positive(x, "polygamma_2")))
 
 
 # hand-written: scipy's logsumexp/softmax take 90/12 us vs 9/10 us on CTM's 5-vectors
@@ -87,12 +88,13 @@ def softmax(a, axis=-1):
 
 def log_sigmoid(a):
     """ln sigma(a) evaluated without overflow for large |a|."""
-    return _float_or_array(_sps.log_expit(np.asarray(a, dtype=float)))
+    return _float_or_array(-np.logaddexp(0.0, -np.asarray(a, dtype=float)))
 
 
 def sigmoid(a):
-    """1 / (1 + exp(-a)) without overflow for large |a|."""
-    return _float_or_array(_sps.expit(np.asarray(a, dtype=float)))
+    """1 / (1 + exp(-a)); exp(-a) overflowing to inf gives the exact limit 0."""
+    with np.errstate(over="ignore"):
+        return _float_or_array(1.0 / (1.0 + np.exp(-np.asarray(a, dtype=float))))
 
 
 class NotPositiveDefiniteError(ArithmeticError):

@@ -186,8 +186,7 @@ class UnigramModel(ModelContract):
         return ConjugateVariational(phi)
 
     def qz_entropy(self, q_z: ConjugateVariational) -> float:
-        phi = np.asarray(q_z.phi, dtype=float)
-        return sum(dirichlet_entropy(phi[d]) for d in range(phi.shape[0]))
+        return float(np.sum(dirichlet_entropy(q_z.phi)))
 
     def qz_model_terms(self, q_z: ConjugateVariational) -> float:
         phi = np.asarray(q_z.phi, dtype=float)

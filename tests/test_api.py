@@ -1,5 +1,5 @@
 """Public surface: every name a module exports, and every name the benchmark
-tracer patches, must exist."""
+tracer patches, must exist; and the CTM and BLR commands never load scipy."""
 
 import importlib
 import os
@@ -11,6 +11,9 @@ from pathlib import Path
 import pytest
 
 import ncvi
+from ncvi import cli
+
+from conftest import make_blr_problem, make_ctm_corpus, make_ctm_params, make_unigram_corpus
 
 MODULES = ["ncvi"] + [f"ncvi.{m.name}" for m in pkgutil.iter_modules(ncvi.__path__)]
 
@@ -33,10 +36,75 @@ def test_benchmark_tracer_finds_every_traced_name():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_cli_import_leaves_scipy_linalg_unloaded():
-    # numerics factorizes on numpy alone; scipy.linalg costs startup on every command
-    root = Path(__file__).resolve().parent.parent
-    code = "import sys, ncvi.cli; sys.exit('scipy.linalg' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+def run_python(code, *args, cwd=None):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    cmd = [sys.executable, "-c", code, *args]
+    return subprocess.run(cmd, env=env, cwd=cwd, capture_output=True, text=True)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy.special alone costs every command ~0.3 s of startup
+    code = "import sys, ncvi.cli; loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']; " \
+           "sys.exit(f'loaded {loaded}' if loaded else None)"
+    proc = run_python(code)
+    assert proc.returncode == 0, proc.stderr
+
+
+def sparse_lines(header, rows):
+    return "\n".join([header] + [f"{lead} " + " ".join(f"{i}:{v!r}" for i, v in pairs)
+                                  for lead, pairs in rows]) + "\n"
+
+
+def corpus_text(docs, vocab):
+    return sparse_lines(f"V {vocab}", [(len(d.counts), d.items()) for d in docs])
+
+
+def labeled_text(instances, dim):
+    return sparse_lines(f"P {dim}", [(x.z[0], enumerate(x.covariates.tolist()))
+                                     for x in instances])
+
+
+@pytest.fixture(scope="module")
+def tiny(tmp_path_factory):
+    """Tiny corpora, labeled data and task files, plus a fitted model and posterior."""
+    root = tmp_path_factory.mktemp("tiny")
+    params = make_ctm_params(0, num_topics=2, vocab_size=12)
+    (root / "corpus.txt").write_text(corpus_text(make_ctm_corpus(1, params, 8, 20), 12))
+    (root / "words.txt").write_text(corpus_text(make_unigram_corpus(2, 12, 4)[0], 12))
+    instances, _ = make_blr_problem(3, 40, 3)
+    (root / "train.txt").write_text(labeled_text(instances, 3))
+    (root / "tasks").mkdir()
+    for t in range(2):
+        (root / "tasks" / f"t{t}.txt").write_text(labeled_text(instances[20 * t:20 * (t + 1)], 3))
+    assert cli.main(["fit-ctm", "--corpus", str(root / "corpus.txt"), "--k", "2",
+                     "--out", str(root / "model.txt"), "--em-iters", "2"]) == 0
+    assert cli.main(["fit-blr", "--data", str(root / "train.txt"),
+                     "--out", str(root / "coef.post")]) == 0
+    return root
+
+
+# CTM and BLR need no gamma function: with scipy unimportable they still run
+WITHOUT_SCIPY = {
+    "fit-ctm": "fit-ctm --corpus corpus.txt --k 2 --out m.txt --em-iters 2",
+    "eval-ctm-delta": "eval-ctm --model model.txt --corpus corpus.txt --out s.csv --method delta",
+    "fit-blr-laplace": "fit-blr --data train.txt --out l.post --method laplace",
+    "fit-blr-delta": "fit-blr --data train.txt --out d.post --method delta",
+    "eval-blr": "eval-blr --posterior coef.post --data train.txt --out b.csv",
+    "fit-hblr": "fit-hblr --tasks tasks --out hier --em-iters 2",
+}
+
+
+@pytest.mark.parametrize("argv", WITHOUT_SCIPY.values(), ids=list(WITHOUT_SCIPY))
+def test_ctm_and_blr_commands_run_without_scipy(tiny, argv):
+    code = "import sys; sys.modules['scipy'] = None; from ncvi.cli import main; " \
+           "sys.exit(main(sys.argv[1:]))"
+    proc = run_python(code, *argv.split(), cwd=tiny)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_infer_unigram_loads_scipy_special_on_first_use(tiny):
+    code = "import sys; from ncvi.cli import main; assert 'scipy.special' not in sys.modules; " \
+           "assert main(sys.argv[1:]) == 0; assert 'scipy.special' in sys.modules"
+    proc = run_python(code, "infer-unigram", "--corpus", "words.txt", "--out", "rates.csv",
+                      cwd=tiny)
     assert proc.returncode == 0, proc.stderr

@@ -74,6 +74,15 @@ class TestDirichletEntropy:
             ref = scipy.stats.dirichlet(alpha).entropy()
             assert ours == pytest.approx(ref, abs=1e-10)
 
+    def test_stack_matches_per_row_calls(self):
+        rng = np.random.default_rng(3)
+        phi = rng.gamma(2.0, size=(20, 1000)) + 0.05
+        stacked = dirichlet_entropy(phi)
+        assert stacked.shape == (20,)
+        rows = np.array([dirichlet_entropy(row) for row in phi])
+        np.testing.assert_allclose(stacked, rows, rtol=1e-12)
+        assert type(dirichlet_entropy(phi[0])) is float
+
     def test_uniform_two_dim_is_zero(self):
         # Dirichlet(1,1) is uniform on the simplex segment of length 1
         assert dirichlet_entropy(np.array([1.0, 1.0])) == pytest.approx(0.0, abs=1e-12)

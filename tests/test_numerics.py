@@ -1,10 +1,14 @@
 """Special functions and SPD linear algebra.
 
-The gamma family and the sigmoids wrap scipy.special, so the independent
-checks are the frozen high-precision references, the recurrences and the
-finite differences.  The sweeps against scipy.special only pin each wrapper
-to the right function and order.
+The gamma family wraps scipy.special, so the independent checks are the
+frozen high-precision references, the recurrences and the finite
+differences.  The sweeps against scipy.special only pin each wrapper to the
+right function and order.  The sigmoids are numpy, a fast path whose
+reference is scipy.special's expit and log_expit: the sweep against them
+bounds the difference.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -340,3 +344,31 @@ class TestStableTransforms:
         np.testing.assert_allclose(
             numerics.sigmoid(xs) + numerics.sigmoid(-xs), np.ones_like(xs), atol=1e-12
         )
+
+
+class TestSigmoidsAgainstScipy:
+    # N(0, 5) and U(-800, 800) samples, signed zeros, the edge of exp's range
+    # (|a| = 745) and the largest finite magnitudes
+    SWEEP = np.concatenate([
+        np.random.default_rng(7).normal(scale=5.0, size=100_000),
+        np.random.default_rng(8).uniform(-800.0, 800.0, size=100_000),
+        [0.0, -0.0, 745.0, -745.0, 1e308, -1e308],
+    ])
+
+    def test_log_sigmoid_is_bitwise_log_expit(self):
+        ours = numerics.log_sigmoid(self.SWEEP)
+        assert np.array_equal(ours.view(np.int64), sps.log_expit(self.SWEEP).view(np.int64))
+
+    def test_sigmoid_within_four_ulp_of_expit(self):
+        # same formula as expit; numpy's vectorized exp may differ in the last bits
+        ours = numerics.sigmoid(self.SWEEP)
+        assert np.abs(ours.view(np.int64) - sps.expit(self.SWEEP).view(np.int64)).max() <= 4
+
+    @pytest.mark.parametrize("fn", [numerics.sigmoid, numerics.log_sigmoid],
+                             ids=lambda f: f.__name__)
+    def test_no_runtime_warning(self, fn):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fn(self.SWEEP)
+            for a in (745.0, -745.0, 1e308, -1e308):  # a scalar takes numpy's 0-d path
+                fn(a)
