@@ -80,8 +80,8 @@ class HierPrior:
         if phi0.shape != phi1.shape or phi0.ndim != 2:
             raise ValueError("phi0 and phi1 must be square matrices of equal size")
         p = phi0.shape[0]
-        if self.nu <= p - 1:
-            raise ValueError(f"Wishart degrees of freedom must exceed {p - 1}")
+        if not p - 1 < self.nu < np.inf:  # NaN too
+            raise ValueError(f"Wishart degrees of freedom must be finite and exceed {p - 1}")
         for name, m in (("phi0", phi0), ("phi1", phi1)):
             inv = numerics._factorize_input(m, name).inverse()
             object.__setattr__(self, name, m)
@@ -173,20 +173,23 @@ def fit(
     instances: list[LabeledInstance],
     prior: BlrPrior | None = None,
     method: str = "laplace",
-    diag=None,
 ) -> GaussianVariational:
     """Fit q(theta) with one `method` update; no conjugate alternation.
 
     Starts from N(0, I) as in the study protocol.
     """
     model = BlrModel(instances, prior or BlrPrior.standard(instances[0].covariates.shape[0]))
-    return _fit_model(model, method, diag)[0]
+    return _fit_model(model, method)[0]
 
 
-def _fit_model(model: BlrModel, method: str, diag=None) -> tuple[GaussianVariational, float, bool]:
+def _fit_model(model: BlrModel, method: str) -> tuple[GaussianVariational, float, bool]:
     """q(theta), log|Sigma| and whether the refit's ascents converged."""
-    init = GaussianVariational(np.zeros(model.dim), np.eye(model.dim))
-    return engine._refit_q_theta(model, model.expected_stats(), init, method, diag)
+    stats, init = model.expected_stats(), np.zeros(model.dim)
+    if method == "laplace":
+        return engine.laplace_step(model, stats, init)
+    if method == "delta":
+        return engine.delta_step(model, stats, GaussianVariational(init, np.eye(model.dim)))
+    raise ValueError(f"unknown method '{method}'")
 
 
 def predict_loglik(q_theta: GaussianVariational, instance: LabeledInstance) -> float:

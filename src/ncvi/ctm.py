@@ -6,15 +6,16 @@ assignment family vanishes.  The curvature-corrected update restricts the
 per-document covariance to a diagonal.
 
 The model maths is written once over a leading document axis, on a corpus
-packed once (`_corpus`) into one row per (document, term) pair.
-`_coordinate_ascent` fits all documents at once with the shared damped Newton
-loop (optimize.newton, one document per row) on the exact K x K Hessian, for
-`infer_docs` and for `em_fit`'s E-step, whose M-step reads the stacked fit.
-`CtmDocModel`, the one-document view, runs on the generic engine with the
-same Newton matrices as the reference path.  Sums over terms use np.bincount
-(row order), products with the prior precision np.einsum, not BLAS, and the
-Laplace Sigma a stacked numerics.spd_factorize, so a document's result is
-bitwise independent of the rest of its batch.
+packed once (`_corpus`) into one row per (document, term) pair.  `_Docs`
+gives those documents to the engine as its rows, one per document, on the
+exact K x K Hessian, so `infer_docs` and `em_fit`'s E-step (whose M-step
+reads the stacked fit) run the engine's one refit and outer loop on every
+document at once.  `CtmDocModel`, the one-document view, runs on the
+engine's one-model adapter with the same Newton matrices as the reference
+path.  Sums over terms use np.bincount (row order), products with the prior
+precision np.einsum, not BLAS, and the Laplace Sigma a stacked
+numerics.spd_factorize, so a document's result is bitwise independent of
+the rest of its batch.
 """
 
 from __future__ import annotations
@@ -253,97 +254,90 @@ class CtmDocModel(ModelContract):
         return float(self._qz_terms(q_z)[1])
 
 
-def _solve(mat, grad):
-    """Newton directions mat^{-1} grad, one per row."""
-    return np.linalg.solve(mat, grad[:, :, None])[:, :, 0]
+class _Docs:
+    """The documents of a packed corpus as the engine's rows, one row per
+    document: the batched maths above, on the exact K x K Hessian."""
+
+    delta_diagonal = True
+
+    def __init__(self, params: CtmParams, counts, log_beta, doc, num_docs):
+        self.params, self.counts, self.log_beta = params, counts, log_beta
+        self.doc, self.num_docs = doc, num_docs
+
+    def select(self, keep):
+        """The documents `keep` (ascending), renumbered from 0."""
+        rows = np.flatnonzero(np.isin(self.doc, keep))
+        doc = np.searchsorted(keep, self.doc[rows])
+        return _Docs(self.params, self.counts[rows], self.log_beta[rows], doc, keep.size)
+
+    def ascent(self, stats, shift=None):
+        """f per document or, given a shift, the delta profile at the diagonal
+        Sigma(theta) = diag(shift - h_ii)^{-1}, on g's exact -Hessian where
+        positive definite (the trace term's curvature dominates along weak
+        prior directions), else f's; the Newton directions solve each row's."""
+
+        def evaluate(theta, rows):
+            s = stats[rows]
+            value, grad, pi = _value_grad(theta, s, self.params)
+            mat = neg = -_hessian(pi, s, self.params)
+            if shift is not None:
+                sig = 1.0 / (np.diagonal(neg, axis1=1, axis2=2) + shift)
+                value = value + 0.5 * (np.sum(np.log(sig), axis=1) - theta.shape[1])
+                grad = grad + 0.5 * _trace_grad(pi, s, sig)
+                exact = _profile_neg_hessian(pi, s, sig, neg)
+                mat = np.where(np.linalg.eigvalsh(exact)[:, :1, None] > 0.0, exact, neg)
+            return value, grad, np.linalg.solve(mat, grad[:, :, None])[:, :, 0]
+
+        return evaluate
+
+    def covariance(self, theta, stats, shift, diagonal):
+        """Sigma and log|Sigma| per document: (-H + shift I)^{-1} from
+        numerics' stacked Cholesky factor at pi = softmax(theta), or the
+        inverse diagonal at the delta ascent's pi = exp(eta)."""
+        eye = np.eye(theta.shape[1])
+        if not diagonal:
+            neg = -_hessian(numerics.softmax(theta, axis=1), stats, self.params)
+            fact = numerics.spd_factorize(neg + shift * eye if shift else neg)
+            return fact.inverse(), -fact.log_det
+        # -h_ii >= (Sigma0^{-1})_ii > 0: the diagonal is always positive
+        pi = _value_grad(theta, stats, self.params)[2]
+        sig = 1.0 / (shift - np.diagonal(_hessian(pi, stats, self.params), axis1=1, axis2=2))
+        return sig[:, :, None] * eye, np.sum(np.log(sig), axis=1)
+
+    def conjugate_update(self, mu, sigma):
+        return _assignments(mu[self.doc], self.log_beta)
+
+    def expected_stats(self, phi):
+        return _doc_sums(self.counts[:, None] * phi, self.doc, self.num_docs)
+
+    def monitor(self, mu, sigma, phi, stats, log_det):
+        value, _, pi = _value_grad(mu, stats, self.params)
+        curvature = np.einsum("dij,dij->d", _hessian(pi, stats, self.params), sigma)
+        entropy, model = _qz_terms(phi, self.log_beta, self.counts, self.doc, self.num_docs)
+        return value + 0.5 * (curvature + log_det) + entropy + model
 
 
-def _laplace(params, stats, mu, sigma):
-    """The mode of f per document, Sigma = (-H)^{-1} there and log|Sigma|,
-    both from numerics' stacked Cholesky factor, and the mask of ascents
-    that stopped short of the optimizer's grad_tol."""
-
-    def evaluate(theta, rows):
-        value, grad, pi = _value_grad(theta, stats[rows], params)
-        return value, grad, _solve(-_hessian(pi, stats[rows], params), grad)
-
-    result = optimize.newton(evaluate, mu)
-    mu = result.argmax
-    try:
-        fact = numerics.spd_factorize(-_hessian(numerics.softmax(mu, axis=1), stats, params))
-    except numerics.NotPositiveDefiniteError:
-        raise engine.NonConcaveError("negated Hessian not positive definite") from None
-    return mu, fact.inverse(), -fact.log_det, ~result.converged
-
-
-def _delta(params, stats, mu, sigma):
-    """A damped Newton ascent of the delta profile per document, at the
-    diagonal Sigma(theta) = diag(-H)^{-1}, on g's exact -Hessian where
-    positive definite (the trace term's curvature dominates along weak prior
-    directions), else f's; mu, Sigma, log|Sigma| and the stopped-short mask."""
-
-    def evaluate(theta, rows):
-        s = stats[rows]
-        value, grad, pi = _value_grad(theta, s, params)
-        neg = -_hessian(pi, s, params)
-        sig = 1.0 / np.diagonal(neg, axis1=1, axis2=2)
-        value = value + 0.5 * (np.sum(np.log(sig), axis=1) - mu.shape[1])
-        grad = grad + 0.5 * _trace_grad(pi, s, sig)
-        exact = _profile_neg_hessian(pi, s, sig, neg)
-        concave = np.linalg.eigvalsh(exact)[:, :1, None] > 0.0
-        return value, grad, _solve(np.where(concave, exact, neg), grad)
-
-    result = optimize.newton(evaluate, mu)
-    mu = result.argmax
-    _, _, pi = _value_grad(mu, stats, params)
-    sig = -1.0 / np.diagonal(_hessian(pi, stats, params), axis1=1, axis2=2)
-    return mu, sig[:, :, None] * np.eye(mu.shape[1]), np.sum(np.log(sig), axis=1), ~result.converged
-
-
-def _coordinate_ascent(params, counts, log_beta, doc, num_docs, cfg):
-    """The engine's outer loop for every document at once: refit q(theta),
-    update q(z), record the approximate objective, and retire each document
-    once its mean moves less than cfg.conv_tol.  A document whose last
-    q(theta) refit stopped short of the optimizer's grad_tol (at its
-    iteration cap, or once steps stopped raising the objective) reports
-    converged=False.  An empty document starts retired at the prior, with
-    objective 0: its exponent is the prior density alone, whose curvature
+def _fit(params, ids, counts, doc, num_docs, cfg):
+    """Every document of a packed corpus on the engine at once, from mean zero
+    with unit covariance and an assignment update computed from that start.
+    An empty document stays at the prior, with objective 0 and a converged
+    empty trace: its exponent is the prior density alone, whose curvature
     fit is exact.  Returns stacked mu, Sigma, objective and phi, and traces."""
-    refit = _laplace if cfg.method == "laplace" else _delta
-    live = np.bincount(doc, minlength=num_docs) > 0
-    mu = np.where(live[:, None], 0.0, params.prior_mean)
-    sigma = np.where(live[:, None, None], np.eye(params.num_topics), params.prior_cov)
+    log_beta = _log_beta(params, ids)
+    mu = np.tile(params.prior_mean, (num_docs, 1))
+    sigma = np.tile(params.prior_cov, (num_docs, 1, 1))
     objective = np.zeros(num_docs)
-    phi = _assignments(mu[doc], log_beta)
-    stats = _doc_sums(counts[:, None] * phi, doc, num_docs)
     traces = [engine.InferenceTrace() for _ in range(num_docs)]
-    for d in np.flatnonzero(~live):
-        traces[d].converged = True
-    active = np.flatnonzero(live)
-    start = time.perf_counter()
-    for it in range(1, cfg.max_outer_iters + 1):
-        if not active.size:
-            break
-        rows = np.flatnonzero(np.isin(doc, active))
-        sub = np.searchsorted(active, doc[rows])
-        n = active.size
-        new_mu, new_sigma, log_det, stuck = refit(params, stats[active], mu[active], sigma[active])
-        new_phi = _assignments(new_mu[sub], log_beta[rows])
-        new_stats = _doc_sums(counts[rows, None] * new_phi, sub, n)
-        value, _, pi = _value_grad(new_mu, new_stats, params)
-        curvature = np.einsum("dij,dij->d", _hessian(pi, new_stats, params), new_sigma)
-        entropy, model = _qz_terms(new_phi, log_beta[rows], counts[rows], sub, n)
-        obj = value + 0.5 * (curvature + log_det) + entropy + model
-        change = np.linalg.norm(new_mu - mu[active], axis=1)
-        mu[active], sigma[active], stats[active] = new_mu, new_sigma, new_stats
-        objective[active] = obj
-        phi[rows] = new_phi
-        seconds = time.perf_counter() - start
-        for d, o, c, short in zip(active, obj, change, stuck):
-            traces[d].append(engine.TraceRecord(it, float(o), float(c), seconds))
-            traces[d].converged = bool(c < cfg.conv_tol and not short)
-        active = active[change >= cfg.conv_tol]
-    return mu, sigma, objective, phi, traces
+    live = np.flatnonzero(np.bincount(doc, minlength=num_docs))
+    for trace in traces:
+        trace.converged = True  # kept by an empty document; the engine sets the others'
+    if live.size:
+        rows = _Docs(params, counts, log_beta, doc, num_docs).select(live)
+        start = np.zeros((live.size, params.num_topics))
+        stats = rows.expected_stats(rows.conjugate_update(start, None))
+        fit = engine._ascend(rows, start, stats, cfg, [traces[d] for d in live])
+        mu[live], sigma[live], objective[live] = fit[:3]
+    return mu, sigma, objective, _assignments(mu[doc], log_beta), traces
 
 
 def _doc_states(mu, sigma, objective, phi, doc) -> list[CtmDocState]:
@@ -366,8 +360,7 @@ def infer_docs(
     An empty document returns the prior.
     """
     ids, counts, doc = _corpus(docs)
-    cfg = cfg or engine.InferenceConfig()
-    *fit, traces = _coordinate_ascent(params, counts, _log_beta(params, ids), doc, len(docs), cfg)
+    *fit, traces = _fit(params, ids, counts, doc, len(docs), cfg or engine.InferenceConfig())
     return list(zip(_doc_states(*fit, doc), traces))
 
 
@@ -432,9 +425,7 @@ def em_fit(
     start = time.perf_counter()
 
     for it in range(1, em_iters + 1):
-        mu, sigma, objective, phi, _ = _coordinate_ascent(
-            params, counts, _log_beta(params, ids), doc, num_docs, cfg
-        )
+        mu, sigma, objective, phi, _ = _fit(params, ids, counts, doc, num_docs, cfg)
         # Each document's monitor plus the prior and entropy constants it
         # drops; an empty document contributes zero.  Summed in document order.
         doc_bounds = objective - 0.5 * params.prior_log_det + 0.5 * num_topics

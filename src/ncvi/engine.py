@@ -1,22 +1,22 @@
 """Coordinate-ascent engine alternating a Gaussian q(theta) with a conjugate q(z).
 
-Two interchangeable q(theta) updates, both climbing by damped Newton steps
-(optimize.maximize) along the model's newton_direction:
+One implementation, run on a stack of problems, one per row.  Each q(theta)
+update is one damped Newton ascent (optimize.newton) of every row at once:
 
-- laplace_step: maximize f and set the covariance from the curvature at the
-  mode m, Sigma = (-Hessian f(m))^{-1}.
-- delta_step: maximize the curvature-corrected objective
-  f(mu) + Tr{Hessian_f(mu) Sigma}/2 + log|Sigma|/2 by one Newton ascent of its
-  profile g(mu) = f(mu) + (log|Sigma(mu)| - dim)/2 at the closed-form Sigma
-  update Sigma(mu) = (-Hessian f(mu))^{-1}, or the inverse diagonal.
+- laplace: maximize f; Sigma = (-Hessian f(m))^{-1} at the mode m.
+- delta: maximize f(mu) + Tr{Hessian_f(mu) Sigma}/2 + log|Sigma|/2 by one
+  ascent of its profile g(mu) = f(mu) + (log|Sigma(mu)| - dim)/2 at the
+  closed-form Sigma(mu) = (-Hessian f(mu))^{-1}, or the inverse diagonal.
 
-Each model owns its curvature; the engine handles no Hessian matrix.  Both
-refits take Sigma and log|Sigma| from the model's covariance, one factor of
-f's negated curvature, and return (q, log|Sigma|, converged), converged
-meaning that every Newton ascent of the refit reached the optimizer's
-grad_tol; the monitor approx_objective reuses that log|Sigma|.  The engine
-keeps the jitter policy, the capped jitter and NonConcaveError guarding Sigma.
-The q(z) update is each model's conjugate_update.
+The outer loop retires each row once its mean stops moving.  It runs on a
+rows object over a leading row axis: `select(keep)`, `ascent(stats, shift)`
+(newton's evaluate for f, or for g at a shift), `covariance` (Sigma and
+log|Sigma| from one factor of f's negated curvature), `conjugate_update`,
+`expected_stats` and `monitor` (the approximate objective).  `ctm` packs its
+documents as rows; `_ModelRows` runs any ModelContract as a stack of one,
+the dense reference path behind `laplace_step`, `delta_step` and
+`run_coordinate_ascent`.  The engine handles no Hessian matrix: it keeps
+the jitter policy, one jitter for the stack, and NonConcaveError.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ class InferenceConfig:
     def __post_init__(self):
         if self.method not in ("laplace", "delta"):
             raise ValueError(f"unknown method '{self.method}'")
-        if self.conv_tol <= 0.0:
+        if not self.conv_tol > 0.0:  # NaN too
             raise ValueError("conv_tol must be positive")
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be at least 1")
@@ -98,98 +98,143 @@ class NonConcaveError(ArithmeticError):
     """-Hessian stayed indefinite after exhausting the jitter budget."""
 
 
-def _covariance(model: ModelContract, theta, stats: ExpectedStats, diagonal: bool, diag=None):
-    """The model's Sigma and log|Sigma| at theta, and the diagonal jitter,
-    doubling from _JITTER_INIT, that its negated curvature needed."""
+def _covariance(rows, theta, stats, diagonal: bool):
+    """Sigma and log|Sigma| per row at theta, and the diagonal jitter,
+    doubling from _JITTER_INIT, that the stack's negated curvature needed."""
     jitter = 0.0
     while jitter <= _JITTER_MAX:
         try:
-            sigma, log_det = model.covariance(theta, stats, jitter, diagonal)
+            return (*rows.covariance(theta, stats, jitter, diagonal), jitter)
         except numerics.NotPositiveDefiniteError:
             jitter = 2.0 * jitter or _JITTER_INIT
-            continue
-        if jitter and diag is not None:
-            diag.setdefault("jitter_events", []).append(jitter)
-        return sigma, log_det, jitter
     raise NonConcaveError(f"negated Hessian not positive definite after jitter {_JITTER_MAX:g}")
 
 
-def _objective(model: ModelContract, stats: ExpectedStats, shift=None):
-    """f or, given a shift, the delta profile g = f + (log|Sigma| - dim)/2 at
-    Sigma = model.covariance(theta, stats, shift, delta_diagonal), -inf where
-    that is undefined; with the gradient, by the envelope theorem
-    grad f + trace_grad(theta, Sigma)/2, and the model's Newton direction."""
+def _refit(rows, stats, mu, method: str):
+    """The q(theta) update named by `method` for every row, from the means mu:
+    the new means, Sigma, log|Sigma| and, per row, whether every Newton ascent
+    reached the optimizer's grad_tol.  The delta profile's Sigma is shifted by
+    the jitter the start needed (g stays an exact profile at a fixed shift);
+    where no jitter within the cap defines Sigma there, the rows first climb f."""
+    if method == "laplace":
+        result = optimize.newton(rows.ascent(stats), mu)
+        sigma, log_det, _ = _covariance(rows, result.argmax, stats, False)
+        return result.argmax, sigma, log_det, result.converged
+    converged = True
+    try:
+        shift = _covariance(rows, mu, stats, rows.delta_diagonal)[2]
+    except NonConcaveError:
+        result = optimize.newton(rows.ascent(stats), mu)
+        mu, converged = result.argmax, result.converged
+        shift = _covariance(rows, mu, stats, rows.delta_diagonal)[2]
+    result = optimize.newton(rows.ascent(stats, shift), mu)
+    sigma, log_det = rows.covariance(result.argmax, stats, shift, rows.delta_diagonal)
+    return result.argmax, sigma, log_det, converged & result.converged
 
-    def objective(theta):
-        value, grad = model.f_value_grad(theta, stats)
-        if not np.isfinite(value):
-            return value, grad, grad
-        if shift is None:
-            return value, grad, model.newton_direction(theta, stats, grad)
-        try:
-            sigma, log_det = model.covariance(theta, stats, shift, model.delta_diagonal)
-        except numerics.NotPositiveDefiniteError:
-            return -np.inf, grad, grad
-        grad = grad + 0.5 * model.trace_grad(theta, sigma, stats)
-        value += 0.5 * (log_det - model.dim)
-        return value, grad, model.newton_direction(theta, stats, grad, sigma)
 
-    return objective
+def _ascend(rows, mu, stats, cfg: InferenceConfig, traces: list[InferenceTrace]):
+    """Alternate q(theta) and q(z) updates on every row at once, from the
+    means mu and the expected statistics of the starting q(z).
+
+    A row retires once the L2 norm of its mean's change drops below
+    cfg.conv_tol; it has converged if its last refit's ascents also reached
+    the optimizer's grad_tol, so a refit that stopped short (at its iteration
+    cap, or once steps stopped raising the objective) reports converged=False
+    in the row's trace.  Returns the means, each row's Sigma and approximate
+    objective, and the last q(z) update (of the rows active then)."""
+    mu = np.array(mu, dtype=float)
+    sigma, objective = [None] * len(mu), np.zeros(len(mu))
+    active = np.arange(len(mu))
+    start = time.perf_counter()
+    for it in range(1, cfg.max_outer_iters + 1):
+        new_mu, new_sigma, log_det, converged = _refit(rows, stats, mu[active], cfg.method)
+        q_z = rows.conjugate_update(new_mu, new_sigma)
+        stats = rows.expected_stats(q_z)
+        objective[active] = rows.monitor(new_mu, new_sigma, q_z, stats, log_det)
+        change = np.linalg.norm(new_mu - mu[active], axis=1)
+        mu[active] = new_mu
+        seconds = time.perf_counter() - start
+        for d, s, c, ok in zip(active, new_sigma, change, converged):
+            sigma[d] = s
+            traces[d].append(TraceRecord(it, float(objective[d]), float(c), seconds))
+            traces[d].converged = bool(c < cfg.conv_tol and ok)
+        keep = np.flatnonzero(change >= cfg.conv_tol)
+        if not keep.size:
+            break
+        if keep.size < active.size:
+            rows, stats, active = rows.select(keep), stats[keep], active[keep]
+    return mu, sigma, objective, q_z
+
+
+class _ModelRows:
+    """A ModelContract as a stack of one row, for the loop above: the dense
+    reference path.  Its Sigma is a one-item list; its stats, log|Sigma| and
+    q(z) are the model's own."""
+
+    def __init__(self, model: ModelContract, data=None):
+        self.model, self.data, self.delta_diagonal = model, data, model.delta_diagonal
+
+    def ascent(self, stats, shift=None):
+        """f or, given a shift, the delta profile g = f + (log|Sigma| - dim)/2
+        at Sigma = model.covariance(theta, stats, shift, delta_diagonal), -inf
+        where that is undefined; with the gradient, by the envelope theorem
+        grad f + trace_grad(theta, Sigma)/2, and the model's Newton direction."""
+        model = self.model
+
+        def evaluate(points, rows):
+            theta, sigma = points[0], None
+            value, grad = model.f_value_grad(theta, stats)
+            if np.isfinite(value) and shift is not None:
+                try:
+                    sigma, log_det = model.covariance(theta, stats, shift, model.delta_diagonal)
+                except numerics.NotPositiveDefiniteError:
+                    value = -np.inf
+                else:
+                    grad = grad + 0.5 * model.trace_grad(theta, sigma, stats)
+                    value += 0.5 * (log_det - model.dim)
+            direction = grad
+            if np.isfinite(value):
+                direction = model.newton_direction(theta, stats, grad, sigma)
+            return np.array([float(value)]), np.asarray(grad, dtype=float)[None], direction[None]
+
+        return evaluate
+
+    def covariance(self, theta, stats, shift, diagonal):
+        sigma, log_det = self.model.covariance(theta[0], stats, shift, diagonal)
+        return [sigma], log_det
+
+    def conjugate_update(self, mu, sigma):
+        return self.model.conjugate_update(GaussianVariational(mu[0], sigma[0]), self.data)
+
+    def expected_stats(self, q_z):
+        return self.model.expected_stats(q_z)
+
+    def monitor(self, mu, sigma, q_z, stats, log_det):
+        return approx_objective(self.model, GaussianVariational(mu[0], sigma[0]), q_z, log_det)
+
+
+def _step(model, stats, mu, method):
+    mu, sigma, log_det, converged = _refit(_ModelRows(model), stats, [mu], method)
+    return GaussianVariational(mu[0], sigma[0]), log_det, bool(converged[0])
 
 
 def laplace_step(
-    model: ModelContract,
-    stats: ExpectedStats,
-    init: np.ndarray,
-    *,
-    diag=None,
+    model: ModelContract, stats: ExpectedStats, init: np.ndarray
 ) -> tuple[GaussianVariational, float, bool]:
     """Fit q(theta) = N(m, (-Hessian f(m))^{-1}) at the mode m of f.
 
     Returns q, log|Sigma| and whether the ascent to m converged.
     """
-    result = optimize.maximize(_objective(model, stats), init)
-    sigma, log_det, _ = _covariance(model, result.argmax, stats, False, diag)
-    return GaussianVariational(result.argmax, sigma), log_det, result.converged
+    return _step(model, stats, init, "laplace")
 
 
 def delta_step(
-    model: ModelContract,
-    stats: ExpectedStats,
-    init_q: GaussianVariational,
-    *,
-    diag=None,
+    model: ModelContract, stats: ExpectedStats, init_q: GaussianVariational
 ) -> tuple[GaussianVariational, float, bool]:
     """Maximize f(mu) + Tr{H(mu) Sigma}/2 + log|Sigma|/2 by one Newton ascent
-    of its profile from init_q's mean, with Sigma's curvature shifted by the
-    jitter the start needed (g stays an exact profile at a fixed shift).
-    Where no jitter within the cap defines Sigma there, the ascent first
-    climbs f.  Returns q, log|Sigma| and whether every ascent converged."""
-    mu, converged = init_q.mu, True
-    try:
-        shift = _covariance(model, mu, stats, model.delta_diagonal, diag)[2]
-    except NonConcaveError:
-        result = optimize.maximize(_objective(model, stats), mu)
-        mu, converged = result.argmax, result.converged
-        shift = _covariance(model, mu, stats, model.delta_diagonal, diag)[2]
-    result = optimize.maximize(_objective(model, stats, shift), mu)
-    sigma, log_det = model.covariance(result.argmax, stats, shift, model.delta_diagonal)
-    return GaussianVariational(result.argmax, sigma), log_det, converged and result.converged
-
-
-def _refit_q_theta(
-    model: ModelContract,
-    stats: ExpectedStats,
-    q_theta: GaussianVariational,
-    method: str,
-    diag=None,
-) -> tuple[GaussianVariational, float, bool]:
-    """The q(theta) update named by `method`, started from q_theta."""
-    if method == "laplace":
-        return laplace_step(model, stats, q_theta.mu, diag=diag)
-    if method == "delta":
-        return delta_step(model, stats, q_theta, diag=diag)
-    raise ValueError(f"unknown method '{method}'")
+    of its profile from init_q's mean.  Returns q, log|Sigma| and whether
+    every ascent converged."""
+    return _step(model, stats, init_q.mu, "delta")
 
 
 def approx_objective(
@@ -225,38 +270,16 @@ def run_coordinate_ascent(
     init_q_theta: GaussianVariational,
     init_q_z: ConjugateVariational,
     cfg: InferenceConfig | None = None,
-    diag=None,
 ) -> tuple[GaussianVariational, ConjugateVariational, InferenceTrace]:
-    """Alternate q(theta) and q(z) updates until the mean stops moving.
-
-    The loop stops once the L2 norm of the change in the variational mean
-    drops below cfg.conv_tol.  The run has converged if the last q(theta)
-    refit's ascents also reached the optimizer's grad_tol, so a refit that
-    stopped short (at its iteration cap, or once steps stopped raising the
-    objective) reports converged=False.  Any step failure propagates with
-    `trace` attached.
-    """
-    cfg = cfg or InferenceConfig()
-    q_theta, q_z = init_q_theta, init_q_z
+    """The outer loop on one model until its mean stops moving.  Any step
+    failure propagates with `trace` attached."""
     trace = InferenceTrace()
-    start = time.perf_counter()
     try:
-        for it in range(1, cfg.max_outer_iters + 1):
-            stats = model.expected_stats(q_z)
-            prev_mu = q_theta.mu
-            q_theta, log_det, refit_converged = _refit_q_theta(
-                model, stats, q_theta, cfg.method, diag
-            )
-            q_z = model.conjugate_update(q_theta, data)
-            mean_change = float(np.linalg.norm(q_theta.mu - prev_mu))
-            objective = approx_objective(model, q_theta, q_z, log_det)
-            trace.append(
-                TraceRecord(it, objective, mean_change, time.perf_counter() - start)
-            )
-            if mean_change < cfg.conv_tol:
-                trace.converged = refit_converged
-                break
+        mu, sigma, _, q_z = _ascend(
+            _ModelRows(model, data), [init_q_theta.mu], model.expected_stats(init_q_z),
+            cfg or InferenceConfig(), [trace],
+        )
     except ArithmeticError as err:
         err.trace = trace
         raise
-    return q_theta, q_z, trace
+    return GaussianVariational(mu[0], sigma[0]), q_z, trace

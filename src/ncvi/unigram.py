@@ -200,11 +200,10 @@ def infer(
     documents: list[Document],
     vocab_size: int,
     cfg: engine.InferenceConfig | None = None,
-    diag=None,
 ):
     """Fit q(theta) q(z) for a corpus, starting from q(theta) = N(0, I)."""
     model = UnigramModel(vocab_size, documents)
     eye = numerics.DiagPlusRankOne(np.ones(model.dim), 0.0, np.zeros(model.dim))
     q0 = GaussianVariational(np.zeros(model.dim), eye)
     qz0 = model.conjugate_update(q0)
-    return engine.run_coordinate_ascent(model, None, q0, qz0, cfg, diag)
+    return engine.run_coordinate_ascent(model, None, q0, qz0, cfg)

@@ -1,15 +1,36 @@
-"""Shared synthetic-data builders for the test suite.
+"""Shared synthetic-data builders for the test suite, and two views into
+the engine's internals.
 
 Every generator draws from the model being tested, with a fixed seed, so
 oracle properties (monotone monitors, recovery checks) hold by construction
 rather than by accident of the data.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from ncvi import blr, ctm
+from ncvi import blr, ctm, engine
 from ncvi.model import Document, LabeledInstance
+
+
+def delta_profile(model, stats, shift):
+    """The engine's objective for one model at one point: the delta profile
+    g = f + (log|Sigma| - dim)/2 at the given shift, as (value, gradient,
+    Newton direction)."""
+    evaluate = engine._ModelRows(model).ascent(stats, shift)
+    return lambda theta: tuple(a[0] for a in evaluate(np.asarray(theta, float)[None], [0]))
+
+
+def stopped_short(newton):
+    """`newton` reporting that no row reached grad_tol."""
+
+    def short(*args, **kwargs):
+        result = newton(*args, **kwargs)
+        return dataclasses.replace(result, converged=np.zeros_like(result.converged))
+
+    return short
 
 
 def make_unigram_corpus(seed, vocab_size, num_docs, tokens_per_doc=30):

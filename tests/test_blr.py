@@ -1,7 +1,5 @@
 """Logistic regression with Gaussian coefficient priors, flat and shared."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -9,7 +7,7 @@ from ncvi import blr, numerics, optimize
 from ncvi.engine import InferenceConfig
 from ncvi.model import GaussianVariational, LabeledInstance
 
-from conftest import make_blr_problem, make_instance, random_spd
+from conftest import make_blr_problem, make_instance, random_spd, stopped_short
 
 
 class TestExponent:
@@ -137,11 +135,12 @@ class TestFlatFit:
         assert np.trace(q.sigma) < np.trace(np.eye(3))
 
     def test_no_jitter_needed(self):
-        # logistic curvature plus a proper prior is always strictly concave
-        diag = {}
+        # logistic curvature plus a proper prior is always strictly concave:
+        # Sigma is (-H(mu))^{-1} to rounding, with no jitter on the diagonal
         instances, _ = make_blr_problem(8, 15, 4)
-        blr.fit(instances, diag=diag)
-        assert diag.get("jitter_events", []) == []
+        q = blr.fit(instances)
+        neg = -blr.BlrModel(instances, blr.BlrPrior.standard(4)).f_hessian(q.mu)
+        np.testing.assert_allclose(q.sigma @ neg, np.eye(4), rtol=0, atol=1e-12)
 
     def test_separable_data_stays_bounded(self):
         instances = [make_instance([x], 1 if x > 0 else 0)
@@ -252,6 +251,11 @@ class TestHierPrior:
         with pytest.raises(ValueError, match=which):
             blr.HierPrior(nu=102.0, **scales)
 
+    @pytest.mark.parametrize("nu", [float("nan"), float("inf")])
+    def test_rejects_non_finite_degrees_of_freedom(self, nu):
+        with pytest.raises(ValueError, match="degrees of freedom"):
+            blr.HierPrior(nu=nu, phi0=np.eye(2), phi1=np.eye(2))
+
 
 class TestHierarchicalFit:
     def make_tasks(self, seed, m=3, n=12, p=2):
@@ -312,12 +316,7 @@ class TestHierarchicalFit:
     def test_task_refit_stopped_short_is_not_converged(self, monkeypatch):
         tasks = self.make_tasks(17)
         assert blr.fit_hierarchical(tasks).trace.converged
-        real = optimize.maximize
-
-        def stopped_short(*args, **kwargs):
-            return dataclasses.replace(real(*args, **kwargs), converged=False)
-
-        monkeypatch.setattr(optimize, "maximize", stopped_short)
+        monkeypatch.setattr(optimize, "newton", stopped_short(optimize.newton))
         out = blr.fit_hierarchical(tasks)
         # the shared mean settled before the round cap, but a refit fell short
         assert len(out.trace) < 20 and not out.trace.converged

@@ -9,7 +9,7 @@ from ncvi import ctm, engine, numerics, optimize
 from ncvi.engine import InferenceConfig
 from ncvi.model import ConjugateVariational, Document, ExpectedStats, GaussianVariational
 
-from conftest import make_ctm_corpus, make_ctm_params
+from conftest import delta_profile, make_ctm_corpus, make_ctm_params
 
 
 def simple_params(k=2, v=3):
@@ -125,7 +125,7 @@ class TestCurvatureTraceGradient:
         model = ctm.CtmDocModel(params, Document({1: 3, 4: 2}))
         stats = ExpectedStats(rng.uniform(0.2, 2.0, size=4))
         theta = rng.uniform(-1.0, 1.0, size=4)
-        profile = engine._objective(model, stats, 0.0)
+        profile = delta_profile(model, stats, 0.0)
 
         def grad(t):
             return profile(t)[1]
@@ -317,7 +317,8 @@ class TestBatchInference:
         # from the inverse factor, log|Sigma| = -2 sum log diag L
         params = make_ctm_params(25, 5, 30)
         stats = np.random.default_rng(26).integers(0, 40, size=(8, 5)).astype(float)
-        mu, sigma, log_det, _ = ctm._laplace(params, stats, np.zeros((8, 5)), None)
+        rows = ctm._Docs(params, counts=None, log_beta=None, doc=None, num_docs=8)
+        mu, sigma, log_det, _ = engine._refit(rows, stats, np.zeros((8, 5)), "laplace")
         chol = np.linalg.cholesky(-ctm._hessian(numerics.softmax(mu, axis=1), stats, params))
         inv_chol = np.linalg.inv(chol)
         assert np.array_equal(sigma, np.einsum("dji,djk->dik", inv_chol, inv_chol))
@@ -325,13 +326,36 @@ class TestBatchInference:
         assert np.array_equal(log_det, want)
 
     def test_laplace_factorization_failure_is_non_concave(self, monkeypatch):
+        # -H = n (diag pi - pi pi') + Sigma0^{-1} is positive definite, so only
+        # a failing factorization reaches the engine's jitter ladder
+        tries = []
+
         def fail(m):
+            tries.append(m)
             raise numerics.NotPositiveDefiniteError("not positive definite")
 
         params = make_ctm_params(25, 3, 12)
+        docs = make_ctm_corpus(26, params, 2, tokens_per_doc=20)
         monkeypatch.setattr(numerics, "spd_factorize", fail)
         with pytest.raises(engine.NonConcaveError):
-            ctm._laplace(params, np.ones((2, 3)), np.zeros((2, 3)), None)
+            ctm.infer_docs(params, docs)
+        # the whole stack at jitter 0, then 1e-6 doubling up to the 1e-2 cap
+        assert len(tries) == 15 and all(m.shape == (2, 3, 3) for m in tries)
+        shifts = [m[0, 0, 0] - tries[0][0, 0, 0] for m in tries[1:]]
+        np.testing.assert_allclose(shifts, 1e-6 * 2.0 ** np.arange(14), rtol=1e-6)
+
+    @pytest.mark.parametrize("method", ["laplace", "delta"])
+    def test_one_newton_call_per_refit_round(self, method, monkeypatch):
+        params = make_ctm_params(23, 3, 12)
+        real = optimize.newton
+        for num_docs in (1, 9):
+            docs = make_ctm_corpus(24, params, num_docs, tokens_per_doc=40)
+            sizes = []
+            monkeypatch.setattr(optimize, "newton", lambda f, x: sizes.append(len(x)) or real(f, x))
+            results = ctm.infer_docs(params, docs, InferenceConfig(method))
+            lengths = [len(trace) for _, trace in results]
+            # round r refits every document whose trace reaches r, in one call
+            assert sizes == [sum(n >= r for n in lengths) for r in range(1, max(lengths) + 1)]
 
     def test_rejects_bad_terms_anywhere_in_the_batch(self):
         params = simple_params(2, 3)

@@ -1,8 +1,6 @@
 """Coordinate-ascent engine: curvature updates, the objective monitor, and
 convergence control, exercised through small models with known posteriors."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 import scipy.optimize
@@ -18,11 +16,13 @@ from ncvi.model import (
 )
 
 from conftest import (
+    delta_profile,
     make_blr_problem,
     make_ctm_corpus,
     make_ctm_params,
     make_unigram_corpus,
     random_spd,
+    stopped_short,
 )
 
 
@@ -95,31 +95,24 @@ class TestLaplaceStep:
             delta_diagonal = True
 
         model = FlatModel(np.eye(2), np.zeros(2))
-        diag = {}
-        q, log_det, _ = engine.laplace_step(
-            model, model.expected_stats(None), np.zeros(2), diag=diag
-        )
-        assert diag["jitter_events"]
+        q, log_det, _ = engine.laplace_step(model, model.expected_stats(None), np.zeros(2))
+        ladder_jitter(q.sigma[0, 0])
         assert log_det == pytest.approx(numerics.spd_factorize(q.sigma).log_det, rel=1e-12)
 
         # the diagonal delta update jitters in the same loop
         model = DiagonalFlatModel(np.eye(2), np.zeros(2))
-        diag = {}
         q, log_det, _ = engine.delta_step(
-            model, model.expected_stats(None), GaussianVariational(np.zeros(2), np.eye(2)),
-            diag=diag,
+            model, model.expected_stats(None), GaussianVariational(np.zeros(2), np.eye(2))
         )
-        assert diag["jitter_events"]
+        jitter = ladder_jitter(q.sigma[0, 0])
         assert q.sigma[0, 1] == q.sigma[1, 0] == 0.0
-        assert q.sigma[0, 0] == pytest.approx(1.0 / diag["jitter_events"][-1], rel=1e-12)
         assert log_det == pytest.approx(float(np.sum(np.log(np.diag(q.sigma)))), rel=1e-12)
         # the profile at the ascent's fixed jitter is the delta objective with
         # Tr{(H - jitter I) Sigma} at the jittered Sigma, formed densely
-        jitter = diag["jitter_events"][-1]
         value, _ = model.f_value_grad(q.mu, None)
         shifted = model.f_hessian(q.mu, None) - jitter * np.eye(2)
         dense = value + 0.5 * (float(np.sum(shifted * q.sigma)) + log_det)
-        profile = engine._objective(model, model.expected_stats(None), jitter)
+        profile = delta_profile(model, model.expected_stats(None), jitter)
         assert profile(q.mu)[0] == pytest.approx(dense, rel=1e-12)
 
     def test_jitter_budget_exhaustion_is_numerical_error(self):
@@ -150,8 +143,20 @@ class TestLaplaceStep:
         model.covariance = lambda *args: calls.append(args) or real(*args)
         q0 = GaussianVariational(np.ones(2), np.eye(2))
         with pytest.raises(numerics.NonFiniteMatrixError, match="overflowed"):
-            engine._refit_q_theta(model, model.expected_stats(None), q0, method)
+            if method == "laplace":
+                engine.laplace_step(model, model.expected_stats(None), q0.mu)
+            else:
+                engine.delta_step(model, model.expected_stats(None), q0)
         assert len(calls) <= 1  # no jitter retries
+
+
+def ladder_jitter(sigma00):
+    """The jitter 1e-6 * 2^k on a zero curvature that gave Sigma_00 = 1/jitter."""
+    k = round(float(np.log2(1.0 / (sigma00 * engine._JITTER_INIT))))
+    jitter = engine._JITTER_INIT * 2.0 ** k
+    assert 0 <= k and jitter <= engine._JITTER_MAX
+    assert 1.0 / sigma00 == pytest.approx(jitter, rel=1e-12)
+    return jitter
 
 
 class TestDeltaStep:
@@ -177,7 +182,7 @@ class TestDeltaStep:
         q0 = GaussianVariational(np.zeros(4), np.eye(4))
         stats = model.expected_stats(model.conjugate_update(q0))
         q, log_det, converged = engine.delta_step(model, stats, q0)
-        profile = engine._objective(model, stats, 0.0)
+        profile = delta_profile(model, stats, 0.0)
         assert converged and profile(q.mu)[0] >= profile(q0.mu)[0]
         assert np.linalg.norm(profile(q.mu)[1]) <= 1e-6
         dense = q.sigma @ np.eye(4)
@@ -273,7 +278,7 @@ class TestTrustRegionOracle:
         instances, _ = make_blr_problem(33, 200, 6)
         model = blr.BlrModel(instances, blr.BlrPrior.standard(6))
         q = blr.fit(instances, method="delta")
-        profile = engine._objective(model, model.expected_stats(), 0.0)
+        profile = delta_profile(model, model.expected_stats(), 0.0)
         want = trust_exact_argmax(
             lambda t: profile(t)[:2], lambda t: profile_hessian(profile, t), np.zeros(6)
         )
@@ -298,7 +303,7 @@ class TestDeltaProfile:
         model, stats = delta_problem(problem)
         theta, _, _ = engine.laplace_step(model, stats, np.zeros(model.dim))
         theta = theta.mu + np.random.default_rng(46).normal(scale=0.05, size=model.dim)
-        profile = engine._objective(model, stats, shift)
+        profile = delta_profile(model, stats, shift)
         value, grad, _ = profile(theta)
         assert np.isfinite(value)
         fd = numerics.finite_diff_gradient(lambda t: profile(t)[0], theta)
@@ -310,7 +315,7 @@ class TestDeltaProfile:
         model = unigram.UnigramModel(100, docs)
         q0 = GaussianVariational(np.zeros(100), np.eye(100))
         stats = model.expected_stats(model.conjugate_update(q0))
-        value, _, _ = engine._objective(model, stats, 0.0)(q0.mu)
+        value, _, _ = delta_profile(model, stats, 0.0)(q0.mu)
         assert value == -np.inf
 
 
@@ -455,13 +460,13 @@ class TestRunCoordinateAscent:
             (ctm.CtmDocModel(params, make_ctm_corpus(14, params, 1)[0]), 1),
         ]
         factorizations, in_ascent = [], []
-        real_factorize, real_maximize = numerics.spd_factorize, optimize.maximize
+        real_factorize, real_newton = numerics.spd_factorize, optimize.newton
 
         def ascent(*args, **kwargs):
             # Newton directions inside the ascent may factorize; not counted
             in_ascent.append(True)
             try:
-                return real_maximize(*args, **kwargs)
+                return real_newton(*args, **kwargs)
             finally:
                 in_ascent.pop()
 
@@ -471,7 +476,7 @@ class TestRunCoordinateAscent:
             return real_factorize(m)
 
         monkeypatch.setattr(numerics, "spd_factorize", factorize)
-        monkeypatch.setattr(optimize, "maximize", ascent)
+        monkeypatch.setattr(optimize, "newton", ascent)
         for model, want in problems:
             covariances = []
             monkeypatch.setattr(
@@ -488,12 +493,7 @@ class TestRunCoordinateAscent:
 
     @pytest.mark.parametrize("method", ["laplace", "delta"])
     def test_refit_stopped_short_is_not_converged(self, monkeypatch, method):
-        real = optimize.maximize
-
-        def stopped_short(*args, **kwargs):
-            return dataclasses.replace(real(*args, **kwargs), converged=False)
-
-        monkeypatch.setattr(optimize, "maximize", stopped_short)
+        monkeypatch.setattr(optimize, "newton", stopped_short(optimize.newton))
         model = QuadraticModel(np.eye(2), np.ones(2))
         q0 = GaussianVariational(np.zeros(2), np.eye(2))
         cfg = InferenceConfig(method=method)
@@ -561,8 +561,9 @@ class TestTrace:
         assert len(lines) == 3
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            InferenceConfig(conv_tol=0.0)
+        for tol in (0.0, float("nan")):
+            with pytest.raises(ValueError, match="conv_tol"):
+                InferenceConfig(conv_tol=tol)
         with pytest.raises(ValueError):
             InferenceConfig(method="newton")
         with pytest.raises(ValueError):

@@ -1,15 +1,13 @@
 """File formats and the command-line entry points."""
 
 import argparse
-import dataclasses
-
 import numpy as np
 import pytest
 
 from ncvi import cli, ctm, dataio, engine, optimize
 from ncvi.model import GaussianVariational
 
-from conftest import make_ctm_params, make_unigram_corpus, random_spd
+from conftest import make_ctm_params, make_unigram_corpus, random_spd, stopped_short
 
 
 def write(path, text):
@@ -244,12 +242,7 @@ class TestCliCommands:
     def test_blr_fits_warn_when_the_last_refit_stopped_short(
         self, clidata, tmp_path, capsys, monkeypatch, command
     ):
-        real = optimize.maximize
-
-        def stopped_short(*args, **kwargs):
-            return dataclasses.replace(real(*args, **kwargs), converged=False)
-
-        monkeypatch.setattr(optimize, "maximize", stopped_short)
+        monkeypatch.setattr(optimize, "newton", stopped_short(optimize.newton))
         data = ["--data", clidata / "train.txt"] if command == "fit-blr" else \
             ["--tasks", clidata / "tasks"]
         out = tmp_path / "o"
@@ -280,12 +273,7 @@ class TestCliCommands:
     def test_infer_unigram_warns_when_the_last_refit_stopped_short(
         self, clidata, tmp_path, capsys, monkeypatch
     ):
-        real = optimize.maximize
-
-        def stopped_short(*args, **kwargs):
-            return dataclasses.replace(real(*args, **kwargs), converged=False)
-
-        monkeypatch.setattr(optimize, "maximize", stopped_short)
+        monkeypatch.setattr(optimize, "newton", stopped_short(optimize.newton))
         out = tmp_path / "rates.csv"
         assert run_cli(["infer-unigram", "--corpus", clidata / "corpus.txt",
                         "--out", out]) == 0
@@ -468,12 +456,15 @@ class TestCliErrors:
         ("fit-hblr", ["--nu-offset", -1]),
         ("fit-hblr", ["--phi0", 0]),
         ("fit-hblr", ["--phi1", 0]),
+        ("infer-unigram", ["--conv-tol", "nan"]),
+        ("fit-hblr", ["--nu-offset", "nan"]),
     ])
     def test_invalid_settings_exit_one(self, clidata, tmp_path, capsys, command, flags):
         inputs = {
             "fit-blr": ["--data", clidata / "train.txt"],
             "fit-ctm": ["--corpus", clidata / "corpus.txt", "--k", 2],
             "fit-hblr": ["--tasks", clidata / "tasks"],
+            "infer-unigram": ["--corpus", clidata / "corpus.txt"],
         }
         assert run_cli([command, *inputs[command], "--out", tmp_path / "o", *flags]) == 1
         assert "error:" in capsys.readouterr().err
