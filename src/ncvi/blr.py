@@ -7,7 +7,9 @@ single Gaussian fit of q(theta): one curvature update against
                - (theta - mu0)' Sigma0^{-1} (theta - mu0) / 2.
 
 The hierarchical variant shares a Gaussian prior across tasks and refits its
-(mean, covariance) by MAP under normal and Wishart hyperpriors.
+(mean, covariance) by MAP under normal and Wishart hyperpriors.  Every fit
+runs through `_fit`: its models, a flat fit's one or a round's tasks, are the
+rows of one engine refit, scored by the rows' monitor.
 """
 
 from __future__ import annotations
@@ -98,21 +100,19 @@ class HierPrior:
 
 
 class BlrModel(ModelContract):
-    def __init__(self, instances: list[LabeledInstance], prior: BlrPrior):
+    def __init__(self, instances: list[LabeledInstance], prior: BlrPrior | None = None):
+        """Sizes the standard prior from the covariates when none is given."""
         if not instances:
             raise ValueError("need at least one labeled instance")
         dim = instances[0].covariates.shape[0]
-        self._t = np.zeros((len(instances), dim))
-        self._y1 = np.zeros(len(instances))
-        for n, inst in enumerate(instances):
-            if inst.covariates.shape != (dim,):
-                raise ValueError("instances have inconsistent covariate dimensions")
-            self._t[n] = inst.covariates
-            self._y1[n] = float(inst.z[0])
+        prior = prior or BlrPrior.standard(dim)
+        if any(inst.covariates.shape != (dim,) for inst in instances):
+            raise ValueError("instances have inconsistent covariate dimensions")
+        self._t = np.array([inst.covariates for inst in instances], dtype=float)
+        self._y1 = np.array([inst.z[0] for inst in instances], dtype=float)
         if prior.mean.shape != (dim,):
             raise ValueError("prior dimension does not match the covariates")
         self._prior = prior
-        self._prior_inv = prior.inv
 
     @property
     def dim(self) -> int:
@@ -124,7 +124,7 @@ class BlrModel(ModelContract):
         log_sig = numerics.log_sigmoid(a)
         log_sig_neg = numerics.log_sigmoid(-a)
         diff = theta - self._prior.mean
-        prior_pull = self._prior_inv @ diff
+        prior_pull = self._prior.inv @ diff
         value = float(self._y1 @ log_sig + (1.0 - self._y1) @ log_sig_neg) - 0.5 * float(
             diff @ prior_pull
         )
@@ -134,7 +134,7 @@ class BlrModel(ModelContract):
     def f_hessian(self, theta, stats: ExpectedStats = None) -> np.ndarray:
         a = self._t @ np.asarray(theta, dtype=float)
         w = numerics.sigmoid(a) * numerics.sigmoid(-a)
-        return -(self._t.T * w) @ self._t - self._prior_inv
+        return -(self._t.T * w) @ self._t - self._prior.inv
 
     def _trace_terms(self, theta, sigma):
         """sigma(a), w = sigma(a) sigma(-a) and q = diag(T sigma T') at a = T theta."""
@@ -178,18 +178,21 @@ def fit(
 
     Starts from N(0, I) as in the study protocol.
     """
-    model = BlrModel(instances, prior or BlrPrior.standard(instances[0].covariates.shape[0]))
-    return _fit_model(model, method)[0]
+    (q,), _, _ = _fit([BlrModel(instances, prior)], engine.InferenceConfig(method=method))
+    return q
 
 
-def _fit_model(model: BlrModel, method: str) -> tuple[GaussianVariational, float, bool]:
-    """q(theta), log|Sigma| and whether the refit's ascents converged."""
-    stats, init = model.expected_stats(), np.zeros(model.dim)
-    if method == "laplace":
-        return engine.laplace_step(model, stats, init)
-    if method == "delta":
-        return engine.delta_step(model, stats, GaussianVariational(init, np.eye(model.dim)))
-    raise ValueError(f"unknown method '{method}'")
+def _fit(models: list[BlrModel], cfg: engine.InferenceConfig):
+    """Refit every model from mean zero as a row of one engine refit: the
+    posteriors, each model's approximate objective, and whether each
+    refit's ascents converged."""
+    rows = engine._ModelRows(models)
+    stats = [model.expected_stats() for model in models]
+    mu, sigma, log_det, converged = engine._refit(
+        rows, stats, np.zeros((len(models), models[0].dim)), cfg.method
+    )
+    objective = rows.monitor(mu, sigma, [ConjugateVariational(None)] * len(models), stats, log_det)
+    return [GaussianVariational(m, s) for m, s in zip(mu, sigma)], objective, converged
 
 
 def predict_loglik(q_theta: GaussianVariational, instance: LabeledInstance) -> float:
@@ -216,24 +219,21 @@ def hyper_update(
     """
     if not task_posteriors:
         raise ValueError("need at least one task posterior")
-    p = task_posteriors[0].mu.shape[0]
-    m = len(task_posteriors)
+    means = np.array([q.mu for q in task_posteriors])
+    m, p = means.shape
     denom = m + float(hier.nu) - p - 1.0
     if denom <= 0.0:
         raise ValueError(
             f"nonpositive scatter denominator {denom:g}; increase nu or add tasks"
         )
-    current_mean = np.asarray(current_mean, dtype=float)
     scatter = hier.phi0_inv
-    for q in task_posteriors:
-        dev = q.mu - current_mean
+    for dev in means - np.asarray(current_mean, dtype=float):
         scatter = scatter + np.outer(dev, dev)
     sigma0 = scatter / denom
     sigma0 = 0.5 * (sigma0 + sigma0.T)
 
-    mean_of_means = np.mean([q.mu for q in task_posteriors], axis=0)
     shrink = sigma0 @ hier.phi1_inv / m + np.eye(p)
-    mu0 = np.linalg.solve(shrink, mean_of_means)
+    mu0 = np.linalg.solve(shrink, means.mean(axis=0))
     return mu0, sigma0
 
 
@@ -251,7 +251,7 @@ def fit_hierarchical(
     cfg: engine.InferenceConfig | None = None,
     em_iters: int = 20,
 ) -> HblrFit:
-    """Alternate per-task posterior fits with MAP refits of the shared prior.
+    """Alternate one refit of all tasks with MAP refits of the shared prior.
 
     Stops early once the shared mean moves less than cfg.conv_tol between
     rounds; the fit has converged if every task refit of that last round
@@ -268,26 +268,18 @@ def fit_hierarchical(
     sigma0 = np.eye(dim)
     trace = engine.InferenceTrace()
     start = time.perf_counter()
-    posteriors: list[GaussianVariational] = []
 
     for it in range(1, em_iters + 1):
         prior = BlrPrior(mu0.copy(), sigma0.copy())
-        models = [BlrModel(instances, prior) for instances in tasks]
-        fits = [_fit_model(model, cfg.method) for model in models]
-        posteriors = [q for q, _, _ in fits]
-
-        objective = 0.0
-        for model, (q, log_det, _) in zip(models, fits):
-            objective += engine.approx_objective(model, q, ConjugateVariational(None), log_det)
-
+        posteriors, objective, converged = _fit([BlrModel(t, prior) for t in tasks], cfg)
         new_mu0, new_sigma0 = hyper_update(posteriors, hier, mu0)
         mean_change = float(np.linalg.norm(new_mu0 - mu0))
         mu0, sigma0 = new_mu0, new_sigma0
-        trace.append(
-            engine.TraceRecord(it, objective, mean_change, time.perf_counter() - start)
-        )
+        # the tasks' objectives summed in task order, as a running total
+        total = float(np.cumsum(objective)[-1])
+        trace.append(engine.TraceRecord(it, total, mean_change, time.perf_counter() - start))
         if mean_change < cfg.conv_tol:
-            trace.converged = all(ok for _, _, ok in fits)
+            trace.converged = bool(converged.all())
             break
 
     return HblrFit(posteriors, mu0, sigma0, trace)

@@ -38,7 +38,7 @@ def _inference(args) -> engine.InferenceConfig:
 def _single_record_trace(objective, mean_change, seconds, converged=True) -> engine.InferenceTrace:
     trace = engine.InferenceTrace()
     trace.append(engine.TraceRecord(1, objective, mean_change, seconds))
-    trace.converged = converged
+    trace.converged = bool(converged)
     return trace
 
 
@@ -87,13 +87,12 @@ def _cmd_eval_ctm(args) -> int:
 
 
 def _cmd_fit_blr(args) -> int:
-    instances, dim = dataio.parse_labeled(args.data)
+    instances, _ = dataio.parse_labeled(args.data)
     if not instances:
         raise CliInputError(f"{args.data}: no instances")
     start = time.perf_counter()
-    model = blr.BlrModel(instances, blr.BlrPrior.standard(dim))
-    q, log_det, converged = blr._fit_model(model, args.method)
-    objective = engine.approx_objective(model, q, None, log_det)
+    cfg = engine.InferenceConfig(method=args.method)
+    (q,), (objective,), (converged,) = blr._fit([blr.BlrModel(instances)], cfg)
     dataio.save_posterior(q, args.out)
     trace = _single_record_trace(
         objective, float(np.linalg.norm(q.mu)), time.perf_counter() - start, converged
@@ -111,16 +110,20 @@ def _cmd_fit_hblr(args) -> int:
     paths = sorted(p for p in task_dir.iterdir() if p.is_file())
     if not paths:
         raise CliInputError(f"{args.tasks}: no task files")
+    stems = [p.stem for p in paths] + ["prior"]  # each writes <stem>.post
+    clash = [str(p) for p in paths if stems.count(p.stem) > 1]
+    if clash:
+        raise CliInputError(f"{', '.join(clash)}: each task writes <stem>.post beside prior.post; "
+                            "the stems must differ")
     tasks = []
     dim = None
     for path in paths:
         instances, p = dataio.parse_labeled(path)
         if not instances:
             raise CliInputError(f"{path}: no instances")
-        if dim is None:
-            dim = p
-        elif p != dim:
+        if dim not in (None, p):
             raise CliInputError(f"{path}: dimension {p} differs from {dim}")
+        dim = p
         tasks.append(instances)
     hier = blr.HierPrior.default(
         dim, nu_offset=args.nu_offset, phi0_scale=args.phi0, phi1_scale=args.phi1,

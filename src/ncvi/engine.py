@@ -12,9 +12,10 @@ The outer loop retires each row once its mean stops moving.  It runs on a
 rows object over a leading row axis: `select(keep)`, `ascent(stats, shift)`
 (newton's evaluate for f, or for g at a shift), `covariance` (Sigma and
 log|Sigma| from one factor of f's negated curvature), `conjugate_update`,
-`expected_stats` and `monitor` (the approximate objective).  `ctm` packs its
-documents as rows; `_ModelRows` runs any ModelContract as a stack of one,
-the dense reference path behind `laplace_step`, `delta_step` and
+`expected_stats` and `monitor` (the approximate objective at the expected
+statistics it is given).  `ctm` packs its documents as rows; `_ModelRows`
+runs a list of ModelContracts, one model per row: `blr`'s tasks, or a stack
+of one, the dense reference path behind `laplace_step`, `delta_step` and
 `run_coordinate_ascent`.  The engine handles no Hessian matrix: it keeps
 the jitter policy, one jitter for the stack, and NonConcaveError.
 """
@@ -167,22 +168,22 @@ def _ascend(rows, mu, stats, cfg: InferenceConfig, traces: list[InferenceTrace])
 
 
 class _ModelRows:
-    """A ModelContract as a stack of one row, for the loop above: the dense
-    reference path.  Its Sigma is a one-item list; its stats, log|Sigma| and
-    q(z) are the model's own."""
+    """ModelContracts as rows, one model per row, for the refit and the loop
+    above: the dense reference path.  Sigma, stats and q(z) are lists, one
+    item per model, and log|Sigma| an array.  It has no `select`: a stack of
+    one ends with its one row, and a stack of many only refits."""
 
-    def __init__(self, model: ModelContract, data=None):
-        self.model, self.data, self.delta_diagonal = model, data, model.delta_diagonal
+    def __init__(self, models: list[ModelContract], data=None):
+        self.models, self.data, self.delta_diagonal = models, data, models[0].delta_diagonal
 
     def ascent(self, stats, shift=None):
         """f or, given a shift, the delta profile g = f + (log|Sigma| - dim)/2
         at Sigma = model.covariance(theta, stats, shift, delta_diagonal), -inf
         where that is undefined; with the gradient, by the envelope theorem
         grad f + trace_grad(theta, Sigma)/2, and the model's Newton direction."""
-        model = self.model
 
-        def evaluate(points, rows):
-            theta, sigma = points[0], None
+        def row(model, theta, stats):
+            sigma = None
             value, grad = model.f_value_grad(theta, stats)
             if np.isfinite(value) and shift is not None:
                 try:
@@ -195,27 +196,37 @@ class _ModelRows:
             direction = grad
             if np.isfinite(value):
                 direction = model.newton_direction(theta, stats, grad, sigma)
-            return np.array([float(value)]), np.asarray(grad, dtype=float)[None], direction[None]
+            return value, grad, direction
+
+        def evaluate(points, rows):
+            out = zip(*(row(self.models[r], x, stats[r]) for x, r in zip(points, rows)))
+            return tuple(np.array(a, dtype=float) for a in out)
 
         return evaluate
 
     def covariance(self, theta, stats, shift, diagonal):
-        sigma, log_det = self.model.covariance(theta[0], stats, shift, diagonal)
-        return [sigma], log_det
+        sigma, log_det = zip(*(
+            m.covariance(t, s, shift, diagonal) for m, t, s in zip(self.models, theta, stats)
+        ))
+        return list(sigma), np.array(log_det)
 
     def conjugate_update(self, mu, sigma):
-        return self.model.conjugate_update(GaussianVariational(mu[0], sigma[0]), self.data)
+        return [model.conjugate_update(GaussianVariational(m, s), self.data)
+                for model, m, s in zip(self.models, mu, sigma)]
 
     def expected_stats(self, q_z):
-        return self.model.expected_stats(q_z)
+        return [m.expected_stats(q) for m, q in zip(self.models, q_z)]
 
     def monitor(self, mu, sigma, q_z, stats, log_det):
-        return approx_objective(self.model, GaussianVariational(mu[0], sigma[0]), q_z, log_det)
+        return np.array([
+            approx_objective(model, GaussianVariational(m, s), q, st, ld)
+            for model, m, s, q, st, ld in zip(self.models, mu, sigma, q_z, stats, log_det)
+        ])
 
 
 def _step(model, stats, mu, method):
-    mu, sigma, log_det, converged = _refit(_ModelRows(model), stats, [mu], method)
-    return GaussianVariational(mu[0], sigma[0]), log_det, bool(converged[0])
+    mu, sigma, log_det, converged = _refit(_ModelRows([model]), [stats], [mu], method)
+    return GaussianVariational(mu[0], sigma[0]), float(log_det[0]), bool(converged[0])
 
 
 def laplace_step(
@@ -241,20 +252,20 @@ def approx_objective(
     model: ModelContract,
     q_theta: GaussianVariational,
     q_z: ConjugateVariational,
+    stats: ExpectedStats,
     log_det: float,
 ) -> float:
     """Second-order surrogate of the variational objective.
 
     Expands f to second order around the variational mean, E[f] ~ f(mu) +
-    Tr{H Sigma}/2, and adds the Gaussian term log|Sigma|/2, from the
-    log_det of the factor that produced Sigma, and the conjugate-factor
-    entropy.  The optimized f drops log-joint terms that are
+    Tr{H Sigma}/2, at q(z)'s expected statistics `stats`, and adds the
+    Gaussian term log|Sigma|/2, from the log_det of the factor that produced
+    Sigma, and the conjugate-factor entropy.  The optimized f drops log-joint terms that are
     constant in theta (expected observation likelihood and carrier); they vary
     across outer iterations through q(z), so the model adds them back here via
     qz_model_terms.  A monitor of progress, not the quantity either step
     maximizes directly.
     """
-    stats = model.expected_stats(q_z)
     value, _ = model.f_value_grad(q_theta.mu, stats)
     return (
         value
@@ -276,10 +287,10 @@ def run_coordinate_ascent(
     trace = InferenceTrace()
     try:
         mu, sigma, _, q_z = _ascend(
-            _ModelRows(model, data), [init_q_theta.mu], model.expected_stats(init_q_z),
+            _ModelRows([model], data), [init_q_theta.mu], [model.expected_stats(init_q_z)],
             cfg or InferenceConfig(), [trace],
         )
     except ArithmeticError as err:
         err.trace = trace
         raise
-    return GaussianVariational(mu[0], sigma[0]), q_z, trace
+    return GaussianVariational(mu[0], sigma[0]), q_z[0], trace

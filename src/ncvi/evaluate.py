@@ -144,23 +144,24 @@ def accuracy(predictions, truth) -> float:
     return float(np.mean(predictions == truth))
 
 
+def _per_problem(metric, posteriors, problems, score) -> MetricReport:
+    """`score(q, instances)` of each problem; the report mean averages over problems."""
+    if len(posteriors) != len(problems):
+        raise ValueError("one posterior per problem")
+    values = tuple(score(q, instances) for q, instances in zip(posteriors, problems))
+    return MetricReport(metric, tuple(f"problem{i}" for i in range(len(values))), values)
+
+
 def accuracy_report(
     posteriors: list[GaussianVariational],
     problems: list[list[LabeledInstance]],
 ) -> MetricReport:
-    """Per-problem accuracy; the report mean averages over problems."""
-    if len(posteriors) != len(problems):
-        raise ValueError("one posterior per problem")
-    values = []
-    for q, instances in zip(posteriors, problems):
-        preds = predict_labels(q, instances)
-        truth = np.array([inst.label for inst in instances])
-        values.append(accuracy(preds, truth))
-    return MetricReport(
-        "accuracy",
-        tuple(f"problem{i}" for i in range(len(values))),
-        tuple(values),
-    )
+    """Per-problem accuracy."""
+
+    def score(q, instances):
+        return accuracy(predict_labels(q, instances), np.array([i.label for i in instances]))
+
+    return _per_problem("accuracy", posteriors, problems, score)
 
 
 def avg_log_pred(
@@ -168,17 +169,10 @@ def avg_log_pred(
     problems: list[list[LabeledInstance]],
 ) -> MetricReport:
     """Per-problem mean log predictive probability of the true labels."""
-    if len(posteriors) != len(problems):
-        raise ValueError("one posterior per problem")
-    values = []
-    for q, instances in zip(posteriors, problems):
+
+    def score(q, instances):
         if not instances:
             raise ValueError("every problem needs at least one test instance")
-        values.append(
-            float(np.mean([predict_loglik(q, inst) for inst in instances]))
-        )
-    return MetricReport(
-        "avg_log_pred",
-        tuple(f"problem{i}" for i in range(len(values))),
-        tuple(values),
-    )
+        return float(np.mean([predict_loglik(q, inst) for inst in instances]))
+
+    return _per_problem("avg_log_pred", posteriors, problems, score)

@@ -19,7 +19,7 @@ def delta_profile(model, stats, shift):
     """The engine's objective for one model at one point: the delta profile
     g = f + (log|Sigma| - dim)/2 at the given shift, as (value, gradient,
     Newton direction)."""
-    evaluate = engine._ModelRows(model).ascent(stats, shift)
+    evaluate = engine._ModelRows([model]).ascent([stats], shift)
     return lambda theta: tuple(a[0] for a in evaluate(np.asarray(theta, float)[None], [0]))
 
 

@@ -176,6 +176,8 @@ class TestFlatFit:
     def test_rejects_empty_and_ragged_input(self):
         with pytest.raises(ValueError):
             blr.BlrModel([], blr.BlrPrior.standard(2))
+        with pytest.raises(ValueError, match="at least one labeled instance"):
+            blr.fit([])
         bad = [make_instance([1.0, 2.0], 1), make_instance([1.0], 0)]
         with pytest.raises(ValueError):
             blr.BlrModel(bad, blr.BlrPrior.standard(2))
@@ -312,6 +314,18 @@ class TestHierarchicalFit:
             assert np.array_equal(q.mu, flat.mu)
             assert np.array_equal(q.sigma, flat.sigma)
         assert not np.array_equal(by_cfg.posteriors[0].mu, plain.posteriors[0].mu)
+
+    @pytest.mark.parametrize("method", ["laplace", "delta"])
+    def test_one_newton_call_per_refit_round(self, method, monkeypatch):
+        real = optimize.newton
+        for m in (1, 5):
+            tasks = self.make_tasks(19, m=m)
+            sizes = []
+            monkeypatch.setattr(optimize, "newton", lambda f, x: sizes.append(len(x)) or real(f, x))
+            cfg = InferenceConfig(method, conv_tol=1e-12)
+            out = blr.fit_hierarchical(tasks, cfg=cfg, em_iters=3)
+            # each round refits every task, and only the tasks, in one ascent
+            assert len(out.trace) == 3 and sizes == [m] * 3
 
     def test_task_refit_stopped_short_is_not_converged(self, monkeypatch):
         tasks = self.make_tasks(17)

@@ -336,7 +336,7 @@ class TestApproxObjective:
         model = QuadraticModel(a, c)
         stats = model.expected_stats(None)
         q, log_det, _ = engine.laplace_step(model, stats, np.zeros(3))
-        got = engine.approx_objective(model, q, ConjugateVariational(None), log_det)
+        got = engine.approx_objective(model, q, ConjugateVariational(None), stats, log_det)
         value, _ = model.f_value_grad(q.mu, stats)
         hess = model.f_hessian(q.mu, stats)
         expect = value + 0.5 * (
@@ -365,9 +365,9 @@ class TestApproxObjective:
         real = engine.approx_objective
         calls = []
 
-        def spy(model, q_theta, q_z, log_det):
+        def spy(model, q_theta, q_z, stats, log_det):
             calls.append((model, q_theta, q_z))
-            return real(model, q_theta, q_z, log_det)
+            return real(model, q_theta, q_z, stats, log_det)
 
         monkeypatch.setattr(engine, "approx_objective", spy)
         cfg = InferenceConfig(method=method, conv_tol=1e-12, max_outer_iters=4)
@@ -388,7 +388,8 @@ class TestApproxObjective:
         assert len(trace) >= 2 and per_record * len(trace) == len(calls)
         for i, record in enumerate(trace.records):
             want = sum(
-                real(model, q, q_z, numerics.spd_factorize(q.sigma @ np.eye(q.dim)).log_det)
+                real(model, q, q_z, model.expected_stats(q_z),
+                     numerics.spd_factorize(q.sigma @ np.eye(q.dim)).log_det)
                 for model, q, q_z in calls[i * per_record:(i + 1) * per_record]
             )
             assert record.objective == pytest.approx(want, rel=1e-10, abs=0)

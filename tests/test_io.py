@@ -442,6 +442,23 @@ class TestCliErrors:
                         "--method", method, "--out", tmp_path / "s.csv"]) == 2
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("names,clash", [
+        (("prior.txt", "b.txt"), ("prior.txt",)),
+        (("a.dat", "a.txt", "b.txt"), ("a.dat", "a.txt")),
+    ])
+    def test_clashing_task_outputs_exit_one(self, clidata, tmp_path, capsys, names, clash):
+        # prior.txt would overwrite the shared prior's prior.post, and a.dat
+        # and a.txt each other's a.post
+        tasks = tmp_path / "tasks"
+        tasks.mkdir()
+        for name in names:
+            (tasks / name).write_text((clidata / "train.txt").read_text())
+        assert run_cli(["fit-hblr", "--tasks", tasks, "--out", tmp_path / "fit"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "b.txt" not in err
+        assert all(str(tasks / name) in err for name in clash)
+        assert not (tmp_path / "fit").exists()
+
     def test_parse_error_exits_one(self, tmp_path, capsys):
         bad = write(tmp_path / "bad.txt", "V 3\n1 9:1\n")
         assert run_cli(["infer-unigram", "--corpus", bad,
