@@ -8,14 +8,18 @@ single Gaussian fit of q(theta): one curvature update against
 
 The hierarchical variant shares a Gaussian prior across tasks and refits its
 (mean, covariance) by MAP under normal and Wishart hyperpriors.  Every fit
-runs through `_fit`: its models, a flat fit's one or a round's tasks, are the
-rows of one engine refit, scored by the rows' monitor.
+runs through `_fit`: its tasks, a flat fit's one or a round's, are packed
+once into arrays (`_Tasks`) whose rows, one per task, the engine refits
+together; each evaluation forms every task's Hessian and diag(T Sigma T')
+once.  `BlrModel`, one task's ModelContract, is the dense reference path
+those rows match, and gives each task's approximate objective.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -24,6 +28,7 @@ from .model import (
     ConjugateVariational,
     ExpectedStats,
     GaussianVariational,
+    LabeledData,
     LabeledInstance,
     ModelContract,
 )
@@ -100,17 +105,15 @@ class HierPrior:
 
 
 class BlrModel(ModelContract):
-    def __init__(self, instances: list[LabeledInstance], prior: BlrPrior | None = None):
+    """One task's problem for the generic engine: the dense reference path
+    that `_Tasks` matches."""
+
+    def __init__(self, instances, prior: BlrPrior | None = None):
         """Sizes the standard prior from the covariates when none is given."""
-        if not instances:
-            raise ValueError("need at least one labeled instance")
-        dim = instances[0].covariates.shape[0]
-        prior = prior or BlrPrior.standard(dim)
-        if any(inst.covariates.shape != (dim,) for inst in instances):
-            raise ValueError("instances have inconsistent covariate dimensions")
-        self._t = np.array([inst.covariates for inst in instances], dtype=float)
-        self._y1 = np.array([inst.z[0] for inst in instances], dtype=float)
-        if prior.mean.shape != (dim,):
+        data = LabeledData.of(instances)
+        self._t, self._y1 = data.covariates, data.labels
+        prior = prior or BlrPrior.standard(self.dim)
+        if prior.mean.shape != (self.dim,):
             raise ValueError("prior dimension does not match the covariates")
         self._prior = prior
 
@@ -169,8 +172,144 @@ class BlrModel(ModelContract):
         return ConjugateVariational(None)
 
 
+def _gram(t, v, segments):
+    """T' diag(v) T per task, over each task's segment of the packed rows."""
+    return np.array([(t[s].T * v[s]) @ t[s] for s in segments])
+
+
+def _sym(m):
+    return 0.5 * (m + m.transpose(0, 2, 1))
+
+
+def _directions(mats, neg, grad):
+    """Per task, the Cholesky solve of `mats` against the gradient where it is
+    positive definite, else optimize.dense_direction's of -H, `neg`."""
+    fact, ok = numerics.spd_factorize_each(mats)
+    direction = fact.solve(grad[:, :, None])[:, :, 0]
+    for r in np.flatnonzero(~ok):
+        direction[r] = optimize.dense_direction(neg[r], grad[r])
+    return direction
+
+
+@dataclass(frozen=True, eq=False)
+class _Tasks:
+    """Tasks as the engine's rows, one per task, under one shared prior: every
+    task's instances packed flat in task order, covariates t (N, P) and
+    labels as weights y1 and y0 = 1 - y1, task m holding rows
+    bounds[m]:bounds[m + 1].  BlrModel's maths on the whole pack: an
+    evaluation calls sigmoid once, sums each task over its rows, forms -H and,
+    for the delta profile, q = diag(T Sigma T') once for all its tasks, and
+    factors their matrices in one stacked Cholesky.  Work and memory scale
+    with the instances, however unequal the tasks."""
+
+    t: np.ndarray
+    y1: np.ndarray
+    y0: np.ndarray
+    bounds: np.ndarray
+    prior: BlrPrior
+    delta_diagonal: ClassVar[bool] = False
+
+    def __post_init__(self):
+        if self.prior.mean.shape != self.t.shape[1:]:
+            raise ValueError("prior dimension does not match the covariates")
+
+    def __len__(self) -> int:
+        return len(self.bounds) - 1
+
+    @classmethod
+    def of(cls, tasks, prior: BlrPrior | None = None) -> "_Tasks":
+        """Tasks, each a nonempty sequence of labeled instances, packed under
+        `prior`, the standard prior when none is given."""
+        data = [LabeledData.of(task) for task in tasks]
+        if len({d.covariates.shape[1] for d in data}) != 1:
+            raise ValueError("tasks have inconsistent covariate dimensions")
+        t = np.concatenate([d.covariates for d in data])
+        y1 = np.concatenate([d.labels for d in data])
+        bounds = np.cumsum([0] + [len(d) for d in data])
+        return cls(t, y1, 1.0 - y1, bounds, prior or BlrPrior.standard(t.shape[1]))
+
+    def _part(self, rows):
+        """The packed rows of the tasks `rows` (ascending) and their bounds."""
+        if len(rows) == len(self):
+            return self.t, self.y1, self.y0, self.bounds
+        sizes = np.diff(self.bounds)
+        keep = np.repeat(np.isin(np.arange(len(self)), rows), sizes)
+        bounds = np.concatenate(([0], np.cumsum(sizes[rows])))
+        return self.t[keep], self.y1[keep], self.y0[keep], bounds
+
+    def _terms(self, theta, rows):
+        """The tasks `rows` at theta, one per row: T, its segments, f and its
+        gradient, sigma(a) and w = sigma(a) sigma(-a) at a = T theta."""
+        t, y1, y0, bounds = self._part(rows)
+        starts = bounds[:-1]
+        a = np.einsum("np,np->n", t, np.repeat(theta, np.diff(bounds), axis=0))
+        sig, sig_neg = numerics.sigmoid(np.stack((a, -a)))
+        log_sig, log_sig_neg = numerics.log_sigmoid(np.stack((a, -a)))
+        diff = theta - self.prior.mean
+        pull = diff @ self.prior.inv
+        value = (np.add.reduceat(y1 * log_sig + y0 * log_sig_neg, starts)
+                 - 0.5 * np.einsum("rp,rp->r", diff, pull))
+        grad = np.add.reduceat((y1 - sig)[:, None] * t, starts, axis=0) - pull
+        segments = [slice(s, e) for s, e in zip(starts.tolist(), bounds[1:].tolist())]
+        return t, segments, value, grad, sig, sig * sig_neg
+
+    def ascent(self, stats, shift=None):
+        """f per task or, given a shift, the delta profile at Sigma(theta) =
+        (-H + shift I)^{-1}, -inf where that is not positive definite, on
+        BlrModel's Newton matrices: -H, and for the profile
+        -H - Hessian{Tr(H Sigma)}/2 at fixed Sigma where positive definite."""
+
+        def evaluate(theta, rows):
+            terms = self._terms(theta, rows)
+            live = np.isfinite(terms[2])
+            if live.all():
+                return self._newton(*terms, shift)
+            # the line search rejects the other rows unread
+            value, grad = terms[2:4]
+            out = (value, grad, grad.copy())
+            if live.any():
+                for full, part in zip(out, evaluate(theta[live], rows[live])):
+                    full[live] = part
+            return out
+
+        return evaluate
+
+    def _newton(self, t, segments, value, grad, sig, w, shift):
+        neg = _gram(t, w, segments) + self.prior.inv
+        if shift is None:
+            return value, grad, _directions(neg, neg, grad)
+        dim = neg.shape[1]
+        fact, defined = numerics.spd_factorize_each(_sym(neg) + shift * np.eye(dim))
+        sigma = fact.inverse()
+        quad = np.sum(np.concatenate([t[s] @ m for s, m in zip(segments, sigma)]) * t, axis=1)
+        slope = w * (1.0 - 2.0 * sig)
+        value = np.where(defined, value - 0.5 * (fact.log_det + dim), -np.inf)
+        starts = [s.start for s in segments]
+        grad = grad - 0.5 * np.add.reduceat((slope * quad)[:, None] * t, starts, axis=0)
+        exact = neg + 0.5 * _gram(t, (slope * (1.0 - 2.0 * sig) - 2.0 * w * w) * quad, segments)
+        direction = grad.copy()
+        direction[defined] = _directions(exact[defined], neg[defined], grad[defined])
+        return value, grad, direction
+
+    def covariance(self, theta, stats, shift, diagonal):
+        """Sigma = (-H + shift I)^{-1} and log|Sigma| per task, from one
+        stacked factor."""
+        t, segments, _, _, _, w = self._terms(theta, np.arange(len(self)))
+        neg = _sym(_gram(t, w, segments) + self.prior.inv)
+        fact = numerics.spd_factorize(neg + shift * np.eye(neg.shape[1]))
+        return fact.inverse(), -fact.log_det
+
+    def monitor(self, mu, sigma, q_z, stats, log_det):
+        """engine.approx_objective of each task's BlrModel."""
+        models = [BlrModel(LabeledData(self.t[s:e], self.y1[s:e]), self.prior)
+                  for s, e in zip(self.bounds[:-1], self.bounds[1:])]
+        return engine._ModelRows(models).monitor(
+            mu, sigma, [ConjugateVariational(None)] * len(models),
+            [model.expected_stats() for model in models], log_det)
+
+
 def fit(
-    instances: list[LabeledInstance],
+    instances,
     prior: BlrPrior | None = None,
     method: str = "laplace",
 ) -> GaussianVariational:
@@ -178,30 +317,31 @@ def fit(
 
     Starts from N(0, I) as in the study protocol.
     """
-    (q,), _, _ = _fit([BlrModel(instances, prior)], engine.InferenceConfig(method=method))
+    (q,), _, _ = _fit(_Tasks.of([instances], prior), engine.InferenceConfig(method=method))
     return q
 
 
-def _fit(models: list[BlrModel], cfg: engine.InferenceConfig):
-    """Refit every model from mean zero as a row of one engine refit: the
-    posteriors, each model's approximate objective, and whether each
+def _fit(rows: _Tasks, cfg: engine.InferenceConfig):
+    """Refit every task from mean zero as a row of one engine refit: the
+    posteriors, each task's approximate objective, and whether each
     refit's ascents converged."""
-    rows = engine._ModelRows(models)
-    stats = [model.expected_stats() for model in models]
     mu, sigma, log_det, converged = engine._refit(
-        rows, stats, np.zeros((len(models), models[0].dim)), cfg.method
+        rows, None, np.zeros((len(rows), rows.t.shape[1])), cfg.method
     )
-    objective = rows.monitor(mu, sigma, [ConjugateVariational(None)] * len(models), stats, log_det)
+    objective = rows.monitor(mu, sigma, None, None, log_det)
     return [GaussianVariational(m, s) for m, s in zip(mu, sigma)], objective, converged
 
 
 def predict_loglik(q_theta: GaussianVariational, instance: LabeledInstance) -> float:
     """Plug-in log predictive of the true label, floored at ln 1e-300."""
-    a = float(q_theta.mu @ instance.covariates)
-    ll = instance.z[0] * float(numerics.log_sigmoid(a)) + instance.z[1] * float(
-        numerics.log_sigmoid(-a)
-    )
-    return max(ll, LOG_FLOOR)
+    return float(_log_predictive(q_theta.mu, LabeledData.of([instance]))[0])
+
+
+def _log_predictive(mu, data: LabeledData) -> np.ndarray:
+    """`predict_loglik` of every instance, from one matrix-vector product."""
+    a = data.covariates @ mu
+    ll = np.where(data.labels == 1.0, numerics.log_sigmoid(a), numerics.log_sigmoid(-a))
+    return np.maximum(ll, LOG_FLOOR)
 
 
 def hyper_update(
@@ -246,7 +386,7 @@ class HblrFit:
 
 
 def fit_hierarchical(
-    tasks: list[list[LabeledInstance]],
+    tasks,
     hier: HierPrior | None = None,
     cfg: engine.InferenceConfig | None = None,
     em_iters: int = 20,
@@ -257,11 +397,12 @@ def fit_hierarchical(
     rounds; the fit has converged if every task refit of that last round
     converged too.  The first round fits every task under the standard prior.
     """
-    if not tasks or any(not t for t in tasks):
+    if not tasks or any(not len(t) for t in tasks):
         raise ValueError("every task needs at least one instance")
     if em_iters < 1:
         raise ValueError("em_iters must be at least 1")
-    dim = tasks[0][0].covariates.shape[0]
+    rows = _Tasks.of(tasks)
+    dim = rows.t.shape[1]
     hier = hier or HierPrior.default(dim)
     cfg = cfg or engine.InferenceConfig()
     mu0 = np.zeros(dim)
@@ -270,8 +411,8 @@ def fit_hierarchical(
     start = time.perf_counter()
 
     for it in range(1, em_iters + 1):
-        prior = BlrPrior(mu0.copy(), sigma0.copy())
-        posteriors, objective, converged = _fit([BlrModel(t, prior) for t in tasks], cfg)
+        rows = replace(rows, prior=BlrPrior(mu0.copy(), sigma0.copy()))
+        posteriors, objective, converged = _fit(rows, cfg)
         new_mu0, new_sigma0 = hyper_update(posteriors, hier, mu0)
         mean_change = float(np.linalg.norm(new_mu0 - mu0))
         mu0, sigma0 = new_mu0, new_sigma0

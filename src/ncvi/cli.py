@@ -92,7 +92,7 @@ def _cmd_fit_blr(args) -> int:
         raise CliInputError(f"{args.data}: no instances")
     start = time.perf_counter()
     cfg = engine.InferenceConfig(method=args.method)
-    (q,), (objective,), (converged,) = blr._fit([blr.BlrModel(instances)], cfg)
+    (q,), (objective,), (converged,) = blr._fit(blr._Tasks.of([instances]), cfg)
     dataio.save_posterior(q, args.out)
     trace = _single_record_trace(
         objective, float(np.linalg.norm(q.mu)), time.perf_counter() - start, converged

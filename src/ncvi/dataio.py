@@ -1,21 +1,28 @@
 """Text file formats: sparse corpora, labeled instances, fitted parameters,
 Gaussian posteriors, and metric CSVs.
 
-Everything is plain text so golden files diff cleanly; floats are written
-with 17 significant digits, which round-trips doubles exactly.
+Everything is plain UTF-8 text so golden files diff cleanly; floats are
+written with 17 significant digits, which round-trips doubles exactly.
+
+Labeled instances are read in one pass over the whole text into arrays
+(`_labeled_arrays`).  The line-by-line reader (`_parse_labeled_lines`)
+stays the reference and the only error path: whatever the one pass does not
+accept, every malformed file among it, is read again line by line, so each
+ParseError names its line.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
 
 from .ctm import CtmParams
 from .evaluate import MetricReport
-from .model import Document, GaussianVariational, LabeledInstance
+from .model import Document, GaussianVariational, LabeledData
 
 __all__ = [
     "ParseError",
@@ -38,12 +45,23 @@ class ParseError(ValueError):
         super().__init__(f"{path}:{line_no}: {message}")
 
 
-def _read_lines(path) -> list[str]:
+def _read_text(path) -> str:
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as err:
         raise ParseError(path, 0, f"cannot read file: {err}") from err
-    return text.splitlines()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        # a character in the bad byte's place ends the text before it on its line
+        line_no = len((data[: err.start].decode("utf-8") + "?").splitlines())
+        raise ParseError(
+            path, line_no, f"not UTF-8 text: byte 0x{data[err.start]:02x} ({err.reason})"
+        ) from None
+
+
+def _read_lines(path) -> list[str]:
+    return _read_text(path).splitlines()
 
 
 def _sparse_rows(path, tag: str, key: str, pair_form: str, convert, valid):
@@ -113,20 +131,109 @@ def parse_corpus(path, warn=None) -> tuple[list[Document], int]:
     return documents, vocab_size
 
 
-def parse_labeled(path) -> tuple[list[LabeledInstance], int]:
+def parse_labeled(path) -> tuple[LabeledData, int]:
     """Read labeled instances: header "P <int>", then "label idx:value ..."
     per line with label in {0,1} and unlisted covariates equal to zero."""
+    fast = _labeled_arrays(_read_text(path))
+    return _parse_labeled_lines(path) if fast is None else fast
+
+
+def _parse_labeled_lines(path) -> tuple[LabeledData, int]:
+    """`parse_labeled` line by line: the reference reader, and its error path."""
     dim, rows = _sparse_rows(
         path, "P", "covariate", "idx:value with a finite value", float, math.isfinite
     )
-    instances: list[LabeledInstance] = []
+    covariates, labels = [], []
     for line_no, head, values in rows:
         if head not in ("0", "1"):
             raise ParseError(path, line_no, f"label must be 0 or 1, got {head!r}")
-        covariates = np.zeros(dim)
-        covariates[list(values)] = list(values.values())
-        instances.append(LabeledInstance(covariates, (1, 0) if head == "1" else (0, 1)))
-    return instances, dim
+        row = np.zeros(dim)
+        row[list(values)] = list(values.values())
+        covariates.append(row)
+        labels.append(head == "1")
+    return LabeledData(np.reshape(covariates, (-1, dim)), labels), dim
+
+
+_TAB, _NEWLINE, _SPACE, _COLON = map(ord, "\t\n :")
+# characters per block of lines the one pass reads at a time: its transient
+# memory, a Python string per token, scales with the block, not the file
+_BLOCK = 1 << 16
+
+
+def _labeled_arrays(text: str):
+    """`parse_labeled`'s result from one pass over the whole text, a block of
+    lines at a time, or None where the line reader must decide: a header
+    other than "P <digits>", a character outside ASCII, or a block that
+    `_labeled_block` leaves to it."""
+    newline = text.find("\n")
+    head = text if newline < 0 else text[:newline]
+    header = head.split()
+    if not (text.isascii() and head.isprintable() and len(header) == 2
+            and header[0] == "P" and header[1].isdigit() and int(header[1]) > 0):
+        return None
+    dim, start, blocks = int(header[1]), len(head) + 1, []
+    while True:
+        end = text.find("\n", start + _BLOCK) + 1 or len(text)
+        blocks.append(_labeled_block(text[start:end], dim))
+        if blocks[-1] is None:
+            return None
+        if end == len(text):
+            covariates, labels = zip(*blocks)
+            return LabeledData(np.concatenate(covariates), np.concatenate(labels)), dim
+        start = end
+
+
+def _labeled_block(body: str, dim: int):
+    """The covariates and labels of whole lines of ASCII text, or None: a
+    byte below "+" other than space, tab and newline, or a line other than
+    a label 0 or 1 and idx:value tokens with unique ids below dim and
+    finite values.  A run of bytes at or above "+" but for ":" is an id
+    where a colon follows it, a value where one precedes it, and otherwise
+    its line's label; float parses the values, as in the line reader."""
+    b = np.frombuffer(body.encode("ascii"), np.uint8)
+    if not np.all((b > ord("*")) | (b == _SPACE) | (b == _TAB) | (b == _NEWLINE)):
+        return None
+    word = (b > ord("*")) & (b != _COLON)
+    edges = np.flatnonzero(np.diff(word, prepend=False, append=False))
+    starts, ends = edges[::2], edges[1::2]
+    # the byte after each run, or its own last; before it, or the text's last
+    # (a colon there fails the label test below)
+    is_id = b[np.minimum(ends, b.size - 1)] == _COLON
+    is_value = b[starts - 1] == _COLON
+    line = np.searchsorted(np.flatnonzero(b == _NEWLINE), starts)
+    is_label = np.concatenate(([True], line[1:] != line[:-1]))[: len(starts)]
+    colons = np.count_nonzero(b == _COLON)
+    labels = starts[is_label]
+    if not (np.count_nonzero(is_id) == colons == np.count_nonzero(is_value)
+            and not np.any(is_id & is_value) and np.array_equal(is_label, ~(is_id | is_value))
+            and np.all(ends[is_label] == labels + 1)
+            and np.all((b[labels] == ord("0")) | (b[labels] == ord("1")))):
+        return None
+    id_starts, id_ends = starts[is_id], ends[is_id]
+    ids = np.zeros(colons, np.int64)
+    for k in range(int(np.max(id_ends - id_starts, initial=0))):
+        more = id_starts + k < id_ends
+        digit = b[id_starts[more] + k] - ord("0")  # wraps above 9 below "0"
+        if np.any(digit > 9) or np.any(ids > dim):
+            return None
+        ids[more] = 10 * ids[more] + digit
+    # str.split splits on exactly the space, tab and newline bytes allowed
+    # above, so with colons as spaces its runs are the byte runs; a list
+    # first, as np.fromiter costs as much again per value
+    runs = body.replace(":", " ").split()
+    try:
+        values = np.array(list(map(float, compress(runs, is_value.tolist()))))
+    except ValueError:
+        return None
+    if not (np.all(ids < dim) and np.all(np.isfinite(values))):
+        return None
+    cells = (np.cumsum(is_label)[is_id] - 1) * dim + ids
+    covariates = np.zeros(labels.size * dim)
+    covariates[cells] = 1.0
+    if np.count_nonzero(covariates) != colons:  # a duplicate id
+        return None
+    covariates[cells] = values
+    return covariates.reshape(-1, dim), b[labels] == ord("1")
 
 
 def _format_row(values) -> str:

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ctm, engine, numerics
-from .blr import predict_loglik
-from .model import Document, GaussianVariational, LabeledInstance
+from . import blr, ctm, engine, numerics
+from .model import Document, GaussianVariational, LabeledData, LabeledInstance
 
 __all__ = [
     "SkipDocument",
@@ -130,9 +129,9 @@ def heldout_corpus(
     return MetricReport("heldout_loglik", tuple(kept), tuple(_score_halves(params, halves, cfg)))
 
 
-def predict_labels(q_theta: GaussianVariational, instances: list[LabeledInstance]) -> np.ndarray:
+def predict_labels(q_theta: GaussianVariational, instances) -> np.ndarray:
     """Label 1 where the predictive probability of class 1 is at least half."""
-    scores = np.array([float(q_theta.mu @ inst.covariates) for inst in instances])
+    scores = LabeledData.of(instances).covariates @ q_theta.mu
     return (numerics.sigmoid(scores) >= 0.5).astype(int)
 
 
@@ -159,7 +158,8 @@ def accuracy_report(
     """Per-problem accuracy."""
 
     def score(q, instances):
-        return accuracy(predict_labels(q, instances), np.array([i.label for i in instances]))
+        data = LabeledData.of(instances)
+        return accuracy(predict_labels(q, data), data.labels)
 
     return _per_problem("accuracy", posteriors, problems, score)
 
@@ -171,8 +171,6 @@ def avg_log_pred(
     """Per-problem mean log predictive probability of the true labels."""
 
     def score(q, instances):
-        if not instances:
-            raise ValueError("every problem needs at least one test instance")
-        return float(np.mean([predict_loglik(q, inst) for inst in instances]))
+        return float(np.mean(blr._log_predictive(q.mu, LabeledData.of(instances))))
 
     return _per_problem("avg_log_pred", posteriors, problems, score)

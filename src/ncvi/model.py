@@ -11,6 +11,7 @@ statistics of the conjugate factor, and the closed-form conjugate update.
 from __future__ import annotations
 
 import abc
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Any
 
@@ -21,6 +22,7 @@ from . import numerics, optimize
 __all__ = [
     "Document",
     "LabeledInstance",
+    "LabeledData",
     "GaussianVariational",
     "ConjugateVariational",
     "ExpectedStats",
@@ -69,6 +71,38 @@ class LabeledInstance:
     @property
     def label(self) -> int:
         return self.z[0]
+
+
+class LabeledData(Sequence):
+    """Labeled instances stored as arrays: covariates (N, P) and labels (N,),
+    1.0 for positive and 0.0 for negative.  Each item is a LabeledInstance
+    view of one row."""
+
+    def __init__(self, covariates, labels):
+        self.covariates = np.asarray(covariates, dtype=float)
+        self.labels = np.asarray(labels, dtype=float)
+
+    @classmethod
+    def of(cls, instances) -> "LabeledData":
+        """Nonempty labeled instances as arrays: LabeledData itself, or a
+        sequence of instances stacked."""
+        if not len(instances):
+            raise ValueError("need at least one labeled instance")
+        if isinstance(instances, cls):
+            return instances
+        shape = np.shape(instances[0].covariates)
+        if len(shape) != 1 or any(np.shape(inst.covariates) != shape for inst in instances):
+            raise ValueError("instances have inconsistent covariate dimensions")
+        return cls([inst.covariates for inst in instances], [inst.label for inst in instances])
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __getitem__(self, n):
+        if isinstance(n, slice):
+            return LabeledData(self.covariates[n], self.labels[n])
+        label = int(self.labels[n])
+        return LabeledInstance(self.covariates[n], (label, 1 - label))
 
 
 @dataclass

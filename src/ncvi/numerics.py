@@ -28,6 +28,7 @@ __all__ = [
     "DiagPlusRankOne",
     "SpdFactorization",
     "spd_factorize",
+    "spd_factorize_each",
     "finite_diff_gradient",
 ]
 
@@ -169,6 +170,24 @@ def spd_factorize(m: np.ndarray) -> SpdFactorization:
         return SpdFactorization(np.linalg.cholesky(m))
     except np.linalg.LinAlgError:
         raise NotPositiveDefiniteError("not positive definite") from None
+
+
+def spd_factorize_each(m: np.ndarray) -> tuple[SpdFactorization, np.ndarray]:
+    """spd_factorize of a stack (r, n, n) that may hold matrices that are not
+    positive definite: one factor per matrix, the identity for those, and a
+    mask of the others.  One stacked factorization, or one per matrix where
+    that fails."""
+    try:
+        return spd_factorize(m), np.ones(len(m), dtype=bool)
+    except NotPositiveDefiniteError:
+        pass
+    lower, ok = np.broadcast_to(np.eye(m.shape[-1]), m.shape).copy(), np.zeros(len(m), dtype=bool)
+    for r, matrix in enumerate(m):
+        try:
+            lower[r], ok[r] = spd_factorize(matrix)._chol, True
+        except NotPositiveDefiniteError:
+            pass
+    return SpdFactorization(lower), ok
 
 
 def _factorize_input(m: np.ndarray, name: str) -> SpdFactorization:

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from ncvi import blr, numerics, optimize
+from ncvi import blr, engine, numerics, optimize
 from ncvi.engine import InferenceConfig
-from ncvi.model import GaussianVariational, LabeledInstance
+from ncvi.model import ConjugateVariational, GaussianVariational, LabeledInstance
 
 from conftest import make_blr_problem, make_instance, random_spd, stopped_short
 
@@ -344,3 +344,97 @@ class TestHierarchicalFit:
             blr.fit_hierarchical([])
         with pytest.raises(ValueError):
             blr.fit_hierarchical([[make_instance([1.0], 1)], []])
+
+
+class TestPackedTasks:
+    """blr._Tasks, the packed rows every fit runs on, against engine._ModelRows
+    on one BlrModel per task, the dense reference path: within 1e-10."""
+
+    def tasks(self):
+        # unequal sizes, a one-instance task and a separable task
+        tasks = [make_blr_problem(seed, n, 3)[0] for seed, n in ((20, 7), (21, 30), (22, 12))]
+        tasks.append([make_instance([0.5, -1.0, 2.0], 1)])
+        separable = [make_instance([x, 1.0, -0.5 * x], int(x > 0)) for x in (-2.0, -1.0, 1.5, 3.0)]
+        tasks.append(separable)
+        return tasks
+
+    def reference(self, tasks, prior):
+        models = [blr.BlrModel(task, prior) for task in tasks]
+        return engine._ModelRows(models), [model.expected_stats() for model in models]
+
+    def prior(self):
+        return blr.BlrPrior(np.array([0.2, -0.1, 0.3]), random_spd(np.random.default_rng(23), 3))
+
+    def test_packs_each_instance_once(self):
+        # flat in task order, so however unequal the tasks nothing is padded
+        tasks = self.tasks()
+        rows = blr._Tasks.of(tasks, self.prior())
+        assert len(rows) == len(tasks)
+        assert rows.t.shape == (sum(map(len, tasks)), 3)
+        np.testing.assert_array_equal(np.diff(rows.bounds), [len(task) for task in tasks])
+        np.testing.assert_array_equal(rows.t[rows.bounds[3]], tasks[3][0].covariates)
+
+    @pytest.mark.parametrize("method", ["laplace", "delta"])
+    @pytest.mark.parametrize("which", ["flat", "tasks"])
+    def test_refit_matches_the_model_rows(self, method, which):
+        tasks = self.tasks()[1:2] if which == "flat" else self.tasks()
+        prior = self.prior()
+        start = np.zeros((len(tasks), 3))
+        got = engine._refit(blr._Tasks.of(tasks, prior), None, start, method)
+        want = engine._refit(*self.reference(tasks, prior), start, method)
+        for a, b in zip(got[:3], want[:3]):
+            np.testing.assert_allclose(np.asarray(a), np.asarray(b), rtol=1e-10, atol=0)
+        assert np.array_equal(got[3], want[3])
+
+    @pytest.mark.parametrize("shift", [None, 0.0, 0.5])
+    def test_evaluations_match_the_model_rows(self, shift):
+        tasks = self.tasks()
+        prior = self.prior()
+        theta = np.random.default_rng(24).normal(size=(len(tasks), 3))
+        theta[3] *= 1e200  # f is not finite there: the line search rejects it unread
+        ref_rows, stats = self.reference(tasks, prior)
+        # a subset, as the line search asks, and one whose rows are all rejected
+        for rows in (np.array([0, 2, 3, 4]), np.array([3])):
+            got = blr._Tasks.of(tasks, prior).ascent(None, shift)(theta[rows], rows)
+            with np.errstate(over="ignore"):
+                want = ref_rows.ascent(stats, shift)(theta[rows], rows)
+            for a, b in zip(got, want):
+                np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-14)
+
+    def test_indefinite_newton_matrix_falls_back_per_row(self):
+        # a stack whose second exact matrix is indefinite, and whose last
+        # has an indefinite -H too: each row gets optimize.dense_direction's
+        # direction, the exact solve, -H's, or -H's shifted until definite
+        rng = np.random.default_rng(25)
+        neg = np.array([random_spd(rng, 3) for _ in range(4)])
+        neg[3] -= 10.0 * np.eye(3)
+        exact = neg + np.array([np.eye(3), -10.0 * np.eye(3), 0.5 * np.eye(3), np.zeros((3, 3))])
+        grad = rng.normal(size=(4, 3))
+        got = blr._directions(exact, neg, grad)
+        for e, n, g, d in zip(exact, neg, grad, got):
+            np.testing.assert_allclose(d, optimize.dense_direction(n, g, e), rtol=1e-12)
+
+    @pytest.mark.parametrize("method", ["laplace", "delta"])
+    def test_hierarchical_fit_matches_the_model_rows(self, method, monkeypatch):
+        tasks = self.tasks()
+        cfg = InferenceConfig(method=method, conv_tol=1e-8)
+        got = blr.fit_hierarchical(tasks, cfg=cfg, em_iters=6)
+
+        def reference_fit(rows, cfg):
+            ref_rows, stats = self.reference(tasks, rows.prior)
+            mu, sigma, log_det, converged = engine._refit(
+                ref_rows, stats, np.zeros((len(tasks), 3)), cfg.method)
+            nil = [ConjugateVariational(None)] * len(tasks)
+            objective = ref_rows.monitor(mu, sigma, nil, stats, log_det)
+            return [GaussianVariational(m, s) for m, s in zip(mu, sigma)], objective, converged
+
+        monkeypatch.setattr(blr, "_fit", reference_fit)
+        want = blr.fit_hierarchical(tasks, cfg=cfg, em_iters=6)
+        assert len(got.trace) == len(want.trace)
+        for q, r in zip(got.posteriors, want.posteriors):
+            np.testing.assert_allclose(q.mu, r.mu, rtol=1e-10)
+            np.testing.assert_allclose(q.sigma, r.sigma, rtol=1e-10)
+        np.testing.assert_allclose(got.prior_mean, want.prior_mean, rtol=1e-10)
+        np.testing.assert_allclose(got.prior_cov, want.prior_cov, rtol=1e-10)
+        np.testing.assert_allclose([r.objective for r in got.trace.records],
+                                   [r.objective for r in want.trace.records], rtol=1e-10)

@@ -3,6 +3,8 @@
 import argparse
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ncvi import cli, ctm, dataio, engine, optimize
 from ncvi.model import GaussianVariational
@@ -79,6 +81,146 @@ class TestParseLabeled:
         with pytest.raises(dataio.ParseError) as err:
             dataio.parse_labeled(path)
         assert str(err.value).startswith(f"{path}:{line}:")
+
+
+_VALUE_FORMS = (repr, "%.17g".__mod__, "%e".__mod__, "%.3E".__mod__, "{:+.17e}".format)
+
+
+@st.composite
+def labeled_texts(draw):
+    """Valid labeled files: sparse and dense lines, blank lines, tabs and
+    runs of spaces, ids written with a sign or leading zeros, and values as
+    repr, 17 digits, exponents and -0.0."""
+    dim = draw(st.integers(1, 12))
+    lines = [f"P {dim}"]
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+            continue
+        pairs = []
+        for i in draw(st.lists(st.integers(0, dim - 1), unique=True, max_size=dim)):
+            value = draw(st.floats(-1e300, 1e300) | st.just(-0.0))
+            idx = draw(st.sampled_from([str(i), f"+{i}", f"0{i}", "-0" if i == 0 else str(i)]))
+            pairs.append(f"{idx}:{draw(st.sampled_from(_VALUE_FORMS))(value)}")
+        sep = draw(st.sampled_from([" ", " ", "  ", "\t"]))
+        label = draw(st.sampled_from("01"))
+        lines.append(sep.join([label, *pairs]) + draw(st.sampled_from(["", " "])))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+# one malformed token or separator each: a missing or doubled colon, an
+# empty id or value, a duplicate or out-of-range id, a value that is not
+# finite, a label other than 0 or 1, bytes that int rejects in an id, and
+# what int and float accept but the one-pass reader leaves to the line
+# reader: underscores, non-ASCII digits, other whitespace and line breaks
+_CORRUPTIONS = (
+    "{i}{v}", "{i}::{v}", "{i}:{last}:{v}", ":{v}", "{i}:", "{i} :{v}",
+    "{p} {p}", "{d}:1", "{big}:1",
+    "0:nan", "0:inf", "0:-Infinity", "0:1e400",
+    "!{p}", "({p}", "1;:{v}", "=:{v}",
+    "1_0:1", "0:1_0", "\u0661:1", "0:\uff12.5",
+    "{p}\r0 0:1", "{p}\x0b1", "{p}\x1c", "{p}\u2028{p}", "{p}\u3000{p}", "{p}\xa0", "{p}\x00",
+)
+_BAD_LABELS = ("2", "-1", "1.0", "+1", "01", "", "\u0661")
+
+
+@st.composite
+def malformed_texts(draw):
+    """A valid file with one line corrupted."""
+    dim = draw(st.integers(1, 40))
+    ids = st.lists(st.integers(0, dim - 1), min_size=1, max_size=3, unique=True)
+    rows = [[draw(st.sampled_from("01")),
+             *(f"{i}:{draw(st.floats(-1e3, 1e3))!r}" for i in draw(ids))]
+            for _ in range(draw(st.integers(1, 4)))]
+    row, header = draw(st.sampled_from(rows)), f"P {dim}"
+    target = draw(st.sampled_from(["label", "pair", "pair", "header"]))
+    if target == "label":
+        row[0] = draw(st.sampled_from(_BAD_LABELS))
+    elif target == "pair":
+        pos = draw(st.integers(1, len(row) - 1))
+        i, v = row[pos].split(":")
+        row[pos] = draw(st.sampled_from(_CORRUPTIONS)).format(
+            p=row[pos], i=i, v=v, d=dim, last=dim - 1, big=dim + 7)
+    else:  # a line break inside the header, or what int reads in its size
+        header = draw(st.sampled_from([f"P\r{dim}", f"P\x1c{dim}", f"P {dim}\x0b1", f"P +{dim}"]))
+    return "\n".join([header, *(" ".join(r) for r in rows)]) + "\n"
+
+
+def _read_outcome(read, path):
+    """The arrays a reader returns, bit for bit, or its ParseError's text."""
+    try:
+        data, dim = read(path)
+    except dataio.ParseError as err:
+        return str(err)
+    return dim, data.covariates.shape, data.covariates.tobytes(), data.labels.tobytes()
+
+
+class TestLabeledReadersAgree:
+    """The one-pass reader against the line reader, its reference."""
+
+    @given(text=labeled_texts(), block=st.sampled_from([1, 7, 1 << 16]))
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_valid_files_read_bit_for_bit_alike(self, tmp_path, monkeypatch, text, block):
+        monkeypatch.setattr(dataio, "_BLOCK", block)  # blocks of about one line too
+        path = tmp_path / "d.txt"
+        path.write_text(text, encoding="utf-8")
+        fast = _read_outcome(dataio.parse_labeled, path)
+        assert not isinstance(fast, str)
+        assert fast == _read_outcome(dataio._parse_labeled_lines, path)
+
+    @given(text=malformed_texts())
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_malformed_files_fail_alike(self, tmp_path, text):
+        path = tmp_path / "d.txt"
+        path.write_text(text, encoding="utf-8")
+        assert (_read_outcome(dataio.parse_labeled, path)
+                == _read_outcome(dataio._parse_labeled_lines, path))
+
+    @pytest.mark.parametrize("text", [
+        "P 30\n1 1;:5\n",       # ";" is 11 past "0": an id int rejects
+        "P 3\n1 0:1:2\n",       # a doubled colon whose middle reads as an id
+        "P 2\n1 !0:1\n",        # a byte that splits neither token nor line
+        "P\r3\n1 0:1\n",        # a line break inside the header
+        "P five\n1 0:1\n",
+        "P +3\n1 +0:1 2:-0\n",  # int's signs, for the line reader
+    ])
+    def test_listed_files_read_alike(self, tmp_path, text):
+        path = tmp_path / "d.txt"
+        path.write_text(text, encoding="utf-8")
+        assert (_read_outcome(dataio.parse_labeled, path)
+                == _read_outcome(dataio._parse_labeled_lines, path))
+
+    def test_plain_files_take_the_one_pass(self):
+        text = "P 3\n1 0:1.5 2:-2e-3\n\n0 1:0.25\t2:7\n0\n"
+        data, dim = dataio._labeled_arrays(text)
+        assert dim == 3 and np.array_equal(data.labels, [1.0, 0.0, 0.0])
+        assert np.array_equal(data.covariates, [[1.5, 0.0, -2e-3], [0.0, 0.25, 7.0], [0.0] * 3])
+
+
+class TestUndecodableInput:
+    """Input is UTF-8: a byte that does not decode is a ParseError naming
+    the path and the line that holds it, from every reader."""
+
+    @pytest.mark.parametrize("read,text", [
+        (dataio.parse_corpus, b"V 3\n1 0:1\n1 2:\xff1\n"),
+        (dataio.parse_labeled, b"P 2\n1 0:1\n0 1:\xff\n"),
+        (dataio.load_ctm_params, b"1 2\n0.5 0.5\n0\xe9\n1\n"),
+        (dataio.load_posterior, b"1\n0\n\xc3\n"),
+    ])
+    def test_bad_byte_names_its_line(self, tmp_path, read, text):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(text)
+        with pytest.raises(dataio.ParseError, match="not UTF-8") as err:
+            read(path)
+        assert str(err.value).startswith(f"{path}:3:")
+
+    def test_fit_blr_exits_one_naming_the_path(self, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"P 2\n1 0:1 1:2\n0 0:\xff 1:1\n")
+        assert cli.main(["fit-blr", "--data", str(path), "--out", str(tmp_path / "q")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}:3: not UTF-8")
 
 
 class TestRoundTrips:
