@@ -336,7 +336,7 @@ def _fit(params, ids, counts, doc, num_docs, cfg):
         start = np.zeros((live.size, params.num_topics))
         stats = rows.expected_stats(rows.conjugate_update(start, None))
         fit = engine._ascend(rows, start, stats, cfg, [traces[d] for d in live])
-        mu[live], sigma[live], objective[live] = fit[:3]
+        mu[live], sigma[live], objective[live] = fit
     return mu, sigma, objective, _assignments(mu[doc], log_beta), traces
 
 

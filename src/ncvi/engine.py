@@ -8,12 +8,16 @@ update is one damped Newton ascent (optimize.newton) of every row at once:
   ascent of its profile g(mu) = f(mu) + (log|Sigma(mu)| - dim)/2 at the
   closed-form Sigma(mu) = (-Hessian f(mu))^{-1}, or the inverse diagonal.
 
-The outer loop retires each row once its mean stops moving.  It runs on a
-rows object over a leading row axis: `select(keep)`, `ascent(stats, shift)`
-(newton's evaluate for f, or for g at a shift), `covariance` (Sigma and
-log|Sigma| from one factor of f's negated curvature), `conjugate_update`,
-`expected_stats` and `monitor` (the approximate objective at the expected
-statistics it is given).  `ctm` packs its documents as rows; `_ModelRows`
+The outer loop alternates the q(theta) refit and the conjugate q(z) update,
+a fixed-point map of the means, in SQUAREM cycles (Varadhan & Roland, Scand.
+J. Stat. 2008) per row: two plain maps, an extrapolation of the mean and one
+stabilizing map from there, kept only where it does not lower the monitor
+and still moves the mean forward.  It retires each row once one map stops
+moving its mean.  It runs on a rows object over a leading row axis:
+`select(keep)`, `ascent(stats, shift)` (newton's evaluate for f, or for g
+at a shift), `covariance` (Sigma and log|Sigma| from one factor of f's
+negated curvature), `conjugate_update`, `expected_stats` and `monitor` (the
+approximate objective at the expected statistics it is given).  `ctm` packs its documents as rows; `_ModelRows`
 runs a list of ModelContracts, one model per row: `blr`'s tasks, or a stack
 of one, the dense reference path behind `laplace_step`, `delta_step` and
 `run_coordinate_ascent`.  The engine handles no Hessian matrix: it keeps
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,6 +49,10 @@ __all__ = [
 # diagonal jitter for an indefinite -Hessian: starts here, doubles up to the cap
 _JITTER_INIT = 1e-6
 _JITTER_MAX = 1e-2
+# each row's bound on SQUAREM's |alpha| starts at 1 (a plain map); it grows
+# by this factor when it binds on a kept trial and shrinks by it, not below 1,
+# when a trial is not kept (as step.max0 and mstep in Varadhan's SQUAREM)
+_REACH_GROWTH = 4.0
 
 
 @dataclass(frozen=True)
@@ -133,38 +142,137 @@ def _refit(rows, stats, mu, method: str):
     return result.argmax, sigma, log_det, converged & result.converged
 
 
+def _map(rows, stats, mu, method: str):
+    """One plain map of the outer loop from the means mu, at the expected
+    statistics of q(z): the q(theta) refit, then the q(z) update.  Returns the
+    means, Sigma, log|Sigma|, each row's refit convergence, q(z) and its
+    statistics."""
+    mu, sigma, log_det, converged = _refit(rows, stats, mu, method)
+    q_z = rows.conjugate_update(mu, sigma)
+    return mu, sigma, log_det, converged, q_z, rows.expected_stats(q_z)
+
+
+class _Point(NamedTuple):
+    """A map's result per row, with its monitor."""
+
+    mu: np.ndarray
+    sigma: object
+    converged: np.ndarray
+    objective: np.ndarray
+    stats: object
+
+
+def _scored(rows, mu, sigma, log_det, converged, q_z, stats) -> _Point:
+    return _Point(mu, sigma, converged, rows.monitor(mu, sigma, q_z, stats, log_det), stats)
+
+
+def _trial(rows, x, sigma, method: str):
+    """The stabilizing map from extrapolated means x, with q(z) built from x
+    and sigma, scored."""
+    if not np.all(np.isfinite(x)):
+        raise FloatingPointError("extrapolated mean is not finite")
+    stats = rows.expected_stats(rows.conjugate_update(x, sigma))
+    return _scored(rows, *_map(rows, stats, x, method))
+
+
+def _stabilize(rows, x, sigma, method: str):
+    """`_trial` on every row, as (row indices, scored point) pairs.  A trial
+    that fails numerically (ArithmeticError, LinAlgError, or an x where f is
+    not finite) fails for its row alone: the batch is retried one row at a
+    time (a row's result does not depend on its batch), and a row whose trial
+    fails on its own gets none."""
+    try:
+        return [(np.arange(len(x)), _trial(rows, x, sigma, method))]
+    except (ArithmeticError, np.linalg.LinAlgError, optimize.NonFiniteStartError):
+        if len(x) == 1:
+            return []
+    out = []
+    for i in range(len(x)):
+        one = np.array([i])
+        out += [(one, t) for _, t in _stabilize(rows.select(one), x[one], sigma[one], method)]
+    return out
+
+
+def _squarem(rows, path, plain, change, reach, method: str):
+    """One SQUAREM step per row (Varadhan & Roland, Scand. J. Stat. 2008)
+    from the cycle's means path = (mu0, mu1, mu2) and the scored plain point
+    at mu2: extrapolate to x = mu0 - 2 alpha r + alpha^2 v, r = mu1 - mu0,
+    v = mu2 - 2 mu1 + mu0, alpha = -|r|/|v| clamped to [-reach, -1], and take
+    the stabilizing map from x.  A row keeps the stabilized point y if its
+    monitor is not below the plain point's and the map still moved the mean
+    the way the cycle's last plain map did, (y - x)'(mu2 - mu1) >= 0; else the
+    plain point.  The second test and the reach guard the laplace monitor,
+    which is not largest at laplace's fixed point: an x past that point can
+    score above it, and the records would then fall back toward it.
+    Returns the kept points, the mean change of the map that made each, and
+    each row's next reach."""
+    mu0, mu1, mu2 = path
+    r, v = mu1 - mu0, mu2 - 2.0 * mu1 + mu0
+    v_norm = np.linalg.norm(v, axis=1)
+    alpha = -np.linalg.norm(r, axis=1) / np.where(v_norm > 0.0, v_norm, np.inf)
+    alpha = np.clip(alpha, -reach, -1.0)
+    x = mu0 - 2.0 * alpha[:, None] * r + (alpha * alpha)[:, None] * v
+    point = _Point(*(a.copy() if isinstance(a, np.ndarray) else list(a) for a in plain))
+    change, kept = change.copy(), np.zeros(len(x), dtype=bool)
+    for ran, trial in _stabilize(rows, x, plain.sigma, method):
+        moved = np.einsum("dk,dk->d", trial.mu - x[ran], mu2[ran] - mu1[ran])
+        for j, i in enumerate(ran):
+            if trial.objective[j] >= plain.objective[i] and moved[j] >= 0.0:
+                for field, new in zip(point, trial):
+                    field[i] = new[j]
+                change[i], kept[i] = np.linalg.norm(trial.mu[j] - x[i]), True
+    grown = np.where(alpha == -reach, _REACH_GROWTH * reach, reach)
+    return point, change, np.where(kept, grown, np.maximum(reach / _REACH_GROWTH, 1.0))
+
+
 def _ascend(rows, mu, stats, cfg: InferenceConfig, traces: list[InferenceTrace]):
     """Alternate q(theta) and q(z) updates on every row at once, from the
-    means mu and the expected statistics of the starting q(z).
+    means mu and the expected statistics of the starting q(z), in SQUAREM
+    cycles: two plain maps, then `_squarem`'s extrapolation and stabilizing
+    map, kept only where it does not lower the monitor and still moves the
+    mean forward.
 
-    A row retires once the L2 norm of its mean's change drops below
-    cfg.conv_tol; it has converged if its last refit's ascents also reached
-    the optimizer's grad_tol, so a refit that stopped short (at its iteration
-    cap, or once steps stopped raising the objective) reports converged=False
-    in the row's trace.  Returns the means, each row's Sigma and approximate
-    objective, and the last q(z) update (of the rows active then)."""
+    A row retires once the L2 norm of its mean's change in one map drops
+    below cfg.conv_tol, checked after every map, so a row that converges in
+    one or two maps never extrapolates; cfg.max_outer_iters caps the maps.
+    Each row's trace gets one record per cycle and one where the row retires,
+    with `iteration` the maps taken so far.  A row has converged if the refit
+    of its last map also reached the optimizer's grad_tol, so a refit that
+    stopped short (at its iteration cap, or once steps stopped raising the
+    objective) reports converged=False in the row's trace.  Returns the
+    means, each row's Sigma and its approximate objective."""
     mu = np.array(mu, dtype=float)
     sigma, objective = [None] * len(mu), np.zeros(len(mu))
     active = np.arange(len(mu))
-    start = time.perf_counter()
-    for it in range(1, cfg.max_outer_iters + 1):
-        new_mu, new_sigma, log_det, converged = _refit(rows, stats, mu[active], cfg.method)
-        q_z = rows.conjugate_update(new_mu, new_sigma)
-        stats = rows.expected_stats(q_z)
-        objective[active] = rows.monitor(new_mu, new_sigma, q_z, stats, log_det)
-        change = np.linalg.norm(new_mu - mu[active], axis=1)
-        mu[active] = new_mu
+    start, maps, reach = time.perf_counter(), 0, np.ones(len(mu))
+    path = [mu[active]]  # the cycle's means so far
+    while True:
+        maps += 1
+        if len(path) < 3:
+            mu_map, *rest, stats = _map(rows, stats, path[-1], cfg.method)
+            change = np.linalg.norm(mu_map - path[-1], axis=1)
+            path.append(mu_map)
+            record = (change < cfg.conv_tol) | (maps >= cfg.max_outer_iters)
+            if len(path) == 2 and not record.any():
+                continue
+            point = _scored(rows, mu_map, *rest, stats)
+        else:
+            point, change, reach = _squarem(rows, path, point, change, reach, cfg.method)
+            path, stats = [point.mu], point.stats
+            record = np.ones(len(active), dtype=bool)
         seconds = time.perf_counter() - start
-        for d, s, c, ok in zip(active, new_sigma, change, converged):
-            sigma[d] = s
-            traces[d].append(TraceRecord(it, float(objective[d]), float(c), seconds))
-            traces[d].converged = bool(c < cfg.conv_tol and ok)
-        keep = np.flatnonzero(change >= cfg.conv_tol)
+        for i in np.flatnonzero(record):
+            d = active[i]
+            mu[d], sigma[d], objective[d] = point.mu[i], point.sigma[i], point.objective[i]
+            traces[d].append(TraceRecord(maps, float(point.objective[i]), float(change[i]), seconds))
+            traces[d].converged = bool(change[i] < cfg.conv_tol and point.converged[i])
+        keep = np.flatnonzero((change >= cfg.conv_tol) & (maps < cfg.max_outer_iters))
         if not keep.size:
-            break
+            return mu, sigma, objective
         if keep.size < active.size:
             rows, stats, active = rows.select(keep), stats[keep], active[keep]
-    return mu, sigma, objective, q_z
+            path, change, reach = [p[keep] for p in path], change[keep], reach[keep]
+            point = _Point(*(a[keep] for a in point))
 
 
 class _ModelRows:
@@ -286,11 +394,12 @@ def run_coordinate_ascent(
     failure propagates with `trace` attached."""
     trace = InferenceTrace()
     try:
-        mu, sigma, _, q_z = _ascend(
+        mu, sigma, _ = _ascend(
             _ModelRows([model], data), [init_q_theta.mu], [model.expected_stats(init_q_z)],
             cfg or InferenceConfig(), [trace],
         )
     except ArithmeticError as err:
         err.trace = trace
         raise
-    return GaussianVariational(mu[0], sigma[0]), q_z[0], trace
+    q_theta = GaussianVariational(mu[0], sigma[0])
+    return q_theta, model.conjugate_update(q_theta, data), trace

@@ -22,6 +22,7 @@ __all__ = [
     "OptimizerConfig",
     "OptimResult",
     "LineSearchStallError",
+    "NonFiniteStartError",
     "newton",
     "maximize",
     "dense_direction",
@@ -63,6 +64,10 @@ class OptimResult:
     converged: bool
 
 
+class NonFiniteStartError(ValueError):
+    """The objective or its gradient is not finite where the ascent starts."""
+
+
 class LineSearchStallError(ArithmeticError):
     """Backtracking exhausted its shrink budget without an accepted step.
 
@@ -84,14 +89,15 @@ def newton(evaluate, x, config: OptimizerConfig | None = None) -> OptimResult:
     per row), the objective values, their gradients and the Newton
     directions; a direction is only used where the value and gradient are
     finite.  A row stops at grad_tol, once an accepted step no longer raises
-    its value, or at max_iters.
+    its value, or at max_iters.  A start where a value or gradient is not
+    finite raises NonFiniteStartError.
     """
     cfg = config or OptimizerConfig()
     x = np.array(x, dtype=float)
     rows = np.arange(len(x))
     value, grad, direction = evaluate(x, rows)
     if not (np.all(np.isfinite(value)) and np.all(np.isfinite(grad))):
-        raise ValueError("objective is not finite at the starting point")
+        raise NonFiniteStartError("objective is not finite at the starting point")
     final_value = value.copy()
     grad_norm = np.linalg.norm(grad, axis=1)
     converged = _converged(value, grad, direction, grad_norm, cfg)

@@ -28,9 +28,14 @@ from .model import (
     dirichlet_entropy,
 )
 
-__all__ = ["UnigramModel", "infer"]
+__all__ = ["UnigramModel", "RateUnderflowError", "infer"]
 
 _EXP_GUARD = 700.0
+
+
+class RateUnderflowError(ArithmeticError):
+    """E[exp(theta_i)] underflowed to 0 for a term that a document never uses,
+    leaving that document's Dirichlet parameter 0: a numerical failure."""
 
 
 def _checked_exp(theta: np.ndarray) -> np.ndarray:
@@ -180,8 +185,9 @@ class UnigramModel(ModelContract):
         phi = base[None, :] + self._counts
         if np.any(phi <= 0.0):
             d, i = np.unravel_index(int(np.argmax(phi <= 0.0)), phi.shape)
-            raise ValueError(
-                f"conjugate update left nonpositive parameter (document {d}, term {i})"
+            raise RateUnderflowError(
+                f"conjugate update left nonpositive parameter (document {d}, term {i}): "
+                f"exp(mu + sigma/2) underflowed to 0"
             )
         return ConjugateVariational(phi)
 

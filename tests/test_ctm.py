@@ -273,6 +273,34 @@ class TestBatchInference:
                 assert trace_rows(got_trace) == trace_rows(want_trace)
 
     @pytest.mark.parametrize("method", ["laplace", "delta"])
+    def test_failed_trial_falls_back_for_its_document_alone(self, method, monkeypatch):
+        # the document holding a count of 97 fails every stabilizing map: in
+        # a batch the failure sends each document's trial through alone, and
+        # every document's iterates stay those of its one-document run
+        params = make_ctm_params(14, 5, 40)
+        docs = make_ctm_corpus(15, params, 8, tokens_per_doc=50)
+        docs[2] = Document({**docs[2].counts, 39: 97})
+        real, failed = engine._trial, []
+
+        def trial(rows, x, sigma, method):
+            if np.any(rows.counts == 97):
+                failed.append(len(x))
+                raise FloatingPointError("trial fails")
+            return real(rows, x, sigma, method)
+
+        monkeypatch.setattr(engine, "_trial", trial)
+        cfg = InferenceConfig(method=method)
+        full = ctm.infer_docs(params, docs, cfg)
+        assert max(failed) > 1 and 1 in failed
+        for doc, (want, want_trace) in zip(docs, full):
+            got, got_trace = ctm.infer_doc(params, doc, cfg)
+            assert np.array_equal(got.q_theta.mu, want.q_theta.mu)
+            assert np.array_equal(got.q_theta.sigma, want.q_theta.sigma)
+            assert got.objective == want.objective
+            assert trace_rows(got_trace) == trace_rows(want_trace)
+        assert full[2][1].converged
+
+    @pytest.mark.parametrize("method", ["laplace", "delta"])
     def test_matches_engine_reference(self, method):
         params = make_ctm_params(16, 5, 60, topic_conc=0.2)
         docs = make_ctm_corpus(17, params, 10, tokens_per_doc=80)
@@ -353,9 +381,9 @@ class TestBatchInference:
             sizes = []
             monkeypatch.setattr(optimize, "newton", lambda f, x: sizes.append(len(x)) or real(f, x))
             results = ctm.infer_docs(params, docs, InferenceConfig(method))
-            lengths = [len(trace) for _, trace in results]
-            # round r refits every document whose trace reaches r, in one call
-            assert sizes == [sum(n >= r for n in lengths) for r in range(1, max(lengths) + 1)]
+            maps = [trace.records[-1].iteration for _, trace in results]
+            # map m refits every document that takes m maps, in one call
+            assert sizes == [sum(n >= m for n in maps) for m in range(1, max(maps) + 1)]
 
     def test_rejects_bad_terms_anywhere_in_the_batch(self):
         params = simple_params(2, 3)

@@ -349,13 +349,14 @@ class TestApproxObjective:
         a = random_spd(rng, 3)
         model = QuadraticModel(a, rng.normal(size=3))
         q0 = GaussianVariational(np.zeros(3), np.eye(3))
-        _, _, trace = engine.run_coordinate_ascent(
-            model, None, q0, ConjugateVariational(None),
-            InferenceConfig(max_outer_iters=6, conv_tol=1e-12),
-        )
-        objs = [r.objective for r in trace.records]
-        assert len(objs) >= 2
-        np.testing.assert_allclose(objs[1:], objs[1], atol=1e-9)
+        objs = []
+        for cap in (1, 2, 3):
+            _, _, trace = engine.run_coordinate_ascent(
+                model, None, q0, ConjugateVariational(None),
+                InferenceConfig(max_outer_iters=cap, conv_tol=1e-12),
+            )
+            objs.append(trace.records[-1].objective)
+        np.testing.assert_allclose(objs, objs[0], atol=1e-9)
 
     @pytest.mark.parametrize("method", ["laplace", "delta"])
     @pytest.mark.parametrize("problem", ["blr", "unigram", "ctm"])
@@ -366,8 +367,8 @@ class TestApproxObjective:
         calls = []
 
         def spy(model, q_theta, q_z, stats, log_det):
-            calls.append((model, q_theta, q_z))
-            return real(model, q_theta, q_z, stats, log_det)
+            calls.append((model, q_theta, q_z, real(model, q_theta, q_z, stats, log_det)))
+            return calls[-1][3]
 
         monkeypatch.setattr(engine, "approx_objective", spy)
         cfg = InferenceConfig(method=method, conv_tol=1e-12, max_outer_iters=4)
@@ -384,13 +385,16 @@ class TestApproxObjective:
             q0 = GaussianVariational(np.zeros(model.dim), np.eye(model.dim))
             qz0 = model.conjugate_update(q0)
             _, _, trace = engine.run_coordinate_ascent(model, None, q0, qz0, cfg)
+            # the loop scores every point it might keep; a record is the kept one's
+            values = [c[3] for c in calls]
+            calls = [calls[values.index(r.objective)] for r in trace.records]
         per_record = len(calls) // len(trace)
         assert len(trace) >= 2 and per_record * len(trace) == len(calls)
         for i, record in enumerate(trace.records):
             want = sum(
                 real(model, q, q_z, model.expected_stats(q_z),
                      numerics.spd_factorize(q.sigma @ np.eye(q.dim)).log_det)
-                for model, q, q_z in calls[i * per_record:(i + 1) * per_record]
+                for model, q, q_z, _ in calls[i * per_record:(i + 1) * per_record]
             )
             assert record.objective == pytest.approx(want, rel=1e-10, abs=0)
 
@@ -511,23 +515,23 @@ class TestRunCoordinateAscent:
                 self.rounds = 0
 
             def f_hessian(self, theta, stats):
-                if self.rounds >= 1:
+                if self.rounds >= 4:
                     return np.diag([1.0, -1.0])  # turns indefinite mid run
                 return -self._a
 
             def expected_stats(self, q_z):
-                # nudge the mean each round so convergence never triggers
-                return ExpectedStats(np.zeros(2))
+                return ExpectedStats(np.full(2, float(self.rounds)))
 
             def conjugate_update(self, q_theta, data=None):
-                # closes an outer iteration: the ascent inside the first one
-                # reads f_hessian for its Newton steps, so the curvature turns
-                # indefinite only after that iteration is recorded
+                # closes a map: the first cycle (two maps, then the
+                # stabilizing map, whose q(z) update comes first) counts four
+                # rounds and is recorded before the curvature turns indefinite
                 self.rounds += 1
                 return ConjugateVariational(None)
 
             def f_value_grad(self, theta, stats):
-                d = theta - self._c - 1.0
+                # the mode moves with the statistics, so the mean never settles
+                d = theta - self._c - 1.0 - stats.values
                 return float(-0.5 * d @ self._a @ d), -self._a @ d
 
         model = ExplodingModel()
@@ -541,6 +545,167 @@ class TestRunCoordinateAscent:
             )
         assert hasattr(exc.value, "trace")
         assert len(exc.value.trace.records) >= 1
+
+
+def squarem_problem(problem):
+    """A unigram corpus as one `_ModelRows` row, or CTM documents as `_Docs`
+    rows: the rows, their starting means and statistics, and a runner of the
+    engine's outer loop under a config."""
+    if problem == "unigram":
+        docs, _ = make_unigram_corpus(50, 12, 6, tokens_per_doc=40)
+        model = unigram.UnigramModel(12, docs)
+        rows = engine._ModelRows([model])
+        start = np.zeros((1, 12))
+        stats = [model.expected_stats(model.conjugate_update(
+            GaussianVariational(start[0], np.eye(12))))]
+
+        def run(cfg):
+            q, _, trace = unigram.infer(docs, 12, cfg)
+            return q.mu[None], [trace]
+    else:
+        params = make_ctm_params(31, 4, 40)
+        docs = make_ctm_corpus(32, params, num_docs=8, tokens_per_doc=50)
+        ids, counts, doc = ctm._corpus(docs)
+        rows = ctm._Docs(params, counts, ctm._log_beta(params, ids), doc, len(docs))
+        start = np.zeros((len(docs), 4))
+        stats = rows.expected_stats(rows.conjugate_update(start, None))
+
+        def run(cfg):
+            results = ctm.infer_docs(params, docs, cfg)
+            return np.array([s.q_theta.mu for s, _ in results]), [t for _, t in results]
+    return rows, start, stats, run
+
+
+def plain_path(rows, mu, stats, method, maps):
+    """The plain alternation, one `engine._map` after another: the means and
+    monitor of every map."""
+    path = []
+    for _ in range(maps):
+        point = engine._scored(rows, *engine._map(rows, stats, mu, method))
+        mu, stats = point.mu, point.stats
+        path.append((mu, point.objective))
+    return path
+
+
+class TestSquarem:
+    @pytest.mark.parametrize("method", ["laplace", "delta"])
+    @pytest.mark.parametrize("problem", ["unigram", "ctm"])
+    @pytest.mark.parametrize("conv_tol", [1e-4, 1e-6])
+    def test_agrees_with_the_plain_fixed_point(self, problem, method, conv_tol):
+        # the plain alternation run until no mean moves 1e-9 in one map is
+        # the reference; the extrapolated loop stops within 10 conv_tol of it
+        rows, start, stats, run = squarem_problem(problem)
+        path = plain_path(rows, start, stats, method, 200)
+        moves = [np.abs(b[0] - a[0]).max() for a, b in zip(path, path[1:])]
+        reference = path[1 + next(i for i, m in enumerate(moves) if m < 1e-9)][0]
+        mu, traces = run(InferenceConfig(method=method, conv_tol=conv_tol))
+        assert all(t.converged for t in traces)
+        np.testing.assert_allclose(mu, reference, rtol=0, atol=10 * conv_tol)
+
+    @pytest.mark.parametrize("method", ["laplace", "delta"])
+    @pytest.mark.parametrize("problem", ["unigram", "ctm"])
+    def test_rejected_extrapolation_keeps_the_plain_point(self, problem, method, monkeypatch):
+        # with every stabilizing map failing, each cycle keeps its second
+        # plain map's point and Sigma: the records are the plain path's at
+        # maps 2, 4, 6, ..., filed at maps 3, 6, 9, ..., and still climb
+        rows, start, stats, run = squarem_problem(problem)
+        failed = []
+
+        def trial(rows, x, sigma, method):
+            failed.append(len(x))
+            raise FloatingPointError("trial fails")
+
+        monkeypatch.setattr(engine, "_trial", trial)
+        cfg = InferenceConfig(method=method, conv_tol=1e-6, max_outer_iters=30)
+        _, traces = run(cfg)
+        path = plain_path(rows, start, stats, method, 20)
+        assert failed
+        for d, trace in enumerate(traces):
+            cycles = [r for r in trace.records if r.iteration % 3 == 0]
+            assert len(cycles) >= 2
+            for r in cycles:
+                assert r.objective == path[2 * r.iteration // 3 - 1][1][d]
+            assert np.all(np.diff([r.objective for r in trace.records]) >= -1e-9)
+
+    @pytest.mark.parametrize("method", ["laplace", "delta"])
+    def test_records_climb_where_a_trial_was_rejected(self, method, monkeypatch):
+        # the documents of test_06: some stabilized points are not kept, and
+        # none shows as a drop in the record that follows
+        params = make_ctm_params(7, num_topics=5, vocab_size=50)
+        docs = make_ctm_corpus(7, params, num_docs=20, tokens_per_doc=60)
+        real, rejected = engine._squarem, []
+
+        def squarem(rows, path, plain, change, reach, method):
+            out = real(rows, path, plain, change, reach, method)
+            rejected.append(int(np.sum(np.all(out[0].mu == plain.mu, axis=1))))
+            return out
+
+        monkeypatch.setattr(engine, "_squarem", squarem)
+        results = ctm.infer_docs(params, docs, InferenceConfig(method=method))
+        assert sum(rejected) >= 1
+        for _, trace in results:
+            assert np.all(np.diff([r.objective for r in trace.records]) >= -1e-6)
+
+    @pytest.mark.parametrize("x0", [np.nan, np.inf, 6.0, -800.0, 800.0])
+    def test_failed_trial_gives_no_point(self, x0):
+        # a trial from a non-finite mean, from one where f is -inf (newton's
+        # non-finite start), or whose q(z) update under- or overflows
+        # (unigram's rates exp(mu + sigma/2)) is a fallback, not an error
+        class WalledModel(QuadraticModel):
+            def f_value_grad(self, theta, stats):
+                if theta[0] > 5.0:
+                    return -np.inf, np.full_like(theta, np.nan)
+                return super().f_value_grad(theta, stats)
+
+        if abs(x0) == 800.0:
+            model = unigram.UnigramModel(2, [Document({0: 3})])
+            x = np.array([[0.0, x0]])
+        else:
+            model, x = WalledModel(np.eye(2), np.zeros(2)), np.array([[x0, 0.0]])
+        rows = engine._ModelRows([model])
+        assert engine._stabilize(rows, x, [np.eye(2)], "laplace") == []
+
+    def test_extrapolation_is_exact_on_a_linear_map(self):
+        # q(z)'s statistics are mu/2 + 1, so the map is mu -> mu/2 + 1 with
+        # fixed point 2; the first cycle's reach of 1 leaves it plain (0, 1,
+        # 1.5, 1.75), and the second extrapolates from 1.75, 1.875 and
+        # 1.9375 with alpha = -2 onto 2 itself, where the stabilizing map
+        # moves the mean by 0
+        class LinearMapModel(QuadraticModel):
+            def expected_stats(self, q_z):
+                return ExpectedStats(0.5 * q_z.phi + 1.0)
+
+            def conjugate_update(self, q_theta, data=None):
+                return ConjugateVariational(q_theta.mu.copy())
+
+            def f_value_grad(self, theta, stats):
+                d = theta - stats.values
+                return float(-0.5 * d @ d), -d
+
+        model = LinearMapModel(np.eye(1), np.zeros(1))
+        q0 = GaussianVariational(np.zeros(1), np.eye(1))
+        q, _, trace = engine.run_coordinate_ascent(
+            model, None, q0, model.conjugate_update(q0), InferenceConfig(conv_tol=1e-12)
+        )
+        assert [r.iteration for r in trace.records] == [3, 6]
+        assert [r.mean_change for r in trace.records] == [0.25, 0.0]
+        assert q.mu[0] == 2.0 and trace.converged
+
+    def test_cycle_writes_one_record_and_counts_maps(self):
+        docs, _ = make_unigram_corpus(51, 20, 8, tokens_per_doc=30)
+        _, _, trace = unigram.infer(docs, 20, InferenceConfig(conv_tol=1e-8))
+        iters = [r.iteration for r in trace.records]
+        # one record per three-map cycle, and one where the mean test stops
+        assert iters[:-1] == list(range(3, 3 * len(iters) - 2, 3))
+        assert iters[-1] - iters[-2] in (1, 2, 3)
+        assert trace.converged and trace.records[-1].mean_change < 1e-8
+
+    def test_map_cap_keeps_its_meaning(self):
+        docs, _ = make_unigram_corpus(51, 20, 8, tokens_per_doc=30)
+        for cap in (1, 2, 4, 5):
+            _, _, trace = unigram.infer(docs, 20, InferenceConfig(conv_tol=1e-12,
+                                                                  max_outer_iters=cap))
+            assert trace.records[-1].iteration == cap and not trace.converged
 
 
 class TestTrace:

@@ -1,12 +1,14 @@
 """File formats and the command-line entry points."""
 
 import argparse
+import time
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ncvi import cli, ctm, dataio, engine, optimize
+from ncvi import cli, ctm, dataio, engine, optimize, unigram
 from ncvi.model import GaussianVariational
 
 from conftest import make_ctm_params, make_unigram_corpus, random_spd, stopped_short
@@ -485,33 +487,74 @@ class TestCliCommands:
         assert unread == {argv[0]: set() for argv in runs}
 
 
+def unigram_corpus_file(tmp_path, vocab, num_docs, tokens, seed=1):
+    docs, _ = make_unigram_corpus(seed, vocab, num_docs, tokens_per_doc=tokens)
+    lines = [f"V {vocab}"]
+    for doc in docs:
+        pairs = " ".join(f"{i}:{c}" for i, c in sorted(doc.counts.items()))
+        lines.append(f"{len(doc.counts)} {pairs}")
+    return write(tmp_path / "corpus.txt", "\n".join(lines) + "\n")
+
+
 class TestUnigramUnderflow:
     """Valid corpora whose line-search trials drive a rate exp(theta) to 0."""
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("num_docs,method,converges", [
         (50, "delta", True),
-        (200, "laplace", False),  # stops at the 100-iteration cap
+        (200, "laplace", True),  # 135 plain maps, about 30 extrapolated
     ])
     def test_exits_zero(self, tmp_path, capsys, num_docs, method, converges):
-        docs, _ = make_unigram_corpus(1, 100, num_docs, tokens_per_doc=200)
-        lines = ["V 100"]
-        for doc in docs:
-            pairs = " ".join(f"{i}:{c}" for i, c in sorted(doc.counts.items()))
-            lines.append(f"{len(doc.counts)} {pairs}")
-        corpus = write(tmp_path / "corpus.txt", "\n".join(lines) + "\n")
+        corpus = unigram_corpus_file(tmp_path, 100, num_docs, 200)
         out = tmp_path / "rates.csv"
         assert run_cli(["infer-unigram", "--corpus", corpus, "--method", method,
                         "--out", out]) == 0
-        err = capsys.readouterr().err
-        assert "error:" not in err
+        assert (capsys.readouterr().err == "") is converges
         trace = (tmp_path / "rates.csv.trace.csv").read_text().splitlines()
-        if converges:
-            assert err == ""
-        else:
-            assert err.startswith("warning: stopped at the 100-iteration cap")
-            assert len(trace) == 101
+        assert (int(trace[-1].split(",")[0]) < 100) is converges
         assert len(out.read_text().splitlines()) == 101
+
+    def test_underflowed_rate_exits_two(self, tmp_path, capsys, monkeypatch):
+        # a rate whose E[exp(theta)] underflows to 0 on a term a document
+        # lacks is a numerical failure, not bad input
+        real = unigram.UnigramModel.eta_expectation
+        monkeypatch.setattr(unigram.UnigramModel, "eta_expectation",
+                            lambda self, q: real(self, q) * (np.arange(self.dim) != 0))
+        corpus = write(tmp_path / "corpus.txt", "V 3\n2 1:2 2:1\n")
+        assert run_cli(["infer-unigram", "--corpus", corpus, "--out", tmp_path / "r.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: conjugate update left nonpositive parameter")
+
+
+class TestUnigramOuterLoop:
+    """`infer-unigram` at the default tolerance, and at its map cap."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_single_token_corpus_warns_at_the_cap(self, tmp_path, capsys):
+        corpus = unigram_corpus_file(tmp_path, 5, 500, 1)
+        out = tmp_path / "rates.csv"
+        assert run_cli(["infer-unigram", "--corpus", corpus, "--method", "delta",
+                        "--out", out]) == 0
+        assert capsys.readouterr().err.startswith("warning: stopped at the 100-iteration cap")
+        trace = (tmp_path / "rates.csv.trace.csv").read_text().splitlines()
+        assert int(trace[-1].split(",")[0]) == 100
+        assert len(out.read_text().splitlines()) == 6
+
+    @pytest.mark.parametrize("vocab,method", [(1000, "laplace"), (300, "delta")])
+    def test_default_tolerance_converges_on_the_benchmark_corpus(
+        self, tmp_path, capsys, vocab, method
+    ):
+        # the unigram benchmark's corpus (20 documents of 200 tokens, seed
+        # 11) at the default --conv-tol, where the plain alternation stopped
+        # at the cap; delta on a smaller vocabulary keeps the test short
+        corpus = unigram_corpus_file(tmp_path, vocab, 20, 200, seed=11)
+        start = time.perf_counter()
+        assert run_cli(["infer-unigram", "--corpus", corpus, "--method", method,
+                        "--out", tmp_path / "rates.csv"]) == 0
+        assert time.perf_counter() - start < 10.0
+        assert capsys.readouterr().err == ""
+        trace = (tmp_path / "rates.csv.trace.csv").read_text().splitlines()
+        assert int(trace[-1].split(",")[0]) < 40
 
 
 class TestCliErrors:
