@@ -3,41 +3,14 @@ latent variable, via Laplace or delta-method updates of its Gaussian factor.
 
 Ships three model families on one engine: a Dirichlet-multinomial unigram
 model with log-normal rates, a correlated topic model with variational EM,
-and flat or hierarchically tied Bayesian logistic regression.
+and flat or hierarchically tied Bayesian logistic regression.  The package
+exposes its library modules; the command line is `ncvi.cli`, which
+`python -m ncvi.cli` runs.
 """
 
-from . import blr, cli, ctm, dataio, engine, evaluate, numerics, optimize, unigram
-from .engine import InferenceConfig, InferenceTrace, run_coordinate_ascent
-from .model import (
-    ConjugateVariational,
-    Document,
-    ExpectedStats,
-    GaussianVariational,
-    LabeledInstance,
-    ModelContract,
-)
-from .optimize import OptimizerConfig
+from . import blr, ctm, dataio, engine, evaluate, model, numerics, optimize, unigram
 
-__all__ = [
-    "blr",
-    "cli",
-    "ctm",
-    "dataio",
-    "engine",
-    "evaluate",
-    "numerics",
-    "optimize",
-    "unigram",
-    "InferenceConfig",
-    "InferenceTrace",
-    "run_coordinate_ascent",
-    "ConjugateVariational",
-    "Document",
-    "ExpectedStats",
-    "GaussianVariational",
-    "LabeledInstance",
-    "ModelContract",
-    "OptimizerConfig",
-]
+__all__ = ["blr", "ctm", "dataio", "engine", "evaluate", "model", "numerics", "optimize",
+           "unigram"]
 
 __version__ = "0.1.0"

@@ -161,7 +161,8 @@ class BlrModel(ModelContract):
         """For the delta profile, -H - Hessian{Tr(H sigma)}/2 at fixed sigma
         where positive definite; the profile's exact term costs O(N^2 P)."""
         neg = -self.f_hessian(theta)
-        exact = None if sigma is None else neg - 0.5 * self._trace_hessian(theta, sigma)
+        exact = None if sigma is None else _from_lower(
+            neg - 0.5 * self._trace_hessian(theta, sigma))
         return optimize.dense_direction(neg, grad, exact)
 
     def expected_stats(self, q_z=None) -> ExpectedStats:
@@ -181,10 +182,18 @@ def _sym(m):
     return 0.5 * (m + m.transpose(0, 2, 1))
 
 
+def _from_lower(m):
+    """Each matrix's lower triangle, mirrored: the Cholesky factor reads only
+    that triangle, and a Gram matrix of weights of both signs, as in the
+    delta profile's Newton matrix, can cancel to an asymmetry past
+    spd_factorize's tolerance."""
+    return np.tril(m) + np.swapaxes(np.tril(m, -1), -1, -2)
+
+
 def _directions(mats, neg, grad):
     """Per task, the Cholesky solve of `mats` against the gradient where it is
     positive definite, else optimize.dense_direction's of -H, `neg`."""
-    fact, ok = numerics.spd_factorize_each(mats)
+    fact, ok = numerics.spd_factorize_each(_from_lower(mats))
     direction = fact.solve(grad[:, :, None])[:, :, 0]
     for r in np.flatnonzero(~ok):
         direction[r] = optimize.dense_direction(neg[r], grad[r])

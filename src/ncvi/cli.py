@@ -2,8 +2,9 @@
 
 Subcommands cover topic-model fitting and held-out scoring, flat and
 hierarchical logistic regression, and the unigram posterior.  Every command
-writes an iteration trace CSV next to its primary output.  Exit codes: 0 on
-success, 1 on input problems, 2 on numerical failure.
+writes a trace CSV next to its primary output: a fit's iterations, or one
+record holding an evaluation's mean metric.  Exit codes: 0 on success, 1 on
+input problems (ValueError, OSError), 2 on numerical failure.
 """
 
 from __future__ import annotations
@@ -21,14 +22,10 @@ from .model import GaussianVariational
 __all__ = ["main"]
 
 
-class CliInputError(ValueError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # funnel argparse's own failures into the input-error exit path
     def error(self, message):
-        raise CliInputError(message)
+        raise ValueError(message)
 
 
 def _inference(args) -> engine.InferenceConfig:
@@ -72,16 +69,14 @@ def _cmd_eval_ctm(args) -> int:
     params = dataio.load_ctm_params(args.model)
     docs, vocab = dataio.parse_corpus(args.corpus)
     if vocab != params.vocab_size:
-        raise CliInputError(
+        raise ValueError(
             f"corpus vocabulary {vocab} does not match the model's {params.vocab_size}"
         )
     start = time.perf_counter()
     report = evaluate.heldout_corpus(params, docs, cfg, seed=args.seed)
     dataio.write_metrics_csv(report, args.out, extra_summary={"split_seed": args.seed})
-    trace = engine.InferenceTrace()
-    for i, value in enumerate(report.values, start=1):
-        trace.append(engine.TraceRecord(i, value, 0.0, time.perf_counter() - start))
-    trace.converged = True
+    trace = (_single_record_trace(report.mean, 0.0, time.perf_counter() - start)
+             if report.count else engine.InferenceTrace())
     trace.to_csv(str(args.out) + ".trace.csv")
     return 0
 
@@ -89,7 +84,7 @@ def _cmd_eval_ctm(args) -> int:
 def _cmd_fit_blr(args) -> int:
     instances, _ = dataio.parse_labeled(args.data)
     if not instances:
-        raise CliInputError(f"{args.data}: no instances")
+        raise ValueError(f"{args.data}: no instances")
     start = time.perf_counter()
     cfg = engine.InferenceConfig(method=args.method)
     (q,), (objective,), (converged,) = blr._fit(blr._Tasks.of([instances]), cfg)
@@ -106,23 +101,23 @@ def _cmd_fit_hblr(args) -> int:
     cfg = _inference(args)
     task_dir = Path(args.tasks)
     if not task_dir.is_dir():
-        raise CliInputError(f"{args.tasks} is not a directory")
+        raise ValueError(f"{args.tasks} is not a directory")
     paths = sorted(p for p in task_dir.iterdir() if p.is_file())
     if not paths:
-        raise CliInputError(f"{args.tasks}: no task files")
+        raise ValueError(f"{args.tasks}: no task files")
     stems = [p.stem for p in paths] + ["prior"]  # each writes <stem>.post
     clash = [str(p) for p in paths if stems.count(p.stem) > 1]
     if clash:
-        raise CliInputError(f"{', '.join(clash)}: each task writes <stem>.post beside prior.post; "
-                            "the stems must differ")
+        raise ValueError(f"{', '.join(clash)}: each task writes <stem>.post beside prior.post; "
+                         "the stems must differ")
     tasks = []
     dim = None
     for path in paths:
         instances, p = dataio.parse_labeled(path)
         if not instances:
-            raise CliInputError(f"{path}: no instances")
+            raise ValueError(f"{path}: no instances")
         if dim not in (None, p):
-            raise CliInputError(f"{path}: dimension {p} differs from {dim}")
+            raise ValueError(f"{path}: dimension {p} differs from {dim}")
         dim = p
         tasks.append(instances)
     hier = blr.HierPrior.default(
@@ -146,9 +141,9 @@ def _cmd_eval_blr(args) -> int:
     q = dataio.load_posterior(args.posterior)
     instances, dim = dataio.parse_labeled(args.data)
     if not instances:
-        raise CliInputError(f"{args.data}: no instances")
+        raise ValueError(f"{args.data}: no instances")
     if q.dim != dim:
-        raise CliInputError(
+        raise ValueError(
             f"posterior dimension {q.dim} does not match data dimension {dim}"
         )
     start = time.perf_counter()
@@ -166,7 +161,7 @@ def _cmd_infer_unigram(args) -> int:
         args.corpus, warn=lambda m: print(m, file=sys.stderr)
     )
     if not docs:
-        raise CliInputError(f"{args.corpus}: no documents")
+        raise ValueError(f"{args.corpus}: no documents")
     q_theta, q_z, trace = unigram.infer(docs, vocab, cfg)
     _warn_unless_converged(trace, cfg.max_outer_iters, cfg.conv_tol)
     var = q_theta.sigma.diagonal()
@@ -247,7 +242,7 @@ def main(argv=None) -> int:
         # LinAlgError subclasses ValueError, so it is caught first
         print(f"numerical failure: {err}", file=sys.stderr)
         return 2
-    except (CliInputError, ValueError, OSError) as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

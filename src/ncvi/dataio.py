@@ -259,29 +259,33 @@ def _parse_floats(path, line_no: int, line: str, expect: int) -> np.ndarray:
         raise ParseError(path, line_no, "non-numeric value") from None
 
 
-def load_ctm_params(path) -> CtmParams:
+def _float_rows(path, header: str, blocks):
+    """A matrix file: a header line of the positive sizes that `header`
+    names, then the rows that `blocks(*sizes)` lists as (count, width)
+    pairs, one row of floats per line.  Returns the sizes and the rows."""
     lines = _read_lines(path)
     if not lines:
-        raise ParseError(path, 1, 'missing header line "K V"')
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ParseError(path, 1, f'header must be "K V", got {lines[0]!r}')
+        raise ParseError(path, 1, f'missing header line "{header}"')
     try:
-        k, v = int(head[0]), int(head[1])
+        sizes = [int(s) for s in lines[0].split()]
     except ValueError:
-        raise ParseError(path, 1, "header sizes must be integers") from None
-    need = 1 + k + 1 + k
+        sizes = []
+    if len(sizes) != len(header.split()) or min(sizes, default=0) < 1:
+        raise ParseError(path, 1, f'header must be "{header}" as positive integers, '
+                                  f'got {lines[0]!r}')
+    shape = blocks(*sizes)
+    need = 1 + sum(count for count, _ in shape)
     if len(lines) < need:
         raise ParseError(path, len(lines), f"expected {need} lines, found {len(lines)}")
-    topics = np.stack(
-        [_parse_floats(path, 2 + i, lines[1 + i], v) for i in range(k)]
-    )
-    mean = _parse_floats(path, 2 + k, lines[1 + k], k)
-    cov = np.stack(
-        [_parse_floats(path, 3 + k + i, lines[2 + k + i], k) for i in range(k)]
-    )
+    widths = [width for count, width in shape for _ in range(count)]
+    return sizes, [_parse_floats(path, 2 + i, lines[1 + i], width)
+                   for i, width in enumerate(widths)]
+
+
+def load_ctm_params(path) -> CtmParams:
+    (k, _), rows = _float_rows(path, "K V", lambda k, v: [(k, v), (1 + k, k)])
     try:
-        return CtmParams(topics, mean, cov)
+        return CtmParams(np.stack(rows[:k]), rows[k], np.stack(rows[k + 1:]))
     except ValueError as err:
         raise ParseError(path, 1, f"invalid model values: {err}") from None
 
@@ -293,20 +297,8 @@ def save_posterior(q: GaussianVariational, path) -> None:
 
 
 def load_posterior(path) -> GaussianVariational:
-    lines = _read_lines(path)
-    if not lines:
-        raise ParseError(path, 1, "missing dimension header")
-    try:
-        p = int(lines[0].split()[0])
-    except (ValueError, IndexError):
-        raise ParseError(path, 1, f"dimension header {lines[0]!r} is not an integer") from None
-    if p < 1:
-        raise ParseError(path, 1, f"dimension must be positive, got {p}")
-    if len(lines) < 2 + p:
-        raise ParseError(path, len(lines), f"expected {2 + p} lines, found {len(lines)}")
-    mu = _parse_floats(path, 2, lines[1], p)
-    sigma = np.stack([_parse_floats(path, 3 + i, lines[2 + i], p) for i in range(p)])
-    return GaussianVariational(mu, sigma)
+    _, rows = _float_rows(path, "P", lambda p: [(1 + p, p)])
+    return GaussianVariational(rows[0], np.stack(rows[1:]))
 
 
 def write_metrics_csv(reports, path, extra_summary=None) -> None:

@@ -56,6 +56,13 @@ def _b3_polygamma_2(b: np.ndarray) -> np.ndarray:
     return -2.0 + b * (b * (b * numerics.polygamma_2(b + 1.0)))
 
 
+def _expected_log_z(q_z: ConjugateVariational) -> np.ndarray:
+    """E_q[log z_d] = psi(phi_d) - psi(sum phi_d), one row per document
+    (none for an empty corpus)."""
+    phi = np.asarray(q_z.phi, dtype=float)
+    return numerics.digamma(phi) - numerics.digamma(phi.sum(axis=1))[:, None]
+
+
 def _shifted_inverse(h, c, b, shift):
     """(diag(a) - c b b')^{-1}, a = shift - h and c >= 0, by Sherman-Morrison,
     with its log-determinant by the determinant lemma; None where the matrix is
@@ -170,11 +177,7 @@ class UnigramModel(ModelContract):
         return out
 
     def expected_stats(self, q_z: ConjugateVariational) -> ExpectedStats:
-        phi = np.asarray(q_z.phi, dtype=float)
-        if phi.size == 0:
-            return ExpectedStats(np.zeros(self._vocab))
-        per_doc = numerics.digamma(phi) - numerics.digamma(phi.sum(axis=1))[:, None]
-        return ExpectedStats(per_doc.sum(axis=0))
+        return ExpectedStats(_expected_log_z(q_z).sum(axis=0))
 
     def eta_expectation(self, q_theta: GaussianVariational) -> np.ndarray:
         arg = q_theta.mu + 0.5 * q_theta.sigma.diagonal()
@@ -195,11 +198,7 @@ class UnigramModel(ModelContract):
         return float(np.sum(dirichlet_entropy(q_z.phi)))
 
     def qz_model_terms(self, q_z: ConjugateVariational) -> float:
-        phi = np.asarray(q_z.phi, dtype=float)
-        if phi.size == 0:
-            return 0.0
-        per_doc = numerics.digamma(phi) - numerics.digamma(phi.sum(axis=1))[:, None]
-        return float(np.sum((self._counts - 1.0) * per_doc))
+        return float(np.sum((self._counts - 1.0) * _expected_log_z(q_z)))
 
 
 def infer(

@@ -1,5 +1,6 @@
 """Public surface: every name a module exports, and every name the benchmark
-tracer patches, must exist; and the CTM and BLR commands never load scipy."""
+tracer patches, must exist; `python -m ncvi.cli` runs without warnings; and
+the CTM and BLR commands never load scipy."""
 
 import importlib
 import os
@@ -36,17 +37,24 @@ def test_benchmark_tracer_finds_every_traced_name():
     assert proc.returncode == 0, proc.stderr
 
 
-def run_python(code, *args, cwd=None):
+def run_python(*args, cwd=None):
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
-    cmd = [sys.executable, "-c", code, *args]
+    cmd = [sys.executable, *args]
     return subprocess.run(cmd, env=env, cwd=cwd, capture_output=True, text=True)
+
+
+def test_module_entry_point_runs_without_warnings():
+    # the package does not import cli, so runpy finds it unloaded
+    proc = run_python("-W", "error::RuntimeWarning", "-m", "ncvi.cli", "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "" and proc.stdout.startswith("usage: ncvi")
 
 
 def test_cli_import_leaves_scipy_unloaded():
     # scipy.special alone costs every command ~0.3 s of startup
     code = "import sys, ncvi.cli; loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']; " \
            "sys.exit(f'loaded {loaded}' if loaded else None)"
-    proc = run_python(code)
+    proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -98,13 +106,13 @@ WITHOUT_SCIPY = {
 def test_ctm_and_blr_commands_run_without_scipy(tiny, argv):
     code = "import sys; sys.modules['scipy'] = None; from ncvi.cli import main; " \
            "sys.exit(main(sys.argv[1:]))"
-    proc = run_python(code, *argv.split(), cwd=tiny)
+    proc = run_python("-c", code, *argv.split(), cwd=tiny)
     assert proc.returncode == 0, proc.stderr
 
 
 def test_infer_unigram_loads_scipy_special_on_first_use(tiny):
     code = "import sys; from ncvi.cli import main; assert 'scipy.special' not in sys.modules; " \
            "assert main(sys.argv[1:]) == 0; assert 'scipy.special' in sys.modules"
-    proc = run_python(code, "infer-unigram", "--corpus", "words.txt", "--out", "rates.csv",
-                      cwd=tiny)
+    proc = run_python("-c", code, "infer-unigram", "--corpus", "words.txt",
+                      "--out", "rates.csv", cwd=tiny)
     assert proc.returncode == 0, proc.stderr

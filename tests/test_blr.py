@@ -105,15 +105,16 @@ class TestFlatFit:
         np.testing.assert_allclose(q.sigma, prior.cov, atol=1e-10)
 
     def test_one_dimensional_grid_oracle(self):
-        instances = [
-            make_instance([1.0], 1),
-            make_instance([2.0], 1),
-            make_instance([1.5], 0),
-            make_instance([-0.5], 0),
-        ]
+        x, y = np.array([1.0, 2.0, 1.5, -0.5]), np.array([1.0, 1.0, 0.0, 0.0])
+        instances = [make_instance([xi], yi) for xi, yi in zip(x, y)]
         model = blr.BlrModel(instances, blr.BlrPrior.standard(1))
         grid = np.arange(-5.0, 5.0, 1e-4)
-        values = np.array([model.f_value_grad(np.array([t]))[0] for t in grid])
+        # the log posterior f at every grid point in one array expression
+        a = np.outer(grid, x)
+        values = (numerics.log_sigmoid(a) @ y + numerics.log_sigmoid(-a) @ (1.0 - y)
+                  - 0.5 * grid**2)
+        for k in (0, 31_415, len(grid) - 1):
+            assert values[k] == pytest.approx(model.f_value_grad(grid[k:k + 1])[0], rel=1e-12)
         t_star = grid[int(np.argmax(values))]
         q = blr.fit(instances)
         assert abs(q.mu[0] - t_star) <= 2e-4
@@ -375,10 +376,17 @@ class TestPackedTasks:
         np.testing.assert_array_equal(rows.t[rows.bounds[3]], tasks[3][0].covariates)
 
     @pytest.mark.parametrize("method", ["laplace", "delta"])
-    @pytest.mark.parametrize("which", ["flat", "tasks"])
+    @pytest.mark.parametrize("which", ["flat", "tasks", "cancelling"])
     def test_refit_matches_the_model_rows(self, method, which):
         tasks = self.tasks()[1:2] if which == "flat" else self.tasks()
         prior = self.prior()
+        if which == "cancelling":
+            # under this prior the delta profile's Newton matrix, a Gram
+            # matrix of weights of both signs, cancels to an asymmetry past
+            # spd_factorize's tolerance; both paths read its lower triangle
+            tasks = [[make_instance([478.9158741102069, 80.0, -100.0], 0),
+                      make_instance([0.0, 0.0, -100.0], 0)]]
+            prior = blr.BlrPrior.standard(3)
         start = np.zeros((len(tasks), 3))
         got = engine._refit(blr._Tasks.of(tasks, prior), None, start, method)
         want = engine._refit(*self.reference(tasks, prior), start, method)

@@ -5,7 +5,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ncvi import cli, ctm, dataio, engine, optimize, unigram
@@ -254,6 +254,13 @@ class TestRoundTrips:
             dataio.load_ctm_params(short)
         with pytest.raises(dataio.ParseError):
             dataio.load_posterior(write(tmp_path / "p.txt", "2\n0 0\n"))
+        # a header size below 1 declares no rows: a parse error on line 1
+        for read, header in [(dataio.load_ctm_params, "-1 5"), (dataio.load_ctm_params, "0 5"),
+                             (dataio.load_posterior, "0")]:
+            path = write(tmp_path / "h.txt", header + "\n0 0\n0 0\n")
+            with pytest.raises(dataio.ParseError) as err:
+                read(path)
+            assert str(err.value).startswith(f"{path}:1:")
 
 
 class TestMetricsCsv:
@@ -332,9 +339,19 @@ class TestCliCommands:
                         clidata / "corpus.txt", "--out", metrics])
         assert code == 0
         text = metrics.read_text()
-        assert "heldout_loglik_mean" in text
         assert "split_seed,42" in text
-        assert (tmp_path / "scores.csv.trace.csv").exists()
+        # the trace holds one record, the metric's mean, exactly as summarized
+        mean = next(l for l in text.splitlines() if "heldout_loglik_mean" in l).split(",")[2]
+        trace = (tmp_path / "scores.csv.trace.csv").read_text().splitlines()
+        assert trace[0] == "iter,objective,mean_change,seconds"
+        assert [r.split(",")[:3] for r in trace[1:]] == [["1", mean, "0"]]
+
+        # with no document long enough to split, nothing is scored: the header alone
+        short = write(tmp_path / "short.txt", "V 12\n1 3:1\n0\n")
+        assert run_cli(["eval-ctm", "--model", model, "--corpus", short, "--out", metrics]) == 0
+        assert "heldout_loglik_count,0" in metrics.read_text()
+        trace = (tmp_path / "scores.csv.trace.csv").read_text().splitlines()
+        assert trace == ["iter,objective,mean_change,seconds"]
 
     def test_fit_ctm_single_topic(self, clidata, tmp_path):
         code = run_cli(["fit-ctm", "--corpus", clidata / "corpus.txt", "--k", 1,
@@ -557,6 +574,96 @@ class TestUnigramOuterLoop:
         assert int(trace[-1].split(",")[0]) < 40
 
 
+@st.composite
+def separable_labeled_texts(draw):
+    """Labeled text whose labels are the sign of one covariate, at any scale
+    from 1e-3 to past where the logistic curvature overflows."""
+    dim = draw(st.integers(1, 4))
+    sep = draw(st.integers(0, dim - 1))
+    scale = 10.0 ** draw(st.integers(-3, 300))
+    lines = [f"P {dim}"]
+    for _ in range(draw(st.integers(1, 12))):
+        label = draw(st.sampled_from("01"))
+        values = [draw(st.floats(-1e3, 1e3)) for _ in range(dim)]
+        values[sep] = (1.0 if label == "1" else -1.0) * draw(st.floats(1e-3, 1.0)) * scale
+        lines.append(" ".join([label, *(f"{i}:{v!r}" for i, v in enumerate(values))]))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def repeated_term_corpora(draw):
+    """A corpus text whose documents each repeat one term up to 1e5 times,
+    beside at most two single tokens, and a topic count it supports."""
+    vocab = draw(st.integers(2, 6))
+    docs = []
+    for _ in range(draw(st.integers(1, 5))):
+        counts = {draw(st.integers(0, vocab - 1)): draw(st.integers(1, 100_000))}
+        for term in draw(st.lists(st.integers(0, vocab - 1), max_size=2)):
+            counts.setdefault(term, 1)
+        docs.append(counts)
+    lines = [f"V {vocab}"] + [f"{len(c)} " + " ".join(f"{i}:{n}" for i, n in c.items())
+                              for c in docs]
+    used = len(set().union(*docs))
+    return "\n".join(lines) + "\n", draw(st.integers(1, min(3, used)))
+
+
+def finite_trace(path):
+    objectives = [float(r.split(",")[1]) for r in path.read_text().splitlines()[1:]]
+    return bool(objectives) and all(np.isfinite(objectives))
+
+
+class TestExtremeInputs:
+    """Valid inputs at the extremes: each command exits 0 with finite outputs
+    or 2 naming a numerical failure, never 1 as if the input were bad."""
+
+    @staticmethod
+    def clean_exit(code, capsys, outputs_finite):
+        err = capsys.readouterr().err
+        assert code in (0, 2), err
+        if code == 0:
+            assert outputs_finite()
+        else:
+            assert err.startswith("numerical failure:")
+
+    @given(text=separable_labeled_texts(), method=st.sampled_from(["laplace", "delta"]))
+    # the delta profile's Newton matrix, a Gram matrix of weights of both
+    # signs, cancelled to an asymmetry that spd_factorize rejected (exit 1)
+    @example(text="P 4\n0 0:478.9158741102069 1:80.0 2:-100.0 3:0.0\n"
+                  "0 0:0.0 1:0.0 2:-100.0 3:0.0\n", method="delta")
+    @settings(max_examples=25, deadline=2000,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_separable_blr_data(self, tmp_path, capsys, text, method):
+        data, out = write(tmp_path / "d.txt", text), tmp_path / "q.post"
+        capsys.readouterr()
+        with np.errstate(all="ignore"):
+            code = run_cli(["fit-blr", "--data", data, "--method", method, "--out", out])
+
+        def outputs_finite():
+            q = dataio.load_posterior(out)
+            return (np.all(np.isfinite(q.mu)) and np.all(np.isfinite(q.sigma))
+                    and finite_trace(tmp_path / "q.post.trace.csv"))
+
+        self.clean_exit(code, capsys, outputs_finite)
+
+    @given(corpus=repeated_term_corpora(), method=st.sampled_from(["laplace", "delta"]))
+    @settings(max_examples=15, deadline=5000,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_repeated_term_ctm_corpora(self, tmp_path, capsys, corpus, method):
+        (text, k), out = corpus, tmp_path / "m.txt"
+        path = write(tmp_path / "c.txt", text)
+        capsys.readouterr()
+        with np.errstate(all="ignore"):
+            code = run_cli(["fit-ctm", "--corpus", path, "--k", k, "--em-iters", 2,
+                            "--method", method, "--out", out])
+
+        def outputs_finite():
+            params = dataio.load_ctm_params(out)
+            return (np.all(np.isfinite(params.topics))
+                    and finite_trace(tmp_path / "m.txt.trace.csv"))
+
+        self.clean_exit(code, capsys, outputs_finite)
+
+
 class TestCliErrors:
     def test_missing_file_exits_one(self, tmp_path, capsys):
         assert run_cli(["fit-blr", "--data", tmp_path / "absent.txt",
@@ -644,11 +751,15 @@ class TestCliErrors:
         assert all(str(tasks / name) in err for name in clash)
         assert not (tmp_path / "fit").exists()
 
-    def test_parse_error_exits_one(self, tmp_path, capsys):
+    def test_parse_error_exits_one(self, clidata, tmp_path, capsys):
         bad = write(tmp_path / "bad.txt", "V 3\n1 9:1\n")
         assert run_cli(["infer-unigram", "--corpus", bad,
                         "--out", tmp_path / "o"]) == 1
         assert f"{bad}:2:" in capsys.readouterr().err
+        model = write(tmp_path / "m.txt", "-1 12\n")
+        assert run_cli(["eval-ctm", "--model", model, "--corpus", clidata / "corpus.txt",
+                        "--out", tmp_path / "s.csv"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {model}:1:")
 
     @pytest.mark.parametrize("command,flags", [
         ("fit-blr", ["--method", "newton"]),
