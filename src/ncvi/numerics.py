@@ -1,15 +1,16 @@
 """Special functions and SPD linear algebra shared by every model.
 
-The gamma family (ln Gamma, psi, psi', psi'') wraps scipy.special, loaded on
-first use (only unigram and `model.dirichlet_entropy` reach it), and raises
-ValueError for a non-finite or non-positive argument.  The sigmoids are numpy.
-Both give a Python float for a scalar or 0-d argument and keep an array's
-shape.  The SPD matrices are dense Cholesky factors from numpy, of one matrix
-or of a stack, or diagonal plus rank one.  Everything here is stateless.
+The gamma family (ln Gamma, psi, psi', psi'') is numpy, on the algorithms
+of Cephes, which scipy.special wraps; it raises ValueError for a non-finite
+or non-positive argument.  The sigmoids are numpy too.  Both give a Python
+float for a scalar or 0-d argument and keep an array's shape.  The SPD
+matrices are dense Cholesky factors from numpy, of one matrix or of a
+stack, or diagonal plus rank one.  Everything here is stateless.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -44,29 +45,118 @@ def _float_or_array(out):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _sps():
-    import scipy.special  # here, not at the top: its import costs every command ~0.3 s
-    return scipy.special
+# Cephes `lgam` (Moshier, "Methods and Programs for Mathematical Functions",
+# 1989): ln Gamma(2 + t) = t B(t) / C(t) on [2, 3), and Stirling's correction
+# sum A(1/x^2) / x above 13; coefficients highest degree first, C monic
+_LGAM_B = (-1.37825152569120859100e3, -3.88016315134637840924e4, -3.31612992738871184744e5,
+           -1.16237097492762307383e6, -1.72173700820839662146e6, -8.53555664245765465627e5)
+_LGAM_C = (1.0, -3.51815701436523470549e2, -1.70642106651881159223e4, -2.20528590553854454839e5,
+           -1.13933444367982507207e6, -2.53252307177582951285e6, -2.01889141433532773231e6)
+_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
+           -2.77777777730099687205e-3, 8.33333333333331927722e-2)
+_LN_SQRT_2PI = 0.91893853320467274178
+_STIRLING_FROM = 13.0
+# psi and its derivatives: the Bernoulli asymptotic series in z = 1/y^2 at
+# y = x + 10, carried down to x by ten steps of the recurrence
+_SHIFT = 10
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510,
+              43867 / 798, -174611 / 330)
+# series of y^-2k terms, highest first, each truncated below 1e-16 relative at y = 10
+_PSI_SERIES = tuple(b / (2 * k) for k, b in enumerate(_BERNOULLI[:7], 1))[::-1]
+_PSI1_SERIES = _BERNOULLI[:8][::-1]
+_PSI2_SERIES = tuple((2 * k + 1) * b for k, b in enumerate(_BERNOULLI[:9], 1))[::-1]
 
 
+def _horner(coefs, t):
+    out = coefs[0]
+    for c in coefs[1:]:
+        out = out * t + c
+    return out
+
+
+def _gamma_family(kernel):
+    """Validate x > 0 and evaluate the kernel, a float as a numpy scalar,
+    without warnings: an overflow to inf is the exact limit, as
+    scipy.special gives it."""
+    @functools.wraps(kernel)
+    def wrapper(x):
+        if isinstance(x, float) and 0.0 < x < math.inf:
+            x = np.float64(x)
+        else:
+            x = _validated_positive(x, kernel.__name__)
+        with np.errstate(over="ignore", divide="ignore"):
+            return _float_or_array(kernel(x))
+
+    return wrapper
+
+
+def _carried_down(value, x, numerator, power):
+    """A value at x + 10 carried down to x by the recurrence: numerator /
+    (x + k)^power added for k = 9, ..., 0, smallest first, so the largest
+    term, 1 / x^power for small x, is rounded into the sum once."""
+    for k in range(_SHIFT - 1, -1, -1):
+        d = x + k
+        value = value + numerator / (d if power == 1 else d * d if power == 2 else d * d * d)
+    return value
+
+
+def _stirling(x):
+    return (x - 0.5) * np.log(x) - x + _LN_SQRT_2PI + _horner(_LGAM_A, 1.0 / (x * x)) / x
+
+
+def _lgam_below_stirling(x):
+    """ln Gamma by the recurrence into [2, 3): ln Gamma(x + k) there, the
+    rational form at t = x + k - 2, less the log of the k factors stepped
+    over (x and x + 1 up from below 2, x - 1, x - 2, ... down from 3)."""
+    k = np.where(x < 1.0, 2.0, np.where(x < 2.0, 1.0, 2.0 - np.floor(x)))
+    t = x + (k - 2.0)
+    factors = np.where(k == 2.0, x * (x + 1.0), np.where(k == 1.0, x, 1.0))
+    step = x - 1.0
+    for _ in range(int(-np.min(k))):
+        np.multiply(factors, step, out=factors, where=step >= 2.0)
+        step -= 1.0
+    log_factors = np.log(factors)
+    return np.where(k > 0.0, -log_factors, log_factors) + (
+        t * _horner(_LGAM_B, t) / _horner(_LGAM_C, t))
+
+
+@_gamma_family
 def log_gamma(x):
     """ln Gamma(x) for x > 0, scalar or array."""
-    return _float_or_array(_sps().gammaln(_validated_positive(x, "log_gamma")))
+    big = x >= _STIRLING_FROM
+    if big.all():
+        return _stirling(x)
+    if not big.any():
+        return _lgam_below_stirling(x)
+    out = np.empty(x.shape)
+    out[big] = _stirling(x[big])
+    out[~big] = _lgam_below_stirling(x[~big])
+    return out
 
 
+@_gamma_family
 def digamma(x):
     """Psi(x), the derivative of ln Gamma, for x > 0."""
-    return _float_or_array(_sps().psi(_validated_positive(x, "digamma")))
+    y = x + _SHIFT
+    inv = 1.0 / y
+    z = inv * inv
+    return _carried_down(np.log(y) - 0.5 * inv - z * _horner(_PSI_SERIES, z), x, -1.0, 1)
 
 
+@_gamma_family
 def trigamma(x):
     """Psi'(x) = zeta(2, x), the second derivative of ln Gamma, for x > 0."""
-    return _float_or_array(_sps().zeta(2.0, _validated_positive(x, "trigamma")))
+    inv = 1.0 / (x + _SHIFT)
+    z = inv * inv
+    return _carried_down(inv * (1.0 + 0.5 * inv + z * _horner(_PSI1_SERIES, z)), x, 1.0, 2)
 
 
+@_gamma_family
 def polygamma_2(x):
     """Psi''(x) = -2 zeta(3, x), the third derivative of ln Gamma, for x > 0."""
-    return _float_or_array(-2.0 * _sps().zeta(3.0, _validated_positive(x, "polygamma_2")))
+    inv = 1.0 / (x + _SHIFT)
+    z = inv * inv
+    return _carried_down(-z * (1.0 + inv + z * _horner(_PSI2_SERIES, z)), x, -2.0, 3)
 
 
 # hand-written: scipy's logsumexp/softmax take 90/12 us vs 9/10 us on CTM's 5-vectors

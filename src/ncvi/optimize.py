@@ -3,8 +3,9 @@
 `newton` climbs every row of a batch at once.  The caller supplies, per row,
 the objective, its gradient and the Newton direction: the solve of a
 positive definite Newton matrix against the gradient.  Steps halve from the
-full Newton step until the Armijo test passes, each row on its own, so a
-row's iterates do not depend on the rest of its batch.  `maximize` is the
+full Newton step until the Armijo test passes, within one rounding unit of
+the value, each row on its own, so a row's iterates do not depend on the
+rest of its batch.  `maximize` is the
 one-row entry point; `dense_direction` and `shifted_solve` give directions
 where the Newton matrix may be indefinite.  Deterministic: the same
 objective, start and config always give the same iterates.
@@ -99,7 +100,7 @@ def newton(evaluate, x, config: OptimizerConfig | None = None) -> OptimResult:
     if not (np.all(np.isfinite(value)) and np.all(np.isfinite(grad))):
         raise NonFiniteStartError("objective is not finite at the starting point")
     final_value = value.copy()
-    grad_norm = np.linalg.norm(grad, axis=1)
+    grad_norm = _row_norms(grad)
     converged = _converged(value, grad, direction, grad_norm, cfg)
     iterations = np.zeros(len(x), dtype=int)
     run = grad_norm > cfg.grad_tol
@@ -108,6 +109,9 @@ def newton(evaluate, x, config: OptimizerConfig | None = None) -> OptimResult:
         if not rows.size:
             break
         slope = np.einsum("dk,dk->d", grad, direction)
+        # one rounding unit of slack: a step whose predicted gain is below
+        # the value's rounding passes or fails on its last bits otherwise
+        armijo_floor = value - _rounding(value)
         step = np.ones(rows.size)
         trial, new_grad, new_dir = (np.empty_like(grad) for _ in range(3))
         new_value = np.empty_like(value)
@@ -116,7 +120,7 @@ def newton(evaluate, x, config: OptimizerConfig | None = None) -> OptimResult:
             trial[todo] = x[rows[todo]] + step[todo, None] * direction[todo]
             v, g, d = evaluate(trial[todo], rows[todo])
             ok = np.isfinite(v) & np.all(np.isfinite(g), axis=1)
-            ok &= v >= value[todo] + _ARMIJO_C * step[todo] * slope[todo]
+            ok &= v >= armijo_floor[todo] + _ARMIJO_C * step[todo] * slope[todo]
             new_value[todo[ok]], new_grad[todo[ok]], new_dir[todo[ok]] = v[ok], g[ok], d[ok]
             todo = todo[~ok]
             if not todo.size:
@@ -125,10 +129,10 @@ def newton(evaluate, x, config: OptimizerConfig | None = None) -> OptimResult:
         else:
             bad = todo[0]
             raise LineSearchStallError(OptimResult(
-                x[rows[bad]], float(value[bad]), float(np.linalg.norm(grad[bad])), it, False
+                x[rows[bad]], float(value[bad]), float(_row_norms(grad[bad, None])[0]), it, False
             ))
         x[rows] = trial
-        new_norm = np.linalg.norm(new_grad, axis=1)
+        new_norm = _row_norms(new_grad)
         final_value[rows], grad_norm[rows] = new_value, new_norm
         converged[rows] = _converged(new_value, new_grad, new_dir, new_norm, cfg)
         iterations[rows] += 1
@@ -137,11 +141,22 @@ def newton(evaluate, x, config: OptimizerConfig | None = None) -> OptimResult:
     return OptimResult(x, final_value, grad_norm, iterations, converged)
 
 
+def _row_norms(grad):
+    """Euclidean norm of each row; inf, silently, where its squares overflow:
+    such a gradient is as far from grad_tol as any."""
+    with np.errstate(over="ignore"):
+        return np.linalg.norm(grad, axis=1)
+
+
 def _converged(value, grad, direction, grad_norm, cfg):
     """Rows within grad_tol, or whose Newton step predicts a gain g'd/2 below
     the rounding of their value: no step can raise it measurably there."""
     gain = 0.5 * np.einsum("dk,dk->d", grad, direction)
-    return (grad_norm <= cfg.grad_tol) | (gain <= _ROUNDING * np.maximum(np.abs(value), 1.0))
+    return (grad_norm <= cfg.grad_tol) | (gain <= _rounding(value))
+
+
+def _rounding(value):
+    return _ROUNDING * np.maximum(np.abs(value), 1.0)
 
 
 def maximize(objective, init, config: OptimizerConfig | None = None) -> OptimResult:

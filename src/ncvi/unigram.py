@@ -172,7 +172,9 @@ class UnigramModel(ModelContract):
         )
         out += d * psi_s * sig_diag * b
         out += d * tri_s * b * float(sig_diag @ b)
-        out += d * pg2_s * b * float(b @ sigma_b)
+        # psi''(S) b'Sigma b as (psi''(S) S)(b / S)'Sigma b: b'Sigma b alone
+        # overflows once the rates pass 1e154, while the product stays finite
+        out += d * (pg2_s * big_s) * b * float((b / big_s) @ sigma_b)
         out += 2.0 * d * tri_s * b * sigma_b
         return out
 

@@ -2,6 +2,7 @@
 
 import argparse
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -574,6 +575,11 @@ class TestUnigramOuterLoop:
         assert int(trace[-1].split(",")[0]) < 40
 
 
+def corpus_text(vocab, docs):
+    return "\n".join([f"V {vocab}"] + [f"{len(c)} " + " ".join(f"{i}:{n}" for i, n in c.items())
+                                       for c in docs]) + "\n"
+
+
 @st.composite
 def separable_labeled_texts(draw):
     """Labeled text whose labels are the sign of one covariate, at any scale
@@ -601,10 +607,42 @@ def repeated_term_corpora(draw):
         for term in draw(st.lists(st.integers(0, vocab - 1), max_size=2)):
             counts.setdefault(term, 1)
         docs.append(counts)
-    lines = [f"V {vocab}"] + [f"{len(c)} " + " ".join(f"{i}:{n}" for i, n in c.items())
-                              for c in docs]
     used = len(set().union(*docs))
-    return "\n".join(lines) + "\n", draw(st.integers(1, min(3, used)))
+    return corpus_text(vocab, docs), draw(st.integers(1, min(3, used)))
+
+
+@st.composite
+def long_unigram_documents(draw):
+    """A corpus text of up to five documents of thousands of tokens each."""
+    vocab = draw(st.integers(2, 40))
+    docs = []
+    for _ in range(draw(st.integers(1, 5))):
+        terms = draw(st.lists(st.integers(0, vocab - 1), min_size=1, max_size=vocab, unique=True))
+        counts = [draw(st.integers(1000, 100_000))] + [draw(st.integers(1, 100_000))
+                                                       for _ in terms[1:]]
+        docs.append(dict(zip(terms, counts)))
+    return corpus_text(vocab, docs)
+
+
+@st.composite
+def large_vocabulary_corpora(draw):
+    """A corpus text over thousands of terms, each document using few of them."""
+    vocab = draw(st.integers(1000, 3000))
+    docs = [{draw(st.integers(0, vocab - 1)): draw(st.integers(1, 1000))
+             for _ in range(draw(st.integers(1, 50)))}
+            for _ in range(draw(st.integers(1, 4)))]
+    return corpus_text(vocab, docs)
+
+
+@st.composite
+def concentrated_unigram_corpora(draw):
+    """Hundreds to thousands of documents repeating one term distribution
+    with counts up to 1e300: the posterior mean log rate grows about as
+    (documents)(V - 1) / 2V, up to unigram._EXP_GUARD and past it."""
+    vocab = draw(st.integers(2, 3))
+    count = 10 ** draw(st.integers(0, 300))
+    doc = {i: count for i in range(vocab)}
+    return corpus_text(vocab, [doc] * draw(st.integers(200, 3000)))
 
 
 def finite_trace(path):
@@ -663,6 +701,43 @@ class TestExtremeInputs:
 
         self.clean_exit(code, capsys, outputs_finite)
 
+
+    @staticmethod
+    def infer_unigram(tmp_path, capsys, text, method):
+        """infer-unigram exits 0 with finite rates or 2, and warns nothing
+        at run time: the gamma family meets its extreme arguments here."""
+        path, out = write(tmp_path / "c.txt", text), tmp_path / "r.csv"
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run_cli(["infer-unigram", "--corpus", path, "--method", method, "--out", out])
+
+        def outputs_finite():
+            rates = np.loadtxt(out, delimiter=",", skiprows=1)
+            return np.all(np.isfinite(rates)) and finite_trace(tmp_path / "r.csv.trace.csv")
+
+        TestExtremeInputs.clean_exit(code, capsys, outputs_finite)
+
+    @given(text=long_unigram_documents(), method=st.sampled_from(["laplace", "delta"]))
+    @settings(max_examples=15, deadline=3000,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_long_unigram_documents(self, tmp_path, capsys, text, method):
+        self.infer_unigram(tmp_path, capsys, text, method)
+
+    @given(text=large_vocabulary_corpora(), method=st.sampled_from(["laplace", "delta"]))
+    @settings(max_examples=5, deadline=5000,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_large_unigram_vocabularies(self, tmp_path, capsys, text, method):
+        self.infer_unigram(tmp_path, capsys, text, method)
+
+    @given(text=concentrated_unigram_corpora(), method=st.sampled_from(["laplace", "delta"]))
+    # the gradient's squares and b' Sigma b overflowed (RuntimeWarning)
+    @example(text=corpus_text(2, [{0: 10 ** 137, 1: 10 ** 137}] * 1870), method="delta")
+    @example(text=corpus_text(2, [{0: 10 ** 35, 1: 10 ** 35}] * 1456), method="delta")
+    @settings(max_examples=15, deadline=3000,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_unigram_rates_near_the_exp_guard(self, tmp_path, capsys, text, method):
+        self.infer_unigram(tmp_path, capsys, text, method)
 
 class TestCliErrors:
     def test_missing_file_exits_one(self, tmp_path, capsys):

@@ -183,6 +183,21 @@ class TestBatchedRows:
         assert res.iterations.tolist() == [OptimizerConfig().max_iters, 0]
         assert 0.99 < res.argmax[0, 0] < 1.0 and res.argmax[1].tolist() == [0.0, 0.0]
 
+    def test_steps_below_the_values_rounding_reach_grad_tol(self):
+        # 1e8 - |x - 1|^2 / 2, its value summed from a large linear part and
+        # its opposite, so the last bits of the value move with x.  From
+        # gradients just above grad_tol the Newton step gains ~1e-12, far
+        # below that rounding (~1e-8): without one rounding unit of slack in
+        # the Armijo test, the exact step fails on its last bits for some rows
+        def evaluate(x, rows):
+            linear = 3.0 * x
+            value = np.sum(1e8 / 3 + linear, axis=1) - np.sum(linear, axis=1)
+            return value - 0.5 * np.sum((x - 1.0) ** 2, axis=1), 1.0 - x, 1.0 - x
+
+        starts = 1.0 + np.random.default_rng(12).normal(scale=2e-6, size=(200, 3))
+        res = newton(evaluate, starts)
+        assert np.all(res.grad_norm <= OptimizerConfig().grad_tol)
+
     def test_exhausted_backtracking_raises_stall(self):
         def evaluate(x, rows):
             # finite at the start, no trial point is ever finite
