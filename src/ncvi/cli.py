@@ -4,7 +4,8 @@ Subcommands cover topic-model fitting and held-out scoring, flat and
 hierarchical logistic regression, and the unigram posterior.  Every command
 writes a trace CSV next to its primary output: a fit's iterations, or one
 record holding an evaluation's mean metric.  Exit codes: 0 on success, 1 on
-input problems (ValueError, OSError), 2 on numerical failure.
+input problems (ValueError, OSError), 2 on numerical failure.  Each command
+imports the model modules it runs, and no others.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import blr, ctm, dataio, engine, evaluate, unigram
+from . import dataio, engine
 from .model import GaussianVariational
 
 __all__ = ["main"]
@@ -54,6 +55,8 @@ def _warn_unless_converged(trace: engine.InferenceTrace, cap=None, conv_tol=None
 
 
 def _cmd_fit_ctm(args) -> int:
+    from . import ctm
+
     cfg = _inference(args)
     docs, vocab = dataio.parse_corpus(
         args.corpus, warn=lambda m: print(m, file=sys.stderr)
@@ -65,7 +68,10 @@ def _cmd_fit_ctm(args) -> int:
 
 
 def _cmd_eval_ctm(args) -> int:
+    from . import evaluate
+
     cfg = _inference(args)
+    seed = evaluate.DEFAULT_SPLIT_SEED if args.seed is None else args.seed
     params = dataio.load_ctm_params(args.model)
     docs, vocab = dataio.parse_corpus(args.corpus)
     if vocab != params.vocab_size:
@@ -73,8 +79,8 @@ def _cmd_eval_ctm(args) -> int:
             f"corpus vocabulary {vocab} does not match the model's {params.vocab_size}"
         )
     start = time.perf_counter()
-    report = evaluate.heldout_corpus(params, docs, cfg, seed=args.seed)
-    dataio.write_metrics_csv(report, args.out, extra_summary={"split_seed": args.seed})
+    report = evaluate.heldout_corpus(params, docs, cfg, seed=seed)
+    dataio.write_metrics_csv(report, args.out, extra_summary={"split_seed": seed})
     trace = (_single_record_trace(report.mean, 0.0, time.perf_counter() - start)
              if report.count else engine.InferenceTrace())
     trace.to_csv(str(args.out) + ".trace.csv")
@@ -82,6 +88,8 @@ def _cmd_eval_ctm(args) -> int:
 
 
 def _cmd_fit_blr(args) -> int:
+    from . import blr
+
     instances, _ = dataio.parse_labeled(args.data)
     if not instances:
         raise ValueError(f"{args.data}: no instances")
@@ -98,6 +106,8 @@ def _cmd_fit_blr(args) -> int:
 
 
 def _cmd_fit_hblr(args) -> int:
+    from . import blr
+
     cfg = _inference(args)
     task_dir = Path(args.tasks)
     if not task_dir.is_dir():
@@ -138,6 +148,8 @@ def _cmd_fit_hblr(args) -> int:
 
 
 def _cmd_eval_blr(args) -> int:
+    from . import evaluate
+
     q = dataio.load_posterior(args.posterior)
     instances, dim = dataio.parse_labeled(args.data)
     if not instances:
@@ -156,6 +168,8 @@ def _cmd_eval_blr(args) -> int:
 
 
 def _cmd_infer_unigram(args) -> int:
+    from . import unigram
+
     cfg = _inference(args)
     docs, vocab = dataio.parse_corpus(
         args.corpus, warn=lambda m: print(m, file=sys.stderr)
@@ -173,13 +187,11 @@ def _cmd_infer_unigram(args) -> int:
     return 0
 
 
-def _add_common(sub, *, method=True, conv_tol=True, seed=None):
+def _add_common(sub, *, method=True, conv_tol=True):
     if method:
         sub.add_argument("--method", choices=("laplace", "delta"), default="laplace")
     if conv_tol:
         sub.add_argument("--conv-tol", type=float, default=1e-4)
-    if seed is not None:
-        sub.add_argument("--seed", type=int, default=seed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -191,14 +203,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--em-iters", type=int, default=20)
-    _add_common(p, seed=0)
+    p.add_argument("--seed", type=int, default=0)
+    _add_common(p)
     p.set_defaults(func=_cmd_fit_ctm)
 
     p = commands.add_parser("eval-ctm", help="held-out per-word log likelihood")
     p.add_argument("--model", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    _add_common(p, seed=evaluate.DEFAULT_SPLIT_SEED)
+    p.add_argument("--seed", type=int)  # unset: evaluate.DEFAULT_SPLIT_SEED
+    _add_common(p)
     p.set_defaults(func=_cmd_eval_ctm)
 
     p = commands.add_parser("fit-blr", help="fit a logistic regression posterior")

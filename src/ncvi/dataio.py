@@ -17,12 +17,14 @@ import csv
 import math
 from itertools import compress
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .ctm import CtmParams
-from .evaluate import MetricReport
 from .model import Document, GaussianVariational, LabeledData
+
+if TYPE_CHECKING:
+    from .ctm import CtmParams
 
 __all__ = [
     "ParseError",
@@ -283,6 +285,8 @@ def _float_rows(path, header: str, blocks):
 
 
 def load_ctm_params(path) -> CtmParams:
+    from .ctm import CtmParams
+
     (k, _), rows = _float_rows(path, "K V", lambda k, v: [(k, v), (1 + k, k)])
     try:
         return CtmParams(np.stack(rows[:k]), rows[k], np.stack(rows[k + 1:]))
@@ -304,6 +308,8 @@ def load_posterior(path) -> GaussianVariational:
 def write_metrics_csv(reports, path, extra_summary=None) -> None:
     """Emit "unit_id,metric,value" rows followed by summary rows holding each
     metric's mean, its unit count, and any run settings worth recording."""
+    from .evaluate import MetricReport
+
     if isinstance(reports, MetricReport):
         reports = [reports]
     with open(path, "w", newline="") as handle:

@@ -9,11 +9,15 @@ second halves under the induced predictive distributions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import blr, ctm, engine, numerics
+from . import engine, numerics
 from .model import Document, GaussianVariational, LabeledData, LabeledInstance
+
+if TYPE_CHECKING:
+    from . import ctm
 
 __all__ = [
     "SkipDocument",
@@ -83,6 +87,8 @@ def split_document(doc: Document, seed) -> tuple[Document, Document]:
 def _score_halves(params, halves, cfg) -> list[float]:
     """Fit every first half in one batch; score each second half under its fit.
     One predictive product per document and np.bincount keep the scores' bits."""
+    from . import ctm
+
     if not halves:
         return []
     fits = ctm.infer_docs(params, [first for first, _ in halves], cfg)
@@ -169,6 +175,7 @@ def avg_log_pred(
     problems: list[list[LabeledInstance]],
 ) -> MetricReport:
     """Per-problem mean log predictive probability of the true labels."""
+    from . import blr
 
     def score(q, instances):
         return float(np.mean(blr._log_predictive(q.mu, LabeledData.of(instances))))

@@ -48,14 +48,6 @@ class Document:
     def items(self) -> list[tuple[int, int]]:
         return sorted(self.counts.items())
 
-    def dense(self, vocab_size: int) -> np.ndarray:
-        x = np.zeros(vocab_size, dtype=float)
-        for idx, c in self.counts.items():
-            if idx >= vocab_size:
-                raise ValueError(f"term index {idx} outside vocabulary {vocab_size}")
-            x[idx] = float(c)
-        return x
-
 
 @dataclass(frozen=True)
 class LabeledInstance:

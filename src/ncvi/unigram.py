@@ -10,11 +10,17 @@ f's Hessian is diag(h) + c b b' with b = exp(theta) (Minka, "Estimating a
 Dirichlet distribution", 2000), so Newton directions, Sigma (held as a
 numerics.DiagPlusRankOne), log|Sigma| and Tr{H Sigma} cost O(V): inference
 forms no V x V matrix, and only the reference f_hessian is dense.
+
+Every document's q(z_d) = Dirichlet(b + x_d) shares the rates b = E[exp(theta)]
+and differs from them only where it has counts, so q(z) is held as b and the
+corpus's nonzero counts (DirichletRows): its statistics, entropy and model
+terms cost V + nnz + D gamma evaluations, not D V.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +34,7 @@ from .model import (
     dirichlet_entropy,
 )
 
-__all__ = ["UnigramModel", "RateUnderflowError", "infer"]
+__all__ = ["UnigramModel", "DirichletRows", "RateUnderflowError", "infer"]
 
 _EXP_GUARD = 700.0
 
@@ -58,9 +64,96 @@ def _b3_polygamma_2(b: np.ndarray) -> np.ndarray:
 
 def _expected_log_z(q_z: ConjugateVariational) -> np.ndarray:
     """E_q[log z_d] = psi(phi_d) - psi(sum phi_d), one row per document
-    (none for an empty corpus)."""
+    (none for an empty corpus), from a dense phi: the reference for
+    DirichletRows."""
     phi = np.asarray(q_z.phi, dtype=float)
     return numerics.digamma(phi) - numerics.digamma(phi.sum(axis=1))[:, None]
+
+
+class _Corpus:
+    """A corpus's nonzero counts in row-major order, with the number of
+    documents that leave each term at zero count and each document's length."""
+
+    def __init__(self, vocab_size: int, documents: list[Document]):
+        items = [doc.items() for doc in documents]
+        terms, counts = [[pair[k] for doc in items for pair in doc] for k in (0, 1)]
+        if outside := [idx for idx in terms if idx >= vocab_size]:
+            raise ValueError(f"term index {outside[0]} outside vocabulary {vocab_size}")
+        self.vocab_size, self.num_docs = vocab_size, len(items)
+        self.doc = np.repeat(np.arange(self.num_docs), [len(doc) for doc in items])
+        # counts as floats: a count past the int64 range is valid input
+        self.term, self.count = np.array(terms, dtype=np.intp), np.array(counts, dtype=float)
+        self.zeros = self.num_docs - np.bincount(self.term, minlength=vocab_size)
+        self.lengths = np.bincount(self.doc, self.count, minlength=self.num_docs)
+
+    def dense(self, base: np.ndarray) -> np.ndarray:
+        """The (D, V) array base + x_d, one row per document."""
+        out = np.repeat(base[None, :], self.num_docs, axis=0)
+        out[self.doc, self.term] += self.count
+        return out
+
+
+class DirichletRows:
+    """q(z_d) = Dirichlet(base + x_d) for every document d, held as the shared
+    rates and the corpus's counts; np.asarray reads it as the dense phi.
+
+    psi and ln Gamma run once per term at base_i, once per nonzero count at
+    base_i + x_di and once per document at its row sum, on first use, and are
+    shared by expected_stats, qz_entropy and qz_model_terms.  A term's
+    zero-count entries enter as (D - n_i) g(base_i), n_i the documents using
+    it: never as D g(base_i) less a correction, which cancels where base_i is
+    tiny and psi(base_i) ~ -1/base_i.  A term every document uses weighs 0, so
+    its placeholder rate 1 stands in for a base_i that may have underflowed.
+    """
+
+    def __init__(self, base: np.ndarray, corpus: _Corpus):
+        self.base, self._corpus = base, corpus
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self._corpus.dense(self.base), dtype=dtype)
+
+    @cached_property
+    def _points(self):
+        c = self._corpus
+        return (np.where(c.zeros > 0, self.base, 1.0), self.base[c.term] + c.count,
+                float(self.base.sum()) + c.lengths)
+
+    def _at_points(self, fn):
+        v, nnz = self._corpus.vocab_size, self._corpus.count.size
+        return np.split(fn(np.concatenate(self._points)), [v, v + nnz])
+
+    @cached_property
+    def _digamma(self):
+        return self._at_points(numerics.digamma)
+
+    @cached_property
+    def _log_gamma(self):
+        return self._at_points(numerics.log_gamma)
+
+    def log_z_sums(self) -> np.ndarray:
+        """sum_d E_q[log z_d], one entry per term: psi(base_i + x_di) - psi(S_d)
+        per nonzero, as the dense reference takes it, and (D - n_i) psi(base_i)
+        less the psi(S_d) of the documents that leave term i at zero, exactly
+        0 for a term every document uses."""
+        c, (psi_b, psi_x, psi_s) = self._corpus, self._digamma
+        used = np.bincount(c.term, psi_s[c.doc], minlength=c.vocab_size)
+        unused = np.where(c.zeros > 0, float(psi_s.sum()) - used, 0.0)
+        return (np.bincount(c.term, psi_x - psi_s[c.doc], minlength=c.vocab_size)
+                + (c.zeros * psi_b - unused))
+
+    def entropy(self) -> float:
+        """The sum of the documents' Dirichlet entropies."""
+        c, (b, b_x, s) = self._corpus, self._points
+        (psi_b, psi_x, psi_s), (lg_b, lg_x, lg_s) = self._digamma, self._log_gamma
+        return (float(c.zeros @ (lg_b - (b - 1.0) * psi_b))
+                + float(np.sum(lg_x - (b_x - 1.0) * psi_x))
+                + float(np.sum((s - c.vocab_size) * psi_s - lg_s)))
+
+    def model_terms(self) -> float:
+        """sum_d sum_i (x_di - 1) E_q[log z_di]."""
+        c, (psi_b, psi_x, psi_s) = self._corpus, self._digamma
+        return (float((c.count - 1.0) @ psi_x) - float(c.zeros @ psi_b)
+                - float((c.lengths - c.vocab_size) @ psi_s))
 
 
 def _shifted_inverse(h, c, b, shift):
@@ -83,10 +176,7 @@ class UnigramModel(ModelContract):
         if vocab_size < 2:
             raise ValueError("vocabulary size must be at least 2")
         self._vocab = int(vocab_size)
-        self._docs = list(documents)
-        self._counts = np.zeros((len(self._docs), self._vocab))
-        for d, doc in enumerate(self._docs):
-            self._counts[d] = doc.dense(self._vocab)
+        self._corpus = _Corpus(self._vocab, documents)
 
     @property
     def dim(self) -> int:
@@ -94,7 +184,7 @@ class UnigramModel(ModelContract):
 
     @property
     def num_docs(self) -> int:
-        return len(self._docs)
+        return self._corpus.num_docs
 
     def f_value_grad(self, theta, stats: ExpectedStats):
         theta = np.asarray(theta, dtype=float)
@@ -179,6 +269,8 @@ class UnigramModel(ModelContract):
         return out
 
     def expected_stats(self, q_z: ConjugateVariational) -> ExpectedStats:
+        if isinstance(q_z.phi, DirichletRows):
+            return ExpectedStats(q_z.phi.log_z_sums())
         return ExpectedStats(_expected_log_z(q_z).sum(axis=0))
 
     def eta_expectation(self, q_theta: GaussianVariational) -> np.ndarray:
@@ -187,20 +279,24 @@ class UnigramModel(ModelContract):
 
     def conjugate_update(self, q_theta: GaussianVariational, data=None) -> ConjugateVariational:
         base = self.eta_expectation(q_theta)
-        phi = base[None, :] + self._counts
-        if np.any(phi <= 0.0):
-            d, i = np.unravel_index(int(np.argmax(phi <= 0.0)), phi.shape)
+        if np.any((base <= 0.0) & (self._corpus.zeros > 0)):
+            d, i = np.argwhere(self._corpus.dense(base) <= 0.0)[0]
             raise RateUnderflowError(
                 f"conjugate update left nonpositive parameter (document {d}, term {i}): "
                 f"exp(mu + sigma/2) underflowed to 0"
             )
-        return ConjugateVariational(phi)
+        return ConjugateVariational(DirichletRows(base, self._corpus))
 
     def qz_entropy(self, q_z: ConjugateVariational) -> float:
+        if isinstance(q_z.phi, DirichletRows):
+            return q_z.phi.entropy()
         return float(np.sum(dirichlet_entropy(q_z.phi)))
 
     def qz_model_terms(self, q_z: ConjugateVariational) -> float:
-        return float(np.sum((self._counts - 1.0) * _expected_log_z(q_z)))
+        if isinstance(q_z.phi, DirichletRows):
+            return q_z.phi.model_terms()
+        counts = self._corpus.dense(np.zeros(self._vocab))
+        return float(np.sum((counts - 1.0) * _expected_log_z(q_z)))
 
 
 def infer(

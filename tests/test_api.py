@@ -1,6 +1,7 @@
 """Public surface: every name a module exports, and every name the benchmark
-tracer patches, must exist; `python -m ncvi.cli` runs without warnings; and
-no command loads scipy."""
+tracer patches, must exist; `python -m ncvi.cli` runs without warnings; no
+command loads scipy, and `infer-unigram` and `fit-blr` load no other model's
+modules."""
 
 import importlib
 import os
@@ -55,6 +56,25 @@ def test_cli_import_leaves_scipy_unloaded():
     code = "import sys, ncvi.cli; loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']; " \
            "sys.exit(f'loaded {loaded}' if loaded else None)"
     proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+
+
+# what each command must not load: a fresh interpreter pays to compile and
+# run every module it imports
+FOOTPRINT = {
+    "infer-unigram": ("infer-unigram --corpus words.txt --out r-footprint.csv",
+                      {"ncvi.blr", "ncvi.ctm", "ncvi.evaluate"}),
+    "fit-blr": ("fit-blr --data train.txt --out f-footprint.post", {"ncvi.ctm", "ncvi.unigram"}),
+}
+
+
+@pytest.mark.parametrize("command", list(FOOTPRINT))
+def test_command_loads_only_the_modules_it_runs(tiny, command):
+    argv, unused = FOOTPRINT[command]
+    code = "import sys; from ncvi.cli import main; rc = main(sys.argv[1:]); " \
+           f"loaded = sorted(set(sys.modules).intersection({sorted(unused)!r})); " \
+           "sys.exit(rc or (f'loaded {loaded}' if loaded else None))"
+    proc = run_python("-c", code, *argv.split(), cwd=tiny)
     assert proc.returncode == 0, proc.stderr
 
 

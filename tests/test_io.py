@@ -862,7 +862,7 @@ class TestCliErrors:
         def blow_up(*args, **kwargs):
             raise engine.NonConcaveError("curvature fit failed")
 
-        monkeypatch.setattr(cli.unigram, "infer", blow_up)
+        monkeypatch.setattr(unigram, "infer", blow_up)
         assert run_cli(["infer-unigram", "--corpus", clidata / "corpus.txt",
                         "--out", tmp_path / "o"]) == 2
         assert "numerical failure" in capsys.readouterr().err

@@ -94,14 +94,6 @@ class TestDocument:
         assert doc.total() == 7
         assert doc.items() == [(0, 5), (3, 2)]
 
-    def test_dense(self):
-        doc = Document({1: 2})
-        np.testing.assert_array_equal(doc.dense(3), [0.0, 2.0, 0.0])
-
-    def test_dense_rejects_out_of_vocab(self):
-        with pytest.raises(ValueError):
-            Document({5: 1}).dense(3)
-
     def test_rejects_bad_entries(self):
         with pytest.raises(ValueError):
             Document({-1: 2})

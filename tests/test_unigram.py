@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ncvi import engine, numerics, unigram
 from ncvi.engine import InferenceConfig
@@ -14,6 +16,7 @@ from ncvi.model import (
     ExpectedStats,
     GaussianVariational,
     ModelContract,
+    dirichlet_entropy,
 )
 
 from conftest import make_unigram_corpus
@@ -348,6 +351,13 @@ class TestRateUnderflow:
         assert isinstance(err.value, ArithmeticError)
         assert not isinstance(err.value, ValueError)
 
+    def test_underflow_names_the_first_entry_in_row_major_order(self):
+        # terms 1 and 2 underflow; document 0 uses term 1 but not term 2
+        model = unigram.UnigramModel(3, [Document({0: 1, 1: 1}), Document({0: 2})])
+        q = GaussianVariational(np.array([0.0, -800.0, -800.0]), np.eye(3))
+        with pytest.raises(unigram.RateUnderflowError, match="document 0, term 2"):
+            model.conjugate_update(q)
+
 
 class TestExpectedStats:
     def test_single_uniform_dirichlet(self):
@@ -369,6 +379,71 @@ class TestExpectedStats:
         model = unigram.UnigramModel(5, [Document({0: 1})])
         stats = model.expected_stats(ConjugateVariational(phi))
         assert (stats.values <= 0.0).all()
+
+
+# documents over terms 2.. of the vocabulary: term 0 is in none and term 1 in
+# every one; an empty document appended leaves term 1 short of one
+counts_st = st.lists(st.lists(st.integers(0, 400), min_size=2, max_size=6), min_size=1,
+                     max_size=5).map(lambda rows: [[0, 1 + r[0], *r[1:]] for r in rows])
+
+
+def structured_and_reference(counts, log_rates, empty_doc):
+    """The model, the phi its q(z) at rates exp(log_rates) densifies to, that
+    q(z)'s statistics, entropy and model terms, each again as the dense
+    reference on phi, and the sum of the magnitudes of the reference's terms:
+    its sums can cancel far below their terms, where no bound relative to the
+    result itself holds."""
+    width = max(len(r) for r in counts)
+    x = np.array([r + [0] * (width - len(r)) for r in counts] + [[0] * width] * empty_doc, float)
+    rates = np.exp(np.resize(log_rates, width))
+    model = unigram.UnigramModel(
+        width, [Document({i: int(c) for i, c in enumerate(row) if c}) for row in x])
+    q_z = model.conjugate_update(GaussianVariational(np.log(rates), np.zeros((width, width))))
+    phi = np.asarray(q_z.phi)
+    np.testing.assert_allclose(phi, rates + x, rtol=1e-15)
+    sums = phi.sum(axis=1)[:, None]
+    psi, psi_sum = numerics.digamma(phi), numerics.digamma(sums)
+    e_log_z = unigram._expected_log_z(ConjugateVariational(phi))
+    got = (model.expected_stats(q_z).values, model.qz_entropy(q_z), model.qz_model_terms(q_z))
+    want = (e_log_z.sum(axis=0), float(np.sum(dirichlet_entropy(phi))),
+            float(np.sum((x - 1.0) * e_log_z)))
+    scale = (
+        np.sum(np.abs(psi) + np.abs(psi_sum), axis=0),
+        float(np.sum(np.abs(numerics.log_gamma(phi)) + np.abs((phi - 1.0) * psi))
+              + np.sum(np.abs(numerics.log_gamma(sums)) + np.abs((sums - width) * psi_sum))),
+        float(np.sum(np.abs(x - 1.0) * (np.abs(psi) + np.abs(psi_sum)))),
+    )
+    return model, phi, got, want, scale
+
+
+class TestDirichletRows:
+    """conjugate_update's q(z), the shared rates plus the corpus's counts,
+    against the dense reference on the phi it densifies to: within 1e-12 of
+    the magnitude of the terms the reference sums."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(counts=counts_st, log_rates=st.lists(st.floats(np.log(1e-12), np.log(1e12)),
+                                                min_size=1, max_size=8),
+           empty_doc=st.booleans())
+    # a tiny rate on the term every document uses, where D g(b) less a
+    # correction cancels; all rates tiny; and huge rates beside tiny ones
+    @example(counts=[[0, 3, 1], [0, 1, 0, 5]], log_rates=[0.0, np.log(1e-12), 1.0],
+             empty_doc=False)
+    @example(counts=[[0, 1, 2], [0, 7]], log_rates=[np.log(1e-12)], empty_doc=False)
+    @example(counts=[[0, 400, 400, 400]], log_rates=[np.log(1e12), np.log(1e-12)],
+             empty_doc=True)
+    def test_matches_dense_reference(self, counts, log_rates, empty_doc):
+        _, _, got, want, scale = structured_and_reference(counts, log_rates, empty_doc)
+        for value, reference, terms in zip(got, want, scale):
+            assert np.all(np.abs(np.subtract(value, reference)) <= 1e-12 * terms)
+
+    def test_dense_phi_is_the_reference(self):
+        model, phi, _, want, _ = structured_and_reference([[0, 2, 1], [0, 1, 0, 4]],
+                                                          [0.3, -2.0], True)
+        dense = ConjugateVariational(phi)
+        assert np.array_equal(model.expected_stats(dense).values, want[0])
+        assert model.qz_entropy(dense) == want[1]
+        assert model.qz_model_terms(dense) == want[2]
 
 
 class TestEtaExpectation:
@@ -403,7 +478,7 @@ class TestConjugateUpdate:
         q = GaussianVariational(np.zeros(3), np.eye(3))
         qz = model.conjugate_update(q)
         np.testing.assert_allclose(
-            qz.phi[0], [E_HALF + 2.0, E_HALF, E_HALF + 1.0], atol=1e-12
+            np.asarray(qz.phi)[0], [E_HALF + 2.0, E_HALF, E_HALF + 1.0], atol=1e-12
         )
 
     def test_parameters_always_positive(self):
@@ -452,3 +527,14 @@ class TestInference:
     def test_rejects_tiny_vocabulary(self):
         with pytest.raises(ValueError):
             unigram.UnigramModel(1, [Document({0: 1})])
+
+    def test_counts_past_the_int64_range(self):
+        # the corpus parser accepts any positive integer count
+        model = unigram.UnigramModel(2, [Document({0: 10 ** 137, 1: 10 ** 137})] * 3)
+        q_z = model.conjugate_update(GaussianVariational(np.zeros(2), np.eye(2)))
+        np.testing.assert_allclose(np.asarray(q_z.phi), np.full((3, 2), 1e137), rtol=1e-15)
+        assert np.all(np.isfinite(model.expected_stats(q_z).values))
+
+    def test_rejects_term_outside_vocabulary(self):
+        with pytest.raises(ValueError, match="term index 5 outside vocabulary 3"):
+            unigram.UnigramModel(3, [Document({0: 1}), Document({1: 2, 5: 1})])
