@@ -7,12 +7,13 @@ single Gaussian fit of q(theta): one curvature update against
                - (theta - mu0)' Sigma0^{-1} (theta - mu0) / 2.
 
 The hierarchical variant shares a Gaussian prior across tasks and refits its
-(mean, covariance) by MAP under normal and Wishart hyperpriors.  Every fit
-runs through `_fit`: its tasks, a flat fit's one or a round's, are packed
-once into arrays (`_Tasks`) whose rows, one per task, the engine refits
-together; each evaluation forms every task's Hessian and diag(T Sigma T')
-once.  `BlrModel`, one task's ModelContract, is the dense reference path
-those rows match, and gives each task's approximate objective.
+(mean, covariance) by MAP under normal and Wishart hyperpriors.  The
+logistic maths is written once, as kernels over tasks packed flat into
+arrays.  Every fit runs through `_fit`: its tasks, a flat fit's one or a
+round's, are packed once (`_Tasks`) as rows, one per task, that the engine
+refits together and that the monitor scores; each evaluation forms every
+task's Hessian and diag(T Sigma T') once.  `BlrModel`, one task's
+ModelContract, is the one-task view of the same kernels.
 """
 
 from __future__ import annotations
@@ -104,78 +105,39 @@ class HierPrior:
         )
 
 
-class BlrModel(ModelContract):
-    """One task's problem for the generic engine: the dense reference path
-    that `_Tasks` matches."""
-
-    def __init__(self, instances, prior: BlrPrior | None = None):
-        """Sizes the standard prior from the covariates when none is given."""
-        data = LabeledData.of(instances)
-        self._t, self._y1 = data.covariates, data.labels
-        prior = prior or BlrPrior.standard(self.dim)
-        if prior.mean.shape != (self.dim,):
-            raise ValueError("prior dimension does not match the covariates")
-        self._prior = prior
-
-    @property
-    def dim(self) -> int:
-        return self._t.shape[1]
-
-    def f_value_grad(self, theta, stats: ExpectedStats = None):
-        theta = np.asarray(theta, dtype=float)
-        a = self._t @ theta
-        log_sig = numerics.log_sigmoid(a)
-        log_sig_neg = numerics.log_sigmoid(-a)
-        diff = theta - self._prior.mean
-        prior_pull = self._prior.inv @ diff
-        value = float(self._y1 @ log_sig + (1.0 - self._y1) @ log_sig_neg) - 0.5 * float(
-            diff @ prior_pull
-        )
-        grad = self._t.T @ (self._y1 - numerics.sigmoid(a)) - prior_pull
-        return value, grad
-
-    def f_hessian(self, theta, stats: ExpectedStats = None) -> np.ndarray:
-        a = self._t @ np.asarray(theta, dtype=float)
-        w = numerics.sigmoid(a) * numerics.sigmoid(-a)
-        return -(self._t.T * w) @ self._t - self._prior.inv
-
-    def _trace_terms(self, theta, sigma):
-        """sigma(a), w = sigma(a) sigma(-a) and q = diag(T sigma T') at a = T theta."""
-        a = self._t @ np.asarray(theta, dtype=float)
-        sig = numerics.sigmoid(a)
-        quad = np.sum((self._t @ sigma) * self._t, axis=1)
-        return sig, sig * numerics.sigmoid(-a), quad
-
-    def trace_grad(self, theta, sigma, stats: ExpectedStats = None) -> np.ndarray:
-        sig, w, quad = self._trace_terms(theta, sigma)
-        return -self._t.T @ (w * (1.0 - 2.0 * sig) * quad)
-
-    def _trace_hessian(self, theta, sigma) -> np.ndarray:
-        """Hessian of theta -> Tr{Hessian_f(theta) sigma}: -T' diag(w'' q) T,
-        with w'' = w (1 - 2 sigma)^2 - 2 w^2 the second derivative of w in a."""
-        sig, w, quad = self._trace_terms(theta, sigma)
-        w2 = w * (1.0 - 2.0 * sig) ** 2 - 2.0 * w * w
-        return -(self._t.T * (w2 * quad)) @ self._t
-
-    def newton_direction(self, theta, stats, grad, sigma=None) -> np.ndarray:
-        """For the delta profile, -H - Hessian{Tr(H sigma)}/2 at fixed sigma
-        where positive definite; the profile's exact term costs O(N^2 P)."""
-        neg = -self.f_hessian(theta)
-        exact = None if sigma is None else _from_lower(
-            neg - 0.5 * self._trace_hessian(theta, sigma))
-        return optimize.dense_direction(neg, grad, exact)
-
-    def expected_stats(self, q_z=None) -> ExpectedStats:
-        return ExpectedStats(self._y1.copy())
-
-    def conjugate_update(self, q_theta, data=None) -> ConjugateVariational:
-        # indicators are observed; the conjugate factor is degenerate
-        return ConjugateVariational(None)
+# The logistic maths, once, on tasks packed flat in task order: covariates
+# t (N, P) with sig = sigma(a) and w = sigma(a) sigma(-a) at a = T theta per
+# row, and `segments` slicing each task's rows; one result per task.
 
 
 def _gram(t, v, segments):
     """T' diag(v) T per task, over each task's segment of the packed rows."""
     return np.array([(t[s].T * v[s]) @ t[s] for s in segments])
+
+
+def _neg_hessian(t, w, segments, prior_inv):
+    """-H per task: T' diag(w) T plus the prior precision."""
+    return _gram(t, w, segments) + prior_inv
+
+
+def _quad(t, sigma, segments):
+    """q = diag(T Sigma T') per instance, under its task's Sigma."""
+    return np.sum(np.concatenate([t[s] @ m for s, m in zip(segments, sigma)]) * t, axis=1)
+
+
+def _trace_grad(t, sig, w, quad, segments):
+    """Gradient of theta -> Tr{H(theta) Sigma} per task at fixed Sigma:
+    -sum_n w_n (1 - 2 sigma_n) q_n t_n."""
+    starts = [s.start for s in segments]
+    return -np.add.reduceat((w * (1.0 - 2.0 * sig) * quad)[:, None] * t, starts, axis=0)
+
+
+def _trace_hessian(t, sig, w, quad, segments):
+    """Hessian of theta -> Tr{H(theta) Sigma} per task at fixed Sigma:
+    -T' diag(w'' q) T, with w'' = w (1 - 2 sigma)^2 - 2 w^2 the second
+    derivative of w in a."""
+    slope = w * (1.0 - 2.0 * sig)
+    return -_gram(t, (slope * (1.0 - 2.0 * sig) - 2.0 * w * w) * quad, segments)
 
 
 def _sym(m):
@@ -200,16 +162,61 @@ def _directions(mats, neg, grad):
     return direction
 
 
+class BlrModel(ModelContract):
+    """One task's problem for the generic engine: the one-task view of the
+    packed maths that `_Tasks` runs."""
+
+    def __init__(self, instances, prior: BlrPrior | None = None):
+        """Sizes the standard prior from the covariates when none is given."""
+        self._task = _Tasks.of([instances], prior)
+        self._t = self._task.t
+
+    @property
+    def dim(self) -> int:
+        return self._t.shape[1]
+
+    def _terms(self, theta):
+        return self._task._terms(np.asarray(theta, dtype=float)[None], [0])
+
+    def f_value_grad(self, theta, stats: ExpectedStats = None):
+        _, _, value, grad, _, _ = self._terms(theta)
+        return float(value[0]), grad[0]
+
+    def f_hessian(self, theta, stats: ExpectedStats = None) -> np.ndarray:
+        t, segments, _, _, _, w = self._terms(theta)
+        return -_neg_hessian(t, w, segments, self._task.prior.inv)[0]
+
+    def trace_grad(self, theta, sigma, stats: ExpectedStats = None) -> np.ndarray:
+        t, segments, _, _, sig, w = self._terms(theta)
+        return _trace_grad(t, sig, w, _quad(t, [sigma], segments), segments)[0]
+
+    def newton_direction(self, theta, stats, grad, sigma=None) -> np.ndarray:
+        """For the delta profile, -H - Hessian{Tr(H sigma)}/2 at fixed sigma
+        where positive definite, else -H."""
+        t, segments, _, _, sig, w = self._terms(theta)
+        neg = _neg_hessian(t, w, segments, self._task.prior.inv)
+        exact = neg if sigma is None else (
+            neg - 0.5 * _trace_hessian(t, sig, w, _quad(t, [sigma], segments), segments))
+        return _directions(exact, neg, np.asarray(grad, dtype=float)[None])[0]
+
+    def expected_stats(self, q_z=None) -> ExpectedStats:
+        return ExpectedStats(self._task.y1.copy())
+
+    def conjugate_update(self, q_theta, data=None) -> ConjugateVariational:
+        # indicators are observed; the conjugate factor is degenerate
+        return ConjugateVariational(None)
+
+
 @dataclass(frozen=True, eq=False)
 class _Tasks:
     """Tasks as the engine's rows, one per task, under one shared prior: every
     task's instances packed flat in task order, covariates t (N, P) and
     labels as weights y1 and y0 = 1 - y1, task m holding rows
-    bounds[m]:bounds[m + 1].  BlrModel's maths on the whole pack: an
-    evaluation calls sigmoid once, sums each task over its rows, forms -H and,
-    for the delta profile, q = diag(T Sigma T') once for all its tasks, and
-    factors their matrices in one stacked Cholesky.  Work and memory scale
-    with the instances, however unequal the tasks."""
+    bounds[m]:bounds[m + 1].  An evaluation calls sigmoid once, sums each
+    task over its rows, forms -H and, for the delta profile, q = diag(T Sigma
+    T') once for all its tasks, and factors their matrices in one stacked
+    Cholesky.  Work and memory scale with the instances, however unequal the
+    tasks."""
 
     t: np.ndarray
     y1: np.ndarray
@@ -264,9 +271,9 @@ class _Tasks:
 
     def ascent(self, stats, shift=None):
         """f per task or, given a shift, the delta profile at Sigma(theta) =
-        (-H + shift I)^{-1}, -inf where that is not positive definite, on
-        BlrModel's Newton matrices: -H, and for the profile
-        -H - Hessian{Tr(H Sigma)}/2 at fixed Sigma where positive definite."""
+        (-H + shift I)^{-1}, -inf where that is not positive definite.  The
+        Newton matrices are -H, and for the profile -H - Hessian{Tr(H
+        Sigma)}/2 at fixed Sigma where positive definite."""
 
         def evaluate(theta, rows):
             terms = self._terms(theta, rows)
@@ -284,18 +291,15 @@ class _Tasks:
         return evaluate
 
     def _newton(self, t, segments, value, grad, sig, w, shift):
-        neg = _gram(t, w, segments) + self.prior.inv
+        neg = _neg_hessian(t, w, segments, self.prior.inv)
         if shift is None:
             return value, grad, _directions(neg, neg, grad)
         dim = neg.shape[1]
         fact, defined = numerics.spd_factorize_each(_sym(neg) + shift * np.eye(dim))
-        sigma = fact.inverse()
-        quad = np.sum(np.concatenate([t[s] @ m for s, m in zip(segments, sigma)]) * t, axis=1)
-        slope = w * (1.0 - 2.0 * sig)
+        quad = _quad(t, fact.inverse(), segments)
         value = np.where(defined, value - 0.5 * (fact.log_det + dim), -np.inf)
-        starts = [s.start for s in segments]
-        grad = grad - 0.5 * np.add.reduceat((slope * quad)[:, None] * t, starts, axis=0)
-        exact = neg + 0.5 * _gram(t, (slope * (1.0 - 2.0 * sig) - 2.0 * w * w) * quad, segments)
+        grad = grad + 0.5 * _trace_grad(t, sig, w, quad, segments)
+        exact = neg - 0.5 * _trace_hessian(t, sig, w, quad, segments)
         direction = grad.copy()
         direction[defined] = _directions(exact[defined], neg[defined], grad[defined])
         return value, grad, direction
@@ -304,17 +308,18 @@ class _Tasks:
         """Sigma = (-H + shift I)^{-1} and log|Sigma| per task, from one
         stacked factor."""
         t, segments, _, _, _, w = self._terms(theta, np.arange(len(self)))
-        neg = _sym(_gram(t, w, segments) + self.prior.inv)
+        neg = _sym(_neg_hessian(t, w, segments, self.prior.inv))
         fact = numerics.spd_factorize(neg + shift * np.eye(neg.shape[1]))
         return fact.inverse(), -fact.log_det
 
     def monitor(self, mu, sigma, q_z, stats, log_det):
-        """engine.approx_objective of each task's BlrModel."""
-        models = [BlrModel(LabeledData(self.t[s:e], self.y1[s:e]), self.prior)
-                  for s, e in zip(self.bounds[:-1], self.bounds[1:])]
-        return engine._ModelRows(models).monitor(
-            mu, sigma, [ConjugateVariational(None)] * len(models),
-            [model.expected_stats() for model in models], log_det)
+        """Each task's approximate objective f + (Tr{H Sigma} + log|Sigma|)/2,
+        with Tr{H Sigma} = -sum_n w_n q_n - Tr(Sigma0^{-1} Sigma) over its
+        rows."""
+        t, segments, value, _, _, w = self._terms(mu, np.arange(len(self)))
+        curvature = (-np.add.reduceat(w * _quad(t, sigma, segments), self.bounds[:-1])
+                     - np.einsum("pq,rqp->r", self.prior.inv, sigma))
+        return value + 0.5 * (curvature + log_det)
 
 
 def fit(

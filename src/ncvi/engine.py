@@ -17,11 +17,12 @@ moving its mean.  It runs on a rows object over a leading row axis:
 `select(keep)`, `ascent(stats, shift)` (newton's evaluate for f, or for g
 at a shift), `covariance` (Sigma and log|Sigma| from one factor of f's
 negated curvature), `conjugate_update`, `expected_stats` and `monitor` (the
-approximate objective at the expected statistics it is given).  `ctm` packs its documents as rows; `_ModelRows`
-runs a list of ModelContracts, one model per row: `blr`'s tasks, or a stack
-of one, the dense reference path behind `laplace_step`, `delta_step` and
-`run_coordinate_ascent`.  The engine handles no Hessian matrix: it keeps
-the jitter policy, one jitter for the stack, and NonConcaveError.
+approximate objective at the expected statistics it is given).  `ctm` packs
+its documents as rows and `blr` its tasks; `_ModelRows` runs one
+ModelContract as a stack of one, the dense reference path behind
+`laplace_step`, `delta_step` and `run_coordinate_ascent`.  The engine
+handles no Hessian matrix: it keeps the jitter policy, one jitter for the
+stack, and NonConcaveError.
 """
 
 from __future__ import annotations
@@ -276,22 +277,23 @@ def _ascend(rows, mu, stats, cfg: InferenceConfig, traces: list[InferenceTrace])
 
 
 class _ModelRows:
-    """ModelContracts as rows, one model per row, for the refit and the loop
-    above: the dense reference path.  Sigma, stats and q(z) are lists, one
-    item per model, and log|Sigma| an array.  It has no `select`: a stack of
-    one ends with its one row, and a stack of many only refits."""
+    """One ModelContract as a stack of one row, for the refit and the loop
+    above: the dense reference path.  Sigma, stats and q(z) are one-item
+    lists and log|Sigma| a one-item array.  It has no `select`: the stack
+    ends with its one row."""
 
-    def __init__(self, models: list[ModelContract], data=None):
-        self.models, self.data, self.delta_diagonal = models, data, models[0].delta_diagonal
+    def __init__(self, model: ModelContract, data=None):
+        self.model, self.data, self.delta_diagonal = model, data, model.delta_diagonal
 
     def ascent(self, stats, shift=None):
         """f or, given a shift, the delta profile g = f + (log|Sigma| - dim)/2
         at Sigma = model.covariance(theta, stats, shift, delta_diagonal), -inf
         where that is undefined; with the gradient, by the envelope theorem
         grad f + trace_grad(theta, Sigma)/2, and the model's Newton direction."""
+        model, (stats,) = self.model, stats
 
-        def row(model, theta, stats):
-            sigma = None
+        def evaluate(points, rows):
+            (theta,), sigma = points, None
             value, grad = model.f_value_grad(theta, stats)
             if np.isfinite(value) and shift is not None:
                 try:
@@ -304,36 +306,27 @@ class _ModelRows:
             direction = grad
             if np.isfinite(value):
                 direction = model.newton_direction(theta, stats, grad, sigma)
-            return value, grad, direction
-
-        def evaluate(points, rows):
-            out = zip(*(row(self.models[r], x, stats[r]) for x, r in zip(points, rows)))
-            return tuple(np.array(a, dtype=float) for a in out)
+            return tuple(np.array([a], dtype=float) for a in (value, grad, direction))
 
         return evaluate
 
     def covariance(self, theta, stats, shift, diagonal):
-        sigma, log_det = zip(*(
-            m.covariance(t, s, shift, diagonal) for m, t, s in zip(self.models, theta, stats)
-        ))
-        return list(sigma), np.array(log_det)
+        sigma, log_det = self.model.covariance(theta[0], stats[0], shift, diagonal)
+        return [sigma], np.array([log_det])
 
     def conjugate_update(self, mu, sigma):
-        return [model.conjugate_update(GaussianVariational(m, s), self.data)
-                for model, m, s in zip(self.models, mu, sigma)]
+        return [self.model.conjugate_update(GaussianVariational(mu[0], sigma[0]), self.data)]
 
     def expected_stats(self, q_z):
-        return [m.expected_stats(q) for m, q in zip(self.models, q_z)]
+        return [self.model.expected_stats(q_z[0])]
 
     def monitor(self, mu, sigma, q_z, stats, log_det):
-        return np.array([
-            approx_objective(model, GaussianVariational(m, s), q, st, ld)
-            for model, m, s, q, st, ld in zip(self.models, mu, sigma, q_z, stats, log_det)
-        ])
+        q_theta = GaussianVariational(mu[0], sigma[0])
+        return np.array([approx_objective(self.model, q_theta, q_z[0], stats[0], log_det[0])])
 
 
 def _step(model, stats, mu, method):
-    mu, sigma, log_det, converged = _refit(_ModelRows([model]), [stats], [mu], method)
+    mu, sigma, log_det, converged = _refit(_ModelRows(model), [stats], [mu], method)
     return GaussianVariational(mu[0], sigma[0]), float(log_det[0]), bool(converged[0])
 
 
@@ -395,7 +388,7 @@ def run_coordinate_ascent(
     trace = InferenceTrace()
     try:
         mu, sigma, _ = _ascend(
-            _ModelRows([model], data), [init_q_theta.mu], [model.expected_stats(init_q_z)],
+            _ModelRows(model, data), [init_q_theta.mu], [model.expected_stats(init_q_z)],
             cfg or InferenceConfig(), [trace],
         )
     except ArithmeticError as err:

@@ -1,5 +1,5 @@
-"""Shared synthetic-data builders for the test suite, and two views into
-the engine's internals.
+"""Shared synthetic-data builders for the test suite, two views into the
+engine's internals, and oracles that share no code with the ascent.
 
 Every generator draws from the model being tested, with a fixed seed, so
 oracle properties (monotone monitors, recovery checks) hold by construction
@@ -10,8 +10,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.optimize
 
-from ncvi import blr, ctm, engine
+from ncvi import ctm, engine, numerics
 from ncvi.model import Document, LabeledInstance
 
 
@@ -19,7 +20,7 @@ def delta_profile(model, stats, shift):
     """The engine's objective for one model at one point: the delta profile
     g = f + (log|Sigma| - dim)/2 at the given shift, as (value, gradient,
     Newton direction)."""
-    evaluate = engine._ModelRows([model]).ascent([stats], shift)
+    evaluate = engine._ModelRows(model).ascent([stats], shift)
     return lambda theta: tuple(a[0] for a in evaluate(np.asarray(theta, float)[None], [0]))
 
 
@@ -31,6 +32,25 @@ def stopped_short(newton):
         return dataclasses.replace(result, converged=np.zeros_like(result.converged))
 
     return short
+
+
+def trust_exact_argmax(value_grad, hessian, x0):
+    """scipy's trust-region minimizer with exact Hessians, run on -f: an
+    oracle for the Newton ascent that shares none of its code."""
+    res = scipy.optimize.minimize(
+        lambda t: -value_grad(t)[0], x0, jac=lambda t: -value_grad(t)[1],
+        hess=lambda t: -hessian(t), method="trust-exact", options={"gtol": 1e-9},
+    )
+    # it may stop once rounding hides the predicted gain, below gtol or not
+    assert np.linalg.norm(res.jac) <= 1e-7
+    return res.x
+
+
+def profile_hessian(profile, theta):
+    """Hessian of the delta profile by central differences of its gradient."""
+    rows = [numerics.finite_diff_gradient(lambda t: profile(t)[1][i], theta)
+            for i in range(theta.size)]
+    return 0.5 * (np.array(rows) + np.array(rows).T)
 
 
 def make_unigram_corpus(seed, vocab_size, num_docs, tokens_per_doc=30):

@@ -5,9 +5,23 @@ import pytest
 
 from ncvi import blr, engine, numerics, optimize
 from ncvi.engine import InferenceConfig
-from ncvi.model import ConjugateVariational, GaussianVariational, LabeledInstance
+from ncvi.model import GaussianVariational, LabeledInstance
 
-from conftest import make_blr_problem, make_instance, random_spd, stopped_short
+from conftest import (
+    make_blr_problem,
+    make_instance,
+    profile_hessian,
+    random_spd,
+    stopped_short,
+    trust_exact_argmax,
+)
+
+
+def trace_hessian(model, theta, sigma):
+    """blr._trace_hessian, the Hessian of theta -> Tr{H(theta) sigma} at fixed
+    sigma, on a BlrModel's one-task pack."""
+    t, segments, _, _, sig, w = model._terms(theta)
+    return blr._trace_hessian(t, sig, w, blr._quad(t, [sigma], segments), segments)[0]
 
 
 class TestExponent:
@@ -56,7 +70,7 @@ class TestExponent:
         model = blr.BlrModel(instances, blr.BlrPrior.standard(3))
         sigma = random_spd(rng, 3, spread=(0.1, 1.0))
         theta = rng.uniform(-1.0, 1.0, size=3)
-        hess = model._trace_hessian(theta, sigma)
+        hess = trace_hessian(model, theta, sigma)
         for i in range(3):
             row = numerics.finite_diff_gradient(lambda t: model.trace_grad(t, sigma)[i], theta)
             np.testing.assert_allclose(hess[i], row, rtol=1e-4, atol=1e-6)
@@ -80,7 +94,7 @@ class TestExponent:
         np.testing.assert_allclose(neg @ direction, grad(theta), rtol=1e-5, atol=1e-7)
         # where that matrix is indefinite the step falls back to f's curvature
         sigma = 20.0 * np.eye(3)
-        exact = -model.f_hessian(theta) - 0.5 * model._trace_hessian(theta, sigma)
+        exact = -model.f_hessian(theta) - 0.5 * trace_hessian(model, theta, sigma)
         assert np.linalg.eigvalsh(exact)[0] < 0.0
         np.testing.assert_allclose(
             model.newton_direction(theta, None, grad(theta), sigma),
@@ -347,9 +361,38 @@ class TestHierarchicalFit:
             blr.fit_hierarchical([[make_instance([1.0], 1)], []])
 
 
+def logistic_oracle(task, prior, theta, shift=None):
+    """One task's f or, given a shift, its delta profile g = f + (log|Sigma|
+    - dim)/2 at Sigma = (-H + shift I)^{-1}, in plain numpy from the
+    instances, sharing no code with blr: the value, its gradient, -H and
+    the profile's fixed-Sigma Newton matrix -H - Hessian{Tr(H Sigma)}/2
+    (-H for f)."""
+    t = np.array([inst.covariates for inst in task])
+    y = np.array([inst.label for inst in task], dtype=float)
+    a = t @ theta
+    p = 1.0 / (1.0 + np.exp(-a))
+    w = p * (1.0 - p)
+    diff = theta - prior.mean
+    prec = np.linalg.inv(prior.cov)
+    value = (-y @ np.logaddexp(0.0, -a) - (1.0 - y) @ np.logaddexp(0.0, a)
+             - 0.5 * diff @ prec @ diff)
+    grad = t.T @ (y - p) - prec @ diff
+    neg = (t.T * w) @ t + prec
+    if shift is None:
+        return value, grad, neg, neg
+    mat = neg + shift * np.eye(len(theta))
+    sigma = np.linalg.inv(mat)
+    q = np.einsum("np,pq,nq->n", t, sigma, t)
+    value += 0.5 * (-np.linalg.slogdet(mat)[1] - len(theta))
+    grad = grad - 0.5 * t.T @ (w * (1.0 - 2.0 * p) * q)
+    exact = neg + 0.5 * (t.T * ((w * (1.0 - 2.0 * p) ** 2 - 2.0 * w * w) * q)) @ t
+    return value, grad, neg, exact
+
+
 class TestPackedTasks:
-    """blr._Tasks, the packed rows every fit runs on, against engine._ModelRows
-    on one BlrModel per task, the dense reference path: within 1e-10."""
+    """blr._Tasks, the packed rows every fit runs on, against oracles that
+    share no code with it: plain numpy, finite differences and scipy's
+    trust-region ascent."""
 
     def tasks(self):
         # unequal sizes, a one-instance task and a separable task
@@ -358,10 +401,6 @@ class TestPackedTasks:
         separable = [make_instance([x, 1.0, -0.5 * x], int(x > 0)) for x in (-2.0, -1.0, 1.5, 3.0)]
         tasks.append(separable)
         return tasks
-
-    def reference(self, tasks, prior):
-        models = [blr.BlrModel(task, prior) for task in tasks]
-        return engine._ModelRows(models), [model.expected_stats() for model in models]
 
     def prior(self):
         return blr.BlrPrior(np.array([0.2, -0.1, 0.3]), random_spd(np.random.default_rng(23), 3))
@@ -377,37 +416,60 @@ class TestPackedTasks:
 
     @pytest.mark.parametrize("method", ["laplace", "delta"])
     @pytest.mark.parametrize("which", ["flat", "tasks", "cancelling"])
-    def test_refit_matches_the_model_rows(self, method, which):
+    def test_refit_matches_a_trust_region_oracle(self, method, which):
+        # each task's mean at trust-exact's argmax of the plain numpy
+        # objective, and bitwise the mean and Sigma of the task packed alone
         tasks = self.tasks()[1:2] if which == "flat" else self.tasks()
         prior = self.prior()
         if which == "cancelling":
             # under this prior the delta profile's Newton matrix, a Gram
             # matrix of weights of both signs, cancels to an asymmetry past
-            # spd_factorize's tolerance; both paths read its lower triangle
+            # spd_factorize's tolerance; the pack reads its lower triangle
             tasks = [[make_instance([478.9158741102069, 80.0, -100.0], 0),
                       make_instance([0.0, 0.0, -100.0], 0)]]
             prior = blr.BlrPrior.standard(3)
-        start = np.zeros((len(tasks), 3))
-        got = engine._refit(blr._Tasks.of(tasks, prior), None, start, method)
-        want = engine._refit(*self.reference(tasks, prior), start, method)
-        for a, b in zip(got[:3], want[:3]):
-            np.testing.assert_allclose(np.asarray(a), np.asarray(b), rtol=1e-10, atol=0)
-        assert np.array_equal(got[3], want[3])
+        shift = None if method == "laplace" else 0.0
+        mu, sigma, _, converged = engine._refit(
+            blr._Tasks.of(tasks, prior), None, np.zeros((len(tasks), 3)), method)
+        assert converged.all()
+        for task, m, s in zip(tasks, mu, sigma):
+            def objective(theta, task=task):
+                return logistic_oracle(task, prior, theta, shift)[:2]
+
+            hessian = (lambda t: -logistic_oracle(task, prior, t)[2]) if shift is None else (
+                lambda t: profile_hessian(objective, t))
+            want = trust_exact_argmax(objective, hessian, np.zeros(3))
+            # newton stops at grad_tol 1e-6, and these small tasks curve as
+            # little as 0.28: the means lie up to 3.1e-7 apart
+            assert np.linalg.norm(objective(m)[1]) <= optimize.OptimizerConfig().grad_tol
+            np.testing.assert_allclose(m, want, rtol=0, atol=1e-6)
+            alone = engine._refit(blr._Tasks.of([task], prior), None, np.zeros((1, 3)), method)
+            assert np.array_equal(alone[0][0], m) and np.array_equal(alone[1][0], s)
 
     @pytest.mark.parametrize("shift", [None, 0.0, 0.5])
-    def test_evaluations_match_the_model_rows(self, shift):
+    def test_evaluations_match_finite_differences(self, shift):
+        # each row's value as plain numpy computes it, its gradient as central
+        # differences of that value, and its direction solving the row's
+        # Newton matrix where positive definite, else -H
         tasks = self.tasks()
         prior = self.prior()
         theta = np.random.default_rng(24).normal(size=(len(tasks), 3))
         theta[3] *= 1e200  # f is not finite there: the line search rejects it unread
-        ref_rows, stats = self.reference(tasks, prior)
+        evaluate = blr._Tasks.of(tasks, prior).ascent(None, shift)
         # a subset, as the line search asks, and one whose rows are all rejected
         for rows in (np.array([0, 2, 3, 4]), np.array([3])):
-            got = blr._Tasks.of(tasks, prior).ascent(None, shift)(theta[rows], rows)
-            with np.errstate(over="ignore"):
-                want = ref_rows.ascent(stats, shift)(theta[rows], rows)
-            for a, b in zip(got, want):
-                np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-14)
+            values, grads, directions = evaluate(theta[rows], rows)
+            for r, value, grad, direction in zip(rows, values, grads, directions):
+                if r == 3:
+                    assert value == -np.inf and np.array_equal(direction, grad)
+                    continue
+                want, _, neg, exact = logistic_oracle(tasks[r], prior, theta[r], shift)
+                assert value == pytest.approx(want, rel=1e-12)
+                fd = numerics.finite_diff_gradient(
+                    lambda x, r=r: evaluate(x[None], np.array([r]))[0][0], theta[r])
+                np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-7)
+                mat = exact if np.linalg.eigvalsh(exact)[0] > 0.0 else neg
+                np.testing.assert_allclose(mat @ direction, grad, rtol=1e-8, atol=1e-12)
 
     def test_indefinite_newton_matrix_falls_back_per_row(self):
         # a stack whose second exact matrix is indefinite, and whose last
@@ -422,27 +484,49 @@ class TestPackedTasks:
         for e, n, g, d in zip(exact, neg, grad, got):
             np.testing.assert_allclose(d, optimize.dense_direction(n, g, e), rtol=1e-12)
 
+    def test_monitor_scores_each_task(self):
+        # f + (Tr{H Sigma} + log|Sigma|)/2 per task, from the instances in
+        # plain numpy, at arbitrary means and covariances
+        tasks = self.tasks()
+        prior = self.prior()
+        rng = np.random.default_rng(26)
+        mu = rng.normal(size=(len(tasks), 3))
+        sigma = np.array([random_spd(rng, 3, spread=(0.1, 2.0)) for _ in tasks])
+        log_det = np.linalg.slogdet(sigma)[1]
+        got = blr._Tasks.of(tasks, prior).monitor(mu, sigma, None, None, log_det)
+        for task, m, s, ld, score in zip(tasks, mu, sigma, log_det, got):
+            t = np.array([inst.covariates for inst in task])
+            y = np.array([inst.label for inst in task], dtype=float)
+            a = t @ m
+            loglik = -y @ np.logaddexp(0.0, -a) - (1.0 - y) @ np.logaddexp(0.0, a)
+            diff = m - prior.mean
+            w = 1.0 / ((1.0 + np.exp(a)) * (1.0 + np.exp(-a)))
+            hess = -(t.T * w) @ t - np.linalg.inv(prior.cov)
+            want = (loglik - 0.5 * diff @ np.linalg.solve(prior.cov, diff)
+                    + 0.5 * (np.trace(hess @ s) + ld))
+            assert score == pytest.approx(want, rel=1e-12)
+
     @pytest.mark.parametrize("method", ["laplace", "delta"])
-    def test_hierarchical_fit_matches_the_model_rows(self, method, monkeypatch):
+    def test_hierarchical_fit_matches_task_by_task_fits(self, method, monkeypatch):
+        # the packed rounds against each round refitting its tasks one pack
+        # at a time: the same posteriors and shared prior to the bit, and
+        # the same objectives up to the order of the task sum
         tasks = self.tasks()
         cfg = InferenceConfig(method=method, conv_tol=1e-8)
         got = blr.fit_hierarchical(tasks, cfg=cfg, em_iters=6)
+        real_fit = blr._fit
 
-        def reference_fit(rows, cfg):
-            ref_rows, stats = self.reference(tasks, rows.prior)
-            mu, sigma, log_det, converged = engine._refit(
-                ref_rows, stats, np.zeros((len(tasks), 3)), cfg.method)
-            nil = [ConjugateVariational(None)] * len(tasks)
-            objective = ref_rows.monitor(mu, sigma, nil, stats, log_det)
-            return [GaussianVariational(m, s) for m, s in zip(mu, sigma)], objective, converged
+        def task_by_task(rows, cfg):
+            fits = [real_fit(blr._Tasks.of([task], rows.prior), cfg) for task in tasks]
+            return ([q for (q,), _, _ in fits], np.concatenate([o for _, o, _ in fits]),
+                    np.concatenate([c for _, _, c in fits]))
 
-        monkeypatch.setattr(blr, "_fit", reference_fit)
+        monkeypatch.setattr(blr, "_fit", task_by_task)
         want = blr.fit_hierarchical(tasks, cfg=cfg, em_iters=6)
         assert len(got.trace) == len(want.trace)
         for q, r in zip(got.posteriors, want.posteriors):
-            np.testing.assert_allclose(q.mu, r.mu, rtol=1e-10)
-            np.testing.assert_allclose(q.sigma, r.sigma, rtol=1e-10)
-        np.testing.assert_allclose(got.prior_mean, want.prior_mean, rtol=1e-10)
-        np.testing.assert_allclose(got.prior_cov, want.prior_cov, rtol=1e-10)
+            assert np.array_equal(q.mu, r.mu) and np.array_equal(q.sigma, r.sigma)
+        assert np.array_equal(got.prior_mean, want.prior_mean)
+        assert np.array_equal(got.prior_cov, want.prior_cov)
         np.testing.assert_allclose([r.objective for r in got.trace.records],
-                                   [r.objective for r in want.trace.records], rtol=1e-10)
+                                   [r.objective for r in want.trace.records], rtol=1e-14)

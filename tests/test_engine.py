@@ -3,7 +3,6 @@ convergence control, exercised through small models with known posteriors."""
 
 import numpy as np
 import pytest
-import scipy.optimize
 
 from ncvi import blr, ctm, engine, numerics, optimize, unigram
 from ncvi.engine import InferenceConfig
@@ -21,8 +20,10 @@ from conftest import (
     make_ctm_corpus,
     make_ctm_params,
     make_unigram_corpus,
+    profile_hessian,
     random_spd,
     stopped_short,
+    trust_exact_argmax,
 )
 
 
@@ -241,18 +242,6 @@ def delta_alternation(model, stats, q0):
         prev = value
 
 
-def trust_exact_argmax(value_grad, hessian, x0):
-    """scipy's trust-region minimizer with exact Hessians, run on -f: an
-    oracle for the Newton ascent that shares none of its code."""
-    res = scipy.optimize.minimize(
-        lambda t: -value_grad(t)[0], x0, jac=lambda t: -value_grad(t)[1],
-        hess=lambda t: -hessian(t), method="trust-exact", options={"gtol": 1e-9},
-    )
-    # it may stop once rounding hides the predicted gain, below gtol or not
-    assert np.linalg.norm(res.jac) <= 1e-7
-    return res.x
-
-
 class TestTrustRegionOracle:
     """The Newton ascent lands where trust-exact does, within 1e-7."""
 
@@ -283,13 +272,6 @@ class TestTrustRegionOracle:
             lambda t: profile(t)[:2], lambda t: profile_hessian(profile, t), np.zeros(6)
         )
         np.testing.assert_allclose(q.mu, want, rtol=0, atol=1e-7)
-
-
-def profile_hessian(profile, theta):
-    """Hessian of the delta profile by central differences of its gradient."""
-    rows = [numerics.finite_diff_gradient(lambda t: profile(t)[1][i], theta)
-            for i in range(theta.size)]
-    return 0.5 * (np.array(rows) + np.array(rows).T)
 
 
 class TestDeltaProfile:
@@ -362,20 +344,29 @@ class TestApproxObjective:
     @pytest.mark.parametrize("problem", ["blr", "unigram", "ctm"])
     def test_trace_objectives_match_the_monitor_from_sigma(self, monkeypatch, problem, method):
         # each trace objective, built from the refit's own log|Sigma|, equals
-        # the monitor with log|Sigma| factorized from Sigma afresh
+        # approx_objective with log|Sigma| factorized from Sigma afresh: for
+        # BLR, whose tasks are scored packed, summed over each round's tasks
+        cfg = InferenceConfig(method=method, conv_tol=1e-12, max_outer_iters=4)
         real = engine.approx_objective
         calls = []
-
-        def spy(model, q_theta, q_z, stats, log_det):
-            calls.append((model, q_theta, q_z, real(model, q_theta, q_z, stats, log_det)))
-            return calls[-1][3]
-
-        monkeypatch.setattr(engine, "approx_objective", spy)
-        cfg = InferenceConfig(method=method, conv_tol=1e-12, max_outer_iters=4)
         if problem == "blr":
             tasks = [make_blr_problem(seed, 40, 3)[0] for seed in (40, 41, 42)]
+            real_fit = blr._fit
+
+            def spy_fit(rows, cfg):
+                out = real_fit(rows, cfg)
+                models = [blr.BlrModel(task, rows.prior) for task in tasks]
+                calls.extend((m, q, ConjugateVariational(None)) for m, q in zip(models, out[0]))
+                return out
+
+            monkeypatch.setattr(blr, "_fit", spy_fit)
             trace = blr.fit_hierarchical(tasks, cfg=cfg, em_iters=3).trace
         else:
+            def spy(model, q_theta, q_z, stats, log_det):
+                calls.append((model, q_theta, q_z, real(model, q_theta, q_z, stats, log_det)))
+                return calls[-1][3]
+
+            monkeypatch.setattr(engine, "approx_objective", spy)
             if problem == "unigram":
                 docs, _ = make_unigram_corpus(43, vocab_size=8, num_docs=5)
                 model = unigram.UnigramModel(8, docs)
@@ -387,14 +378,14 @@ class TestApproxObjective:
             _, _, trace = engine.run_coordinate_ascent(model, None, q0, qz0, cfg)
             # the loop scores every point it might keep; a record is the kept one's
             values = [c[3] for c in calls]
-            calls = [calls[values.index(r.objective)] for r in trace.records]
+            calls = [calls[values.index(r.objective)][:3] for r in trace.records]
         per_record = len(calls) // len(trace)
         assert len(trace) >= 2 and per_record * len(trace) == len(calls)
         for i, record in enumerate(trace.records):
             want = sum(
                 real(model, q, q_z, model.expected_stats(q_z),
                      numerics.spd_factorize(q.sigma @ np.eye(q.dim)).log_det)
-                for model, q, q_z, _ in calls[i * per_record:(i + 1) * per_record]
+                for model, q, q_z in calls[i * per_record:(i + 1) * per_record]
             )
             assert record.objective == pytest.approx(want, rel=1e-10, abs=0)
 
@@ -554,7 +545,7 @@ def squarem_problem(problem):
     if problem == "unigram":
         docs, _ = make_unigram_corpus(50, 12, 6, tokens_per_doc=40)
         model = unigram.UnigramModel(12, docs)
-        rows = engine._ModelRows([model])
+        rows = engine._ModelRows(model)
         start = np.zeros((1, 12))
         stats = [model.expected_stats(model.conjugate_update(
             GaussianVariational(start[0], np.eye(12))))]
@@ -662,7 +653,7 @@ class TestSquarem:
             x = np.array([[0.0, x0]])
         else:
             model, x = WalledModel(np.eye(2), np.zeros(2)), np.array([[x0, 0.0]])
-        rows = engine._ModelRows([model])
+        rows = engine._ModelRows(model)
         assert engine._stabilize(rows, x, [np.eye(2)], "laplace") == []
 
     def test_extrapolation_is_exact_on_a_linear_map(self):
