@@ -6,7 +6,7 @@ assignment family vanishes.  The curvature-corrected update restricts the
 per-document covariance to a diagonal.
 
 The model maths is written once over a leading document axis, on a corpus
-packed once (`_corpus`) into one row per (document, term) pair.  `_Docs`
+packed once (`model.pack_corpus`) into one row per (document, term) pair.  `_Docs`
 gives those documents to the engine as its rows, one per document, on the
 exact K x K Hessian, so `infer_docs` and `em_fit`'s E-step (whose M-step
 reads the stacked fit) run the engine's one refit and outer loop on every
@@ -32,6 +32,7 @@ from .model import (
     ExpectedStats,
     GaussianVariational,
     ModelContract,
+    pack_corpus,
 )
 
 __all__ = [
@@ -173,15 +174,6 @@ def _qz_terms(phi, log_beta, counts, doc, num_docs):
     return _doc_sums(counts[:, None] * np.stack([entropy, model], axis=1), doc, num_docs).T
 
 
-def _corpus(docs: list[Document]):
-    """Term ids and counts of every (document, term) pair in document order,
-    and each pair's document."""
-    items = [doc.items() for doc in docs]
-    ids = np.array([i for pairs in items for i, _ in pairs], dtype=int)
-    counts = np.array([c for pairs in items for _, c in pairs], dtype=float)
-    return ids, counts, np.repeat(np.arange(len(docs)), [len(pairs) for pairs in items])
-
-
 def _log_beta(params: CtmParams, ids):
     """Log topic columns of the given terms, one row per term."""
     if np.any(ids >= params.vocab_size):
@@ -202,7 +194,7 @@ class CtmDocModel(ModelContract):
 
     def __init__(self, params: CtmParams, doc: Document):
         self._params = params
-        ids, self._term_counts, self._doc = _corpus([doc])
+        ids, self._term_counts, self._doc = pack_corpus([doc])
         self._log_beta = _log_beta(params, ids)
 
     @property
@@ -359,7 +351,7 @@ def infer_docs(
     mean-change test, so its result does not depend on the other documents.
     An empty document returns the prior.
     """
-    ids, counts, doc = _corpus(docs)
+    ids, counts, doc = pack_corpus(docs)
     *fit, traces = _fit(params, ids, counts, doc, len(docs), cfg or engine.InferenceConfig())
     return list(zip(_doc_states(*fit, doc), traces))
 
@@ -403,7 +395,7 @@ def em_fit(
     """
     if not documents:
         raise ValueError("cannot fit a topic model to an empty corpus")
-    ids, counts, doc = _corpus(documents)
+    ids, counts, doc = pack_corpus(documents)
     used_terms = np.unique(ids).size
     if num_topics < 1:
         raise ValueError("need at least 1 topic")

