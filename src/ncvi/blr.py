@@ -144,18 +144,10 @@ def _sym(m):
     return 0.5 * (m + m.transpose(0, 2, 1))
 
 
-def _from_lower(m):
-    """Each matrix's lower triangle, mirrored: the Cholesky factor reads only
-    that triangle, and a Gram matrix of weights of both signs, as in the
-    delta profile's Newton matrix, can cancel to an asymmetry past
-    spd_factorize's tolerance."""
-    return np.tril(m) + np.swapaxes(np.tril(m, -1), -1, -2)
-
-
 def _directions(mats, neg, grad):
     """Per task, the Cholesky solve of `mats` against the gradient where it is
     positive definite, else optimize.dense_direction's of -H, `neg`."""
-    fact, ok = numerics.spd_factorize_each(_from_lower(mats))
+    fact, ok = numerics.spd_factorize_each(mats)
     direction = fact.solve(grad[:, :, None])[:, :, 0]
     for r in np.flatnonzero(~ok):
         direction[r] = optimize.dense_direction(neg[r], grad[r])

@@ -40,6 +40,10 @@ def _single_record_trace(objective, mean_change, seconds, converged=True) -> eng
     return trace
 
 
+def _warn(message: str) -> None:
+    print(message, file=sys.stderr)
+
+
 def _warn_unless_converged(trace: engine.InferenceTrace, cap=None, conv_tol=None) -> None:
     """Name why a fit has not converged: its iteration cap, with the mean
     still moving, or a last q(theta) refit that stopped short."""
@@ -51,16 +55,14 @@ def _warn_unless_converged(trace: engine.InferenceTrace, cap=None, conv_tol=None
                  f"{moved:.3g} > --conv-tol {conv_tol:g}")
     else:
         cause = "the last q(theta) refit stopped short of the optimizer's gradient tolerance"
-    print(f"warning: {cause}", file=sys.stderr)
+    _warn(f"warning: {cause}")
 
 
 def _cmd_fit_ctm(args) -> int:
     from . import ctm
 
     cfg = _inference(args)
-    docs, vocab = dataio.parse_corpus(
-        args.corpus, warn=lambda m: print(m, file=sys.stderr)
-    )
+    docs, vocab = dataio.parse_corpus(args.corpus, warn=_warn)
     fit = ctm.em_fit(docs, vocab, args.k, cfg, em_iters=args.em_iters, seed=args.seed)
     dataio.save_ctm_params(fit.params, args.out)
     fit.trace.to_csv(str(args.out) + ".trace.csv")
@@ -73,14 +75,14 @@ def _cmd_eval_ctm(args) -> int:
     cfg = _inference(args)
     seed = evaluate.DEFAULT_SPLIT_SEED if args.seed is None else args.seed
     params = dataio.load_ctm_params(args.model)
-    docs, vocab = dataio.parse_corpus(args.corpus)
+    docs, vocab = dataio.parse_corpus(args.corpus, warn=_warn)
     if vocab != params.vocab_size:
         raise ValueError(
             f"corpus vocabulary {vocab} does not match the model's {params.vocab_size}"
         )
     start = time.perf_counter()
     report = evaluate.heldout_corpus(params, docs, cfg, seed=seed)
-    dataio.write_metrics_csv(report, args.out, extra_summary={"split_seed": seed})
+    dataio.write_metrics_csv([report], args.out, extra_summary={"split_seed": seed})
     trace = (_single_record_trace(report.mean, 0.0, time.perf_counter() - start)
              if report.count else engine.InferenceTrace())
     trace.to_csv(str(args.out) + ".trace.csv")
@@ -171,9 +173,7 @@ def _cmd_infer_unigram(args) -> int:
     from . import unigram
 
     cfg = _inference(args)
-    docs, vocab = dataio.parse_corpus(
-        args.corpus, warn=lambda m: print(m, file=sys.stderr)
-    )
+    docs, vocab = dataio.parse_corpus(args.corpus, warn=_warn)
     if not docs:
         raise ValueError(f"{args.corpus}: no documents")
     q_theta, q_z, trace = unigram.infer(docs, vocab, cfg)

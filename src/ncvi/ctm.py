@@ -258,7 +258,9 @@ class _Docs:
 
     def select(self, keep):
         """The documents `keep` (ascending), renumbered from 0."""
-        rows = np.flatnonzero(np.isin(self.doc, keep))
+        kept = np.zeros(self.num_docs, dtype=bool)
+        kept[keep] = True
+        rows = np.flatnonzero(kept[self.doc])
         doc = np.searchsorted(keep, self.doc[rows])
         return _Docs(self.params, self.counts[rows], self.log_beta[rows], doc, keep.size)
 
@@ -396,7 +398,7 @@ def em_fit(
     if not documents:
         raise ValueError("cannot fit a topic model to an empty corpus")
     ids, counts, doc = pack_corpus(documents)
-    used_terms = np.unique(ids).size
+    used_terms = len(set(ids.tolist()))  # np.unique loads numpy.ma; bincount sizes by max id
     if num_topics < 1:
         raise ValueError("need at least 1 topic")
     if num_topics > used_terms:

@@ -308,10 +308,6 @@ def load_posterior(path) -> GaussianVariational:
 def write_metrics_csv(reports, path, extra_summary=None) -> None:
     """Emit "unit_id,metric,value" rows followed by summary rows holding each
     metric's mean, its unit count, and any run settings worth recording."""
-    from .evaluate import MetricReport
-
-    if isinstance(reports, MetricReport):
-        reports = [reports]
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["unit_id", "metric", "value"])

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -60,15 +60,13 @@ _REACH_GROWTH = 4.0
 class InferenceConfig:
     method: str = "laplace"
     conv_tol: float = 1e-4
-    max_outer_iters: int = 100
+    max_outer_iters: ClassVar[int] = 100
 
     def __post_init__(self):
         if self.method not in ("laplace", "delta"):
             raise ValueError(f"unknown method '{self.method}'")
         if not self.conv_tol > 0.0:  # NaN too
             raise ValueError("conv_tol must be positive")
-        if self.max_outer_iters < 1:
-            raise ValueError("max_outer_iters must be at least 1")
 
 
 @dataclass(frozen=True)

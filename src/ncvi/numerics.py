@@ -244,18 +244,17 @@ def spd_factorize(m: np.ndarray) -> SpdFactorization:
     """Cholesky-factorize a symmetric positive definite matrix, or each matrix
     of a stack (..., n, n).
 
-    No pivoting: a nonpositive pivot raises NotPositiveDefiniteError, which
-    the jitter and shift policies upstream rely on, and a non-finite entry
-    NonFiniteMatrixError.  Symmetry is required up to 1e-12 relative.
+    Only the lower triangle is read, as np.linalg.cholesky reads it: the
+    upper is taken to mirror it, so a rounding asymmetry in a matrix the
+    program built is no error.  No pivoting: a nonpositive pivot raises
+    NotPositiveDefiniteError, which the jitter and shift policies upstream
+    rely on, and a non-finite entry NonFiniteMatrixError.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError("spd_factorize requires square matrices")
     if not np.all(np.isfinite(m)):
         raise NonFiniteMatrixError("matrix overflowed: it has non-finite entries")
-    scale = np.maximum(1.0, np.max(np.abs(m), axis=(-2, -1)))
-    if np.any(np.max(np.abs(m - m.swapaxes(-1, -2)), axis=(-2, -1)) > 1e-12 * scale):
-        raise ValueError("spd_factorize requires a symmetric matrix")
     try:
         return SpdFactorization(np.linalg.cholesky(m))
     except np.linalg.LinAlgError:
@@ -281,30 +280,27 @@ def spd_factorize_each(m: np.ndarray) -> tuple[SpdFactorization, np.ndarray]:
 
 
 def _factorize_input(m: np.ndarray, name: str) -> SpdFactorization:
-    """spd_factorize for a covariance given as input: one that is not finite
-    and positive definite is an input error (ValueError), not a numerical one."""
+    """spd_factorize for a float covariance given as input: one that is not
+    finite, symmetric (to 1e-12 relative) and positive definite is an input
+    error (ValueError), not a numerical one."""
     try:
-        return spd_factorize(m)
+        fact = spd_factorize(m)
     except (NotPositiveDefiniteError, NonFiniteMatrixError):
         raise ValueError(f"{name} must be finite and positive definite") from None
+    if np.max(np.abs(m - m.T)) > 1e-12 * max(1.0, np.max(np.abs(m))):
+        raise ValueError(f"{name} must be symmetric")
+    return fact
 
 
-def finite_diff_gradient(f, x: np.ndarray, h=None) -> np.ndarray:
-    """Central-difference gradient of a scalar function.
-
-    Per-coordinate step defaults to 1e-5 * max(1, |x_i|).  Non-finite
-    function values are rejected rather than silently propagated.
+def finite_diff_gradient(f, x: np.ndarray) -> np.ndarray:
+    """Central-difference gradient of a scalar function, with the step
+    1e-5 * max(1, |x_i|) per coordinate.  Non-finite function values are
+    rejected rather than silently propagated.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError("finite_diff_gradient expects a 1-D point")
-    if h is None:
-        steps = 1e-5 * np.maximum(1.0, np.abs(x))
-    else:
-        h = float(h)
-        if h <= 0.0:
-            raise ValueError("finite_diff_gradient requires h > 0")
-        steps = np.full(x.shape, h)
+    steps = 1e-5 * np.maximum(1.0, np.abs(x))
     g = np.empty_like(x)
     for i in range(x.size):
         e = np.zeros_like(x)

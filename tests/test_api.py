@@ -1,7 +1,7 @@
 """Public surface: every name a module exports, and every name the benchmark
 tracer patches, must exist; `python -m ncvi.cli` runs without warnings; no
-command loads scipy, and `infer-unigram` and `fit-blr` load no other model's
-modules."""
+command loads scipy, and `infer-unigram`, `fit-blr` and `fit-ctm` load no
+other model's modules."""
 
 import importlib
 import os
@@ -65,6 +65,9 @@ FOOTPRINT = {
     "infer-unigram": ("infer-unigram --corpus words.txt --out r-footprint.csv",
                       {"ncvi.blr", "ncvi.ctm", "ncvi.evaluate"}),
     "fit-blr": ("fit-blr --data train.txt --out f-footprint.post", {"ncvi.ctm", "ncvi.unigram"}),
+    # numpy.ma comes in through np.unique, and costs ~9 ms of startup
+    "fit-ctm": ("fit-ctm --corpus corpus.txt --k 2 --out m-footprint.txt --em-iters 1",
+                {"numpy.ma", "ncvi.blr", "ncvi.unigram"}),
 }
 
 

@@ -34,7 +34,7 @@ class TestExponent:
             theta = rng.uniform(-1.5, 1.5, size=p)
             _, grad = model.f_value_grad(theta)
             fd = numerics.finite_diff_gradient(
-                lambda t: model.f_value_grad(t)[0], theta, h=1e-6
+                lambda t: model.f_value_grad(t)[0], theta
             )
             np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-7)
 
@@ -255,6 +255,11 @@ class TestBlrPrior:
         for cov in (-np.eye(2), np.diag([1.0, 0.0])):
             with pytest.raises(ValueError, match="positive definite"):
                 blr.BlrPrior(np.zeros(2), cov)
+
+    def test_rejects_asymmetric_covariance(self):
+        # the factor reads the lower triangle: only this input check sees the upper
+        with pytest.raises(ValueError, match="symmetric"):
+            blr.BlrPrior(np.zeros(2), np.array([[1.0, 0.5], [0.2, 1.0]]))
 
 
 class TestHierPrior:

@@ -56,7 +56,7 @@ class TestExponent:
             stats = ExpectedStats(rng.uniform(0.0, 3.0, size=k))
             _, grad = model.f_value_grad(theta, stats)
             fd = numerics.finite_diff_gradient(
-                lambda t: model.f_value_grad(t, stats)[0], theta, h=1e-7
+                lambda t: model.f_value_grad(t, stats)[0], theta
             )
             np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-7)
             hess = model.f_hessian(theta, stats)
@@ -395,10 +395,11 @@ class TestBatchInference:
         with pytest.raises(ValueError, match="zero probability"):
             ctm.infer_docs(zero, [good, Document({2: 1})])
 
-    def test_each_document_reports_the_iteration_cap(self):
+    def test_each_document_reports_the_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr(InferenceConfig, "max_outer_iters", 1)
         params = make_ctm_params(23, 3, 12)
         docs = make_ctm_corpus(24, params, 3, tokens_per_doc=40) + [Document({})]
-        results = ctm.infer_docs(params, docs, InferenceConfig(max_outer_iters=1))
+        results = ctm.infer_docs(params, docs, InferenceConfig())
         for _, trace in results[:3]:
             assert len(trace) == 1 and not trace.converged
         assert results[3][1].converged and len(results[3][1]) == 0
@@ -553,6 +554,9 @@ class TestEmFit:
             ctm.em_fit([Document({0: 1, 1: 1})], 3, 0)
         with pytest.raises(ValueError):
             ctm.em_fit([Document({0: 1, 1: 1})], 3, 2, em_iters=0)
+        # the distinct-term count must not size an array by the largest id
+        with pytest.raises(ValueError, match="outside the topic vocabulary"):
+            ctm.em_fit([Document({0: 1, 10**12: 1})], 3, 2)
 
 
 class TestParamsValidation:
@@ -574,6 +578,11 @@ class TestParamsValidation:
         for cov in (-np.eye(2), np.diag([1.0, 0.0])):
             with pytest.raises(ValueError, match="positive definite"):
                 ctm.CtmParams(topics, np.zeros(2), cov)
+
+    def test_prior_covariance_must_be_symmetric(self):
+        topics = np.full((2, 4), 0.25)
+        with pytest.raises(ValueError, match="symmetric"):
+            ctm.CtmParams(topics, np.zeros(2), np.array([[1.0, 0.5], [0.2, 1.0]]))
 
     def test_keeps_prior_inverse_and_log_determinant(self):
         params = make_ctm_params(1, 3, 5)

@@ -327,16 +327,16 @@ class TestApproxObjective:
         )
         assert got == pytest.approx(expect, abs=1e-10)
 
-    def test_constant_across_iterations_without_data(self):
+    def test_constant_across_iterations_without_data(self, monkeypatch):
         rng = np.random.default_rng(7)
         a = random_spd(rng, 3)
         model = QuadraticModel(a, rng.normal(size=3))
         q0 = GaussianVariational(np.zeros(3), np.eye(3))
         objs = []
         for cap in (1, 2, 3):
+            monkeypatch.setattr(InferenceConfig, "max_outer_iters", cap)
             _, _, trace = engine.run_coordinate_ascent(
-                model, None, q0, ConjugateVariational(None),
-                InferenceConfig(max_outer_iters=cap, conv_tol=1e-12),
+                model, None, q0, ConjugateVariational(None), InferenceConfig(conv_tol=1e-12)
             )
             objs.append(trace.records[-1].objective)
         np.testing.assert_allclose(objs, objs[0], atol=1e-9)
@@ -347,7 +347,8 @@ class TestApproxObjective:
         # each trace objective, built from the refit's own log|Sigma|, equals
         # approx_objective with log|Sigma| factorized from Sigma afresh: for
         # BLR, whose tasks are scored packed, summed over each round's tasks
-        cfg = InferenceConfig(method=method, conv_tol=1e-12, max_outer_iters=4)
+        monkeypatch.setattr(InferenceConfig, "max_outer_iters", 4)
+        cfg = InferenceConfig(method=method, conv_tol=1e-12)
         real = engine.approx_objective
         calls = []
         if problem == "blr":
@@ -390,10 +391,11 @@ class TestApproxObjective:
             )
             assert record.objective == pytest.approx(want, rel=1e-10, abs=0)
 
-    def test_seeded_unigram_run_is_nondecreasing(self):
+    def test_seeded_unigram_run_is_nondecreasing(self, monkeypatch):
+        monkeypatch.setattr(InferenceConfig, "max_outer_iters", 20)
         for seed in (0, 1, 2):
             docs, _ = make_unigram_corpus(seed, vocab_size=5, num_docs=4)
-            cfg = InferenceConfig(conv_tol=1e-12, max_outer_iters=20)
+            cfg = InferenceConfig(conv_tol=1e-12)
             _, _, trace = unigram.infer(docs, 5, cfg)
             objs = [r.objective for r in trace.records]
             diffs = np.diff(objs)
@@ -450,6 +452,7 @@ class TestRunCoordinateAscent:
     def test_one_laplace_iteration_factorizes_once(self, monkeypatch):
         # one covariance per iteration, whose log|Sigma| the monitor reuses;
         # unigram's is O(V) and factorizes nothing, CTM's dense default once
+        monkeypatch.setattr(InferenceConfig, "max_outer_iters", 1)
         docs, _ = make_unigram_corpus(12, vocab_size=6, num_docs=4)
         params = make_ctm_params(13, 4, 30)
         problems = [
@@ -483,7 +486,7 @@ class TestRunCoordinateAscent:
             q0 = GaussianVariational(np.zeros(model.dim), np.eye(model.dim))
             factorizations.clear()
             engine.run_coordinate_ascent(
-                model, None, q0, model.conjugate_update(q0), InferenceConfig(max_outer_iters=1)
+                model, None, q0, model.conjugate_update(q0), InferenceConfig()
             )
             assert len(covariances) == 1
             assert len(factorizations) == want
@@ -500,7 +503,8 @@ class TestRunCoordinateAscent:
         assert trace.records[-1].mean_change < cfg.conv_tol
         assert not trace.converged
 
-    def test_step_error_carries_partial_trace(self):
+    def test_step_error_carries_partial_trace(self, monkeypatch):
+        monkeypatch.setattr(InferenceConfig, "max_outer_iters", 10)
         class ExplodingModel(QuadraticModel):
             def __init__(self):
                 super().__init__(np.eye(2), np.zeros(2))
@@ -533,7 +537,7 @@ class TestRunCoordinateAscent:
                 None,
                 GaussianVariational(np.zeros(2), np.eye(2)),
                 ConjugateVariational(None),
-                InferenceConfig(conv_tol=1e-14, max_outer_iters=10),
+                InferenceConfig(conv_tol=1e-14),
             )
         assert hasattr(exc.value, "trace")
         assert len(exc.value.trace.records) >= 1
@@ -608,7 +612,8 @@ class TestSquarem:
             raise FloatingPointError("trial fails")
 
         monkeypatch.setattr(engine, "_trial", trial)
-        cfg = InferenceConfig(method=method, conv_tol=1e-6, max_outer_iters=30)
+        monkeypatch.setattr(InferenceConfig, "max_outer_iters", 30)
+        cfg = InferenceConfig(method=method, conv_tol=1e-6)
         _, traces = run(cfg)
         path = plain_path(rows, start, stats, method, 20)
         assert failed
@@ -692,11 +697,11 @@ class TestSquarem:
         assert iters[-1] - iters[-2] in (1, 2, 3)
         assert trace.converged and trace.records[-1].mean_change < 1e-8
 
-    def test_map_cap_keeps_its_meaning(self):
+    def test_map_cap_keeps_its_meaning(self, monkeypatch):
         docs, _ = make_unigram_corpus(51, 20, 8, tokens_per_doc=30)
         for cap in (1, 2, 4, 5):
-            _, _, trace = unigram.infer(docs, 20, InferenceConfig(conv_tol=1e-12,
-                                                                  max_outer_iters=cap))
+            monkeypatch.setattr(InferenceConfig, "max_outer_iters", cap)
+            _, _, trace = unigram.infer(docs, 20, InferenceConfig(conv_tol=1e-12))
             assert trace.records[-1].iteration == cap and not trace.converged
 
 
@@ -724,5 +729,3 @@ class TestTrace:
                 InferenceConfig(conv_tol=tol)
         with pytest.raises(ValueError):
             InferenceConfig(method="newton")
-        with pytest.raises(ValueError):
-            InferenceConfig(max_outer_iters=0)

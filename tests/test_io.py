@@ -363,6 +363,14 @@ class TestCliCommands:
                  "--out", tmp_path / "m.txt", "--em-iters", 1])
         assert "empty document" in capsys.readouterr().err
 
+    def test_eval_ctm_warns_about_empty_document(self, clidata, tmp_path, capsys):
+        corpus = write(tmp_path / "heldout.txt", "V 12\n0\n3 1:2 5:1 9:3\n")
+        model = tmp_path / "m.txt"
+        dataio.save_ctm_params(make_ctm_params(0, 2, 12), model)
+        assert run_cli(["eval-ctm", "--model", model, "--corpus", corpus,
+                        "--out", tmp_path / "s.csv"]) == 0
+        assert capsys.readouterr().err == f"{corpus}:2: empty document\n"
+
     def test_fit_and_eval_blr(self, clidata, tmp_path):
         post = tmp_path / "coef.post"
         assert run_cli(["fit-blr", "--data", clidata / "train.txt",
@@ -781,6 +789,19 @@ class TestCliErrors:
                         clidata / "corpus.txt", "--out", tmp_path / "s.csv"]) == 1
         err = capsys.readouterr().err
         assert "invalid model values" in err and "positive definite" in err
+
+    def test_asymmetric_prior_exits_one(self, clidata, tmp_path, capsys):
+        model = tmp_path / "m.txt"
+        dataio.save_ctm_params(make_ctm_params(0, 2, 12), model)
+        lines = model.read_text().splitlines()
+        first, second = lines[-2].split()
+        lines[-2] = f"{first} {float(second) + 0.1!r}"  # the upper covariance entry
+        model.write_text("\n".join(lines) + "\n")
+        assert run_cli(["eval-ctm", "--model", model, "--corpus",
+                        clidata / "corpus.txt", "--out", tmp_path / "s.csv"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model}:")
+        assert "invalid model values" in err and "symmetric" in err
 
     @pytest.mark.parametrize("method", ["laplace", "delta"])
     def test_overflowing_hessian_exits_two(self, tmp_path, capsys, method):

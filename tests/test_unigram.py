@@ -260,10 +260,11 @@ class TestStructuredCurvature:
         self.structured_and_dense(25, "laplace")
 
     @pytest.mark.parametrize("method", ["laplace", "delta"])
-    def test_large_vocabulary_allocates_no_vocab_squared_matrix(self, method):
+    def test_large_vocabulary_allocates_no_vocab_squared_matrix(self, monkeypatch, method):
         # one 5000 x 5000 float64 matrix alone would take 200 MB
         docs, _ = make_unigram_corpus(25, vocab_size=5000, num_docs=20, tokens_per_doc=200)
-        cfg = InferenceConfig(method=method, max_outer_iters=2)
+        monkeypatch.setattr(InferenceConfig, "max_outer_iters", 2)
+        cfg = InferenceConfig(method=method)
         tracemalloc.start()
         try:
             q, _, trace = unigram.infer(docs, 5000, cfg)
@@ -558,9 +559,10 @@ class TestInference:
         q2, _, _ = unigram.infer(permuted, 4, cfg)
         np.testing.assert_allclose(q2.mu[perm], q1.mu, atol=1e-8)
 
-    def test_monitor_nondecreasing_on_model_consistent_data(self):
+    def test_monitor_nondecreasing_on_model_consistent_data(self, monkeypatch):
+        monkeypatch.setattr(InferenceConfig, "max_outer_iters", 20)
         docs, _ = make_unigram_corpus(7, vocab_size=5, num_docs=4)
-        cfg = InferenceConfig(conv_tol=1e-12, max_outer_iters=20)
+        cfg = InferenceConfig(conv_tol=1e-12)
         _, _, trace = unigram.infer(docs, 5, cfg)
         objs = [r.objective for r in trace.records]
         assert (np.diff(objs) >= -1e-6).all()
