@@ -248,6 +248,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    import gc
+
+    # start-up objects skip every later collection, exit's included;
+    # refcounting still frees them, but cycles already garbage now stay
+    gc.freeze()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

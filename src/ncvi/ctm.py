@@ -6,22 +6,23 @@ assignment family vanishes.  The curvature-corrected update restricts the
 per-document covariance to a diagonal.
 
 The model maths is written once over a leading document axis, on a corpus
-packed once (`model.pack_corpus`) into one row per (document, term) pair.  `_Docs`
-gives those documents to the engine as its rows, one per document, on the
-exact K x K Hessian, so `infer_docs` and `em_fit`'s E-step (whose M-step
-reads the stacked fit) run the engine's one refit and outer loop on every
-document at once.  `CtmDocModel`, the one-document view, runs on the
-engine's one-model adapter with the same Newton matrices as the reference
-path.  Sums over terms use np.bincount (row order), products with the prior
-precision np.einsum, not BLAS, and the Laplace Sigma a stacked
-numerics.spd_factorize, so a document's result is bitwise independent of
-the rest of its batch.
+packed once (`model.pack_corpus`) into one column per (document, term) pair
+of C-ordered (K, terms) arrays.  `_Docs` gives those documents to the engine
+as its rows, one per document, on the exact K x K Hessian, so `infer_docs`
+and `em_fit`'s E-step (whose M-step reads the stacked fit) run the engine's
+one refit and outer loop on every document at once.  `CtmDocModel`, the
+one-document view, runs on the engine's one-model adapter with the same
+Newton matrices as the reference path.  Sums over terms use np.bincount
+(term order), products with the prior precision np.einsum, not BLAS, and
+the Laplace Sigma a stacked numerics.spd_factorize, so a document's result
+is bitwise independent of the rest of its batch.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -104,8 +105,9 @@ class CtmDocState:
 
 
 # Batched model maths: theta, stats and pi are (D, K), one document per row;
-# per-term arrays (phi, log_beta, counts) have one row per (document, term)
-# pair, and `doc` maps each such row to its document.
+# per-term arrays (phi and log_beta (K, terms), counts (terms,)) have one
+# column per (document, term) pair, and `doc` maps each column to its
+# document.  Gathers along the term axis use np.take, which keeps C order.
 
 
 def _value_grad(theta, stats, params: CtmParams):
@@ -152,35 +154,34 @@ def _profile_neg_hessian(pi, stats, sig, neg_hess):
     return neg_hess - 0.5 * (_trace_hessian(pi, stats, sig) + moved)
 
 
-def _assignments(mu_rows, log_beta):
-    # phi_wk proportional to beta_kw exp(mu_k).  log sum_j exp(mu_j) and the
+def _assignments(mu, doc, log_beta):
+    # phi_kw proportional to beta_kw exp(mu_k).  log sum_j exp(mu_j) and the
     # second-order correction of E[eta_k], whose Hessian -(diag pi - pi pi')
     # is the same for every k, shift all topics alike and cancel in the
     # normalization over topics.
-    return numerics.softmax(mu_rows + log_beta, axis=1)
+    return numerics.softmax(np.take(mu.T, doc, axis=1) + log_beta, axis=0)
 
 
-def _doc_sums(rows, doc, num_docs):
-    """Per-document sums of the per-term rows of a 2-D array."""
-    width = rows.shape[1]
-    idx = (doc[:, None] * width + np.arange(width)).ravel()
-    return np.bincount(idx, rows.ravel(), num_docs * width).reshape(num_docs, width)
+def _sum_index(doc, num_bins, width):
+    """The np.bincount index of `_doc_sums` for up to `width` rows: column j
+    of row r adds into bin r * num_bins + doc[j]."""
+    return (np.arange(width)[:, None] * num_bins + doc).ravel()
 
 
-def _qz_terms(phi, log_beta, counts, doc, num_docs):
-    """Per document: the entropy of q(z) and E_q(z)[log p(w | z)], as rows."""
-    entropy = -np.sum(phi * np.log(np.where(phi > 0.0, phi, 1.0)), axis=1)
-    model = np.sum(np.where(phi > 0.0, phi * log_beta, 0.0), axis=1)
-    return _doc_sums(counts[:, None] * np.stack([entropy, model], axis=1), doc, num_docs).T
+def _doc_sums(rows, index, num_bins):
+    """Per-bin sums, in column order, of each row of a C-ordered (width,
+    terms) array, as (width, num_bins)."""
+    width = rows.shape[0]
+    return np.bincount(index[:rows.size], rows.ravel(), width * num_bins).reshape(width, num_bins)
 
 
 def _log_beta(params: CtmParams, ids):
-    """Log topic columns of the given terms, one row per term."""
+    """Log topic columns of the given terms, (K, terms)."""
     if np.any(ids >= params.vocab_size):
         raise ValueError("document term outside the topic vocabulary")
-    cols = params.topics.T[ids]  # (terms, K), C-ordered
-    if cols.size and np.any(cols.max(axis=1) <= 0.0):
-        bad = int(ids[np.argmax(cols.max(axis=1) <= 0.0)])
+    cols = np.take(params.topics, ids, axis=1)
+    if cols.size and np.any(cols.max(axis=0) <= 0.0):
+        bad = int(ids[np.argmax(cols.max(axis=0) <= 0.0)])
         raise ValueError(f"term {bad} has zero probability under every topic")
     with np.errstate(divide="ignore"):
         return np.log(cols)
@@ -194,8 +195,8 @@ class CtmDocModel(ModelContract):
 
     def __init__(self, params: CtmParams, doc: Document):
         self._params = params
-        ids, self._term_counts, self._doc = pack_corpus([doc])
-        self._log_beta = _log_beta(params, ids)
+        ids, counts, doc = pack_corpus([doc])
+        self._rows = _Docs(params, counts, _log_beta(params, ids), doc, 1)
 
     @property
     def dim(self) -> int:
@@ -228,16 +229,17 @@ class CtmDocModel(ModelContract):
         exact = _profile_neg_hessian(pi, s, np.diag(sigma)[None, :], neg[None])[0]
         return optimize.dense_direction(neg, grad, exact)
 
+    def _phi(self, q_z: ConjugateVariational) -> np.ndarray:  # public phi is (terms, K)
+        return np.ascontiguousarray(np.asarray(q_z.phi, dtype=float).reshape(-1, self.dim).T)
+
     def expected_stats(self, q_z: ConjugateVariational) -> ExpectedStats:
-        phi = np.asarray(q_z.phi, dtype=float).reshape(-1, self.dim)
-        return ExpectedStats(_doc_sums(self._term_counts[:, None] * phi, self._doc, 1)[0])
+        return ExpectedStats(self._rows.expected_stats(self._phi(q_z))[0])
 
     def conjugate_update(self, q_theta: GaussianVariational, data=None) -> ConjugateVariational:
-        return ConjugateVariational(_assignments(q_theta.mu[None, :], self._log_beta))
+        return ConjugateVariational(self._rows.conjugate_update(q_theta.mu[None, :], None).T)
 
     def _qz_terms(self, q_z: ConjugateVariational) -> np.ndarray:
-        phi = np.asarray(q_z.phi, dtype=float).reshape(-1, self.dim)
-        return _qz_terms(phi, self._log_beta, self._term_counts, self._doc, 1)[:, 0]
+        return self._rows._qz_terms(self._phi(q_z))[:, 0]
 
     def qz_entropy(self, q_z: ConjugateVariational) -> float:
         return float(self._qz_terms(q_z)[0])
@@ -256,13 +258,19 @@ class _Docs:
         self.params, self.counts, self.log_beta = params, counts, log_beta
         self.doc, self.num_docs = doc, num_docs
 
+    @cached_property
+    def _index(self):
+        # wide enough for phi's K rows and _qz_terms' two
+        return _sum_index(self.doc, self.num_docs, max(self.params.num_topics, 2))
+
     def select(self, keep):
         """The documents `keep` (ascending), renumbered from 0."""
         kept = np.zeros(self.num_docs, dtype=bool)
         kept[keep] = True
-        rows = np.flatnonzero(kept[self.doc])
-        doc = np.searchsorted(keep, self.doc[rows])
-        return _Docs(self.params, self.counts[rows], self.log_beta[rows], doc, keep.size)
+        cols = np.flatnonzero(kept[self.doc])
+        doc = np.searchsorted(keep, self.doc[cols])
+        log_beta = np.take(self.log_beta, cols, axis=1)
+        return _Docs(self.params, self.counts[cols], log_beta, doc, keep.size)
 
     def ascent(self, stats, shift=None):
         """f per document or, given a shift, the delta profile at the diagonal
@@ -299,15 +307,22 @@ class _Docs:
         return sig[:, :, None] * eye, np.sum(np.log(sig), axis=1)
 
     def conjugate_update(self, mu, sigma):
-        return _assignments(mu[self.doc], self.log_beta)
+        return _assignments(mu, self.doc, self.log_beta)
 
     def expected_stats(self, phi):
-        return _doc_sums(self.counts[:, None] * phi, self.doc, self.num_docs)
+        # (documents, K) in C order, like every array the engine passes back
+        return np.ascontiguousarray(_doc_sums(self.counts * phi, self._index, self.num_docs).T)
+
+    def _qz_terms(self, phi):
+        """Per document: the entropy of q(z) and E_q(z)[log p(w | z)], as rows."""
+        entropy = -np.sum(phi * np.log(np.where(phi > 0.0, phi, 1.0)), axis=0)
+        model = np.sum(np.where(phi > 0.0, phi * self.log_beta, 0.0), axis=0)
+        return _doc_sums(self.counts * np.stack([entropy, model]), self._index, self.num_docs)
 
     def monitor(self, mu, sigma, phi, stats, log_det):
         value, _, pi = _value_grad(mu, stats, self.params)
         curvature = np.einsum("dij,dij->d", _hessian(pi, stats, self.params), sigma)
-        entropy, model = _qz_terms(phi, self.log_beta, self.counts, self.doc, self.num_docs)
+        entropy, model = self._qz_terms(phi)
         return value + 0.5 * (curvature + log_det) + entropy + model
 
 
@@ -331,14 +346,14 @@ def _fit(params, ids, counts, doc, num_docs, cfg):
         stats = rows.expected_stats(rows.conjugate_update(start, None))
         fit = engine._ascend(rows, start, stats, cfg, [traces[d] for d in live])
         mu[live], sigma[live], objective[live] = fit
-    return mu, sigma, objective, _assignments(mu[doc], log_beta), traces
+    return mu, sigma, objective, _assignments(mu, doc, log_beta), traces
 
 
 def _doc_states(mu, sigma, objective, phi, doc) -> list[CtmDocState]:
-    """Split a stacked fit into one state per document."""
+    """Split a stacked fit into one state per document, phi (terms, K)."""
     splits = np.cumsum(np.bincount(doc, minlength=len(mu)))[:-1]
     return [CtmDocState(GaussianVariational(m, s), p, float(o))
-            for m, s, o, p in zip(mu, sigma, objective, np.split(phi, splits))]
+            for m, s, o, p in zip(mu, sigma, objective, np.split(phi.T, splits))]
 
 
 def infer_docs(
@@ -408,6 +423,7 @@ def em_fit(
     cfg = cfg or engine.InferenceConfig()
     num_docs = len(documents)
     live = np.bincount(doc, minlength=num_docs) > 0
+    term_index = _sum_index(ids, vocab_size, num_topics)
 
     rng = np.random.default_rng(seed)
     topics = rng.dirichlet(np.ones(vocab_size), size=num_topics)
@@ -430,9 +446,7 @@ def em_fit(
         cov_sum = np.sum(sigma + dev[:, :, None] * dev[:, None, :], axis=0)
         new_sigma0 = cov_sum / num_docs + _COV_RIDGE * np.eye(num_topics)
 
-        # C order keeps the bits of the row sums below
-        beta = np.ascontiguousarray(_doc_sums(counts[:, None] * phi, ids, vocab_size).T)
-        topics = beta + _BETA_SMOOTH
+        topics = _doc_sums(counts * phi, term_index, vocab_size) + _BETA_SMOOTH
         topics /= topics.sum(axis=1, keepdims=True)
         mean_change = float(np.linalg.norm(new_mu0 - params.prior_mean))
         params = CtmParams(topics, new_mu0, new_sigma0)

@@ -1,7 +1,7 @@
 """Public surface: every name a module exports, and every name the benchmark
 tracer patches, must exist; `python -m ncvi.cli` runs without warnings; no
-command loads scipy, and `infer-unigram`, `fit-blr` and `fit-ctm` load no
-other model's modules."""
+command loads scipy, each command in FOOTPRINT loads no other model's
+modules, and a command leaves its start-up heap frozen."""
 
 import importlib
 import os
@@ -68,6 +68,12 @@ FOOTPRINT = {
     # numpy.ma comes in through np.unique, and costs ~9 ms of startup
     "fit-ctm": ("fit-ctm --corpus corpus.txt --k 2 --out m-footprint.txt --em-iters 1",
                 {"numpy.ma", "ncvi.blr", "ncvi.unigram"}),
+    "eval-ctm": ("eval-ctm --model model.txt --corpus corpus.txt --out s-footprint.csv",
+                 {"numpy.ma", "ncvi.blr", "ncvi.unigram"}),
+    "eval-blr": ("eval-blr --posterior coef.post --data train.txt --out b-footprint.csv",
+                 {"ncvi.ctm", "ncvi.unigram", "numpy.random"}),
+    "fit-hblr": ("fit-hblr --tasks tasks --out h-footprint --em-iters 1",
+                 {"ncvi.ctm", "ncvi.unigram", "numpy.random"}),
 }
 
 
@@ -78,6 +84,16 @@ def test_command_loads_only_the_modules_it_runs(tiny, command):
            f"loaded = sorted(set(sys.modules).intersection({sorted(unused)!r})); " \
            "sys.exit(rc or (f'loaded {loaded}' if loaded else None))"
     proc = run_python("-c", code, *argv.split(), cwd=tiny)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_command_leaves_its_start_up_heap_frozen(tiny):
+    # main freezes the objects alive at its start, so neither its own
+    # collections nor the interpreter's at exit walk them; collection stays on
+    code = "import gc, sys; from ncvi.cli import main; rc = main(sys.argv[1:]); " \
+           "sys.exit(rc or (None if gc.isenabled() and gc.get_freeze_count() > 0 " \
+           "else f'enabled {gc.isenabled()}, frozen {gc.get_freeze_count()}'))"
+    proc = run_python("-c", code, *"fit-blr --data train.txt --out g-frozen.post".split(), cwd=tiny)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -241,6 +241,19 @@ class TestHyperUpdate:
         mu0, _ = blr.hyper_update(qs, hier, avg)
         assert np.linalg.norm(mu0 - avg) < 0.1
 
+    def test_mean_is_the_posterior_mode_given_the_covariance(self):
+        # mu0 = (M Sigma0^{-1} + phi1^{-1})^{-1} Sigma0^{-1} sum_m mu_m
+        rng = np.random.default_rng(14)
+        p, m = 3, 5
+        hier = blr.HierPrior(nu=p + 2.0, phi0=random_spd(rng, p), phi1=random_spd(rng, p))
+        qs = [GaussianVariational(rng.normal(scale=2.0, size=p), np.eye(p)) for _ in range(m)]
+        mu0, sigma0 = blr.hyper_update(qs, hier, rng.normal(size=p))
+        sigma0_inv = np.linalg.solve(sigma0, np.eye(p))
+        total = np.sum([q.mu for q in qs], axis=0)
+        want = np.linalg.solve(m * sigma0_inv + np.linalg.solve(hier.phi1, np.eye(p)),
+                               np.linalg.solve(sigma0, total))
+        np.testing.assert_allclose(mu0, want, rtol=1e-10, atol=1e-12)
+
     def test_scatter_denominator_guard(self):
         hier = blr.HierPrior(nu=1.5, phi0=np.eye(2), phi1=np.eye(2))
         q = GaussianVariational(np.zeros(2), np.eye(2))

@@ -7,9 +7,15 @@ import pytest
 
 from ncvi import ctm, engine, numerics, optimize
 from ncvi.engine import InferenceConfig
-from ncvi.model import ConjugateVariational, Document, ExpectedStats, GaussianVariational
+from ncvi.model import (
+    ConjugateVariational,
+    Document,
+    ExpectedStats,
+    GaussianVariational,
+    pack_corpus,
+)
 
-from conftest import delta_profile, make_ctm_corpus, make_ctm_params
+from conftest import delta_profile, make_ctm_corpus, make_ctm_params, random_spd
 
 
 def simple_params(k=2, v=3):
@@ -557,6 +563,120 @@ class TestEmFit:
         # the distinct-term count must not size an array by the largest id
         with pytest.raises(ValueError, match="outside the topic vocabulary"):
             ctm.em_fit([Document({0: 1, 10**12: 1})], 3, 2)
+
+
+def seeded_start(vocab_size, num_topics, seed):
+    """The parameters em_fit starts from."""
+    topics = np.random.default_rng(seed).dirichlet(np.ones(vocab_size), size=num_topics)
+    topics = np.maximum(topics, ctm._BETA_SMOOTH)
+    return ctm.CtmParams(topics / topics.sum(axis=1, keepdims=True),
+                         np.zeros(num_topics), np.eye(num_topics))
+
+
+class TestTermLayout:
+    """The (K, terms) layout against the (terms, K) formulas it replaced: equal
+    bits while K < 8, where numpy sums a row of K left to right, and within
+    rounding from K = 8 on, where it sums a contiguous row pairwise."""
+
+    @staticmethod
+    def doc_sums(rows, doc, num_docs):
+        # the bincount over doc * K + k of a (terms, K) array
+        width = rows.shape[1]
+        idx = (doc[:, None] * width + np.arange(width)).ravel()
+        return np.bincount(idx, rows.ravel(), num_docs * width).reshape(num_docs, width)
+
+    @staticmethod
+    def check(got, want, k):
+        if k < 8:
+            assert np.array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("k", [5, 12])
+    def test_docs_match_the_terms_by_topics_formulas(self, k):
+        rng = np.random.default_rng(30 + k)
+        params = make_ctm_params(31, k, 40)
+        docs = make_ctm_corpus(32, params, 9, tokens_per_doc=30)
+        docs[4:4] = [Document({})]
+        ids, counts, doc = pack_corpus(docs)
+        rows = ctm._Docs(params, counts, ctm._log_beta(params, ids), doc, len(docs))
+        mu = rng.normal(size=(len(docs), k))
+        sigma = np.array([random_spd(rng, k) for _ in docs])
+        log_det = rng.normal(size=len(docs))
+
+        log_beta = np.log(params.topics.T[ids])
+        phi = numerics.softmax(mu[doc] + log_beta, axis=1)
+        stats = self.doc_sums(counts[:, None] * phi, doc, len(docs))
+        entropy = -np.sum(phi * np.log(phi), axis=1)
+        model = np.sum(phi * log_beta, axis=1)
+        qz = self.doc_sums(counts[:, None] * np.stack([entropy, model], axis=1), doc, len(docs))
+        value, _, pi = ctm._value_grad(mu, stats, params)
+        curvature = np.einsum("dij,dij->d", ctm._hessian(pi, stats, params), sigma)
+        monitor = value + 0.5 * (curvature + log_det) + qz[:, 0] + qz[:, 1]
+
+        got_phi = rows.conjugate_update(mu, sigma)
+        assert got_phi.shape == (k, len(ids)) and got_phi.flags.c_contiguous
+        self.check(got_phi.T, phi, k)
+        got_stats = rows.expected_stats(got_phi)
+        assert got_stats.flags.c_contiguous
+        self.check(got_stats, stats, k)
+        self.check(rows.monitor(mu, sigma, got_phi, got_stats, log_det), monitor, k)
+
+    @pytest.mark.parametrize("k", [5, 12])
+    def test_em_topics_match_the_terms_by_topics_m_step(self, k):
+        params = make_ctm_params(33, k, 40)
+        docs = make_ctm_corpus(34, params, 12, tokens_per_doc=40)
+        fit = ctm.em_fit(docs, 40, k, em_iters=1, seed=5)
+        start = seeded_start(40, k, 5)
+        ids, counts, doc = pack_corpus(docs)
+        mu = np.array([state.q_theta.mu for state in fit.doc_states])
+        phi = numerics.softmax(mu[doc] + np.log(start.topics.T[ids]), axis=1)
+        self.check(np.concatenate([state.phi for state in fit.doc_states]), phi, k)
+        # C order: numpy sums the contiguous topic rows of V = 40 pairwise
+        beta = np.ascontiguousarray(self.doc_sums(counts[:, None] * phi, ids, 40).T)
+        beta += ctm._BETA_SMOOTH
+        self.check(fit.params.topics, beta / beta.sum(axis=1, keepdims=True), k)
+
+
+class TestEmBound:
+    @pytest.mark.parametrize("method", ["laplace", "delta"])
+    def test_each_bound_sums_closed_form_document_bounds(self, method):
+        # From the second iteration on Sigma0 is no longer I, so the
+        # -log|Sigma0|/2 of each document's prior term shows in the bound.
+        k, vocab = 3, 15
+        params = make_ctm_params(35, k, vocab)
+        docs = make_ctm_corpus(36, params, 20, tokens_per_doc=30)
+        docs[7:7] = [Document({})]
+        cfg = InferenceConfig(method=method)
+        fit = ctm.em_fit(docs, vocab, k, cfg, em_iters=3, seed=4)
+        ids, counts, doc = pack_corpus(docs)
+        prior = seeded_start(vocab, k, 4)
+        for it in range(1, 4):
+            step = ctm.em_fit(docs, vocab, k, cfg, em_iters=it, seed=4)
+            assert step.bounds == fit.bounds[:it]
+            phi_all = np.concatenate([state.phi for state in step.doc_states])
+            log_beta = np.log(prior.topics.T[ids])
+            _, log_det0 = np.linalg.slogdet(prior.prior_cov)
+            total = 0.0
+            for d, state in enumerate(step.doc_states):
+                terms = doc == d
+                c, phi, lb = counts[terms], phi_all[terms], log_beta[terms]
+                mu, sigma = state.q_theta.mu, state.q_theta.sigma
+                dev = mu - prior.prior_mean
+                # E_q[log N(theta; mu0, Sigma0)] and the entropy of q(theta)
+                e_prior = -0.5 * (k * np.log(2 * np.pi) + log_det0
+                                  + np.trace(np.linalg.solve(prior.prior_cov, sigma))
+                                  + dev @ np.linalg.solve(prior.prior_cov, dev))
+                entropy = 0.5 * (np.linalg.slogdet(sigma)[1] + k * (1.0 + np.log(2 * np.pi)))
+                # E_q[log p(z | theta)] to second order, then q(z)'s terms
+                s = c @ phi
+                pi = numerics.softmax(mu)
+                e_z = s @ (mu - numerics.log_sum_exp(mu)) + 0.5 * s.sum() * np.sum(
+                    (np.outer(pi, pi) - np.diag(pi)) * sigma)
+                qz = c @ np.sum(phi * (lb - np.log(phi)), axis=1)
+                total += e_prior + entropy + e_z + qz
+            assert fit.bounds[it - 1] == pytest.approx(total, rel=1e-10, abs=1e-8)
+            prior = step.params
 
 
 class TestParamsValidation:
