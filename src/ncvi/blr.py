@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import ClassVar
 
 import numpy as np
 
@@ -215,7 +214,6 @@ class _Tasks:
     y0: np.ndarray
     bounds: np.ndarray
     prior: BlrPrior
-    delta_diagonal: ClassVar[bool] = False
 
     def __post_init__(self):
         if self.prior.mean.shape != self.t.shape[1:]:
@@ -263,9 +261,9 @@ class _Tasks:
 
     def ascent(self, stats, shift=None):
         """f per task or, given a shift, the delta profile at Sigma(theta) =
-        (-H + shift I)^{-1}, -inf where that is not positive definite.  The
-        Newton matrices are -H, and for the profile -H - Hessian{Tr(H
-        Sigma)}/2 at fixed Sigma where positive definite."""
+        (-H + shift I)^{-1}, -inf where that is not positive definite, then
+        Sigma and log|Sigma|.  The Newton matrices are -H, and for the profile
+        -H - Hessian{Tr(H Sigma)}/2 at fixed Sigma where positive definite."""
 
         def evaluate(theta, rows):
             terms = self._terms(theta, rows)
@@ -275,6 +273,8 @@ class _Tasks:
             # the line search rejects the other rows unread
             value, grad = terms[2:4]
             out = (value, grad, grad.copy())
+            if shift is not None:  # Sigma and log|Sigma|
+                out += (np.zeros(grad.shape + grad.shape[1:]), np.zeros_like(value))
             if live.any():
                 for full, part in zip(out, evaluate(theta[live], rows[live])):
                     full[live] = part
@@ -288,15 +288,16 @@ class _Tasks:
             return value, grad, _directions(neg, neg, grad)
         dim = neg.shape[1]
         fact, defined = numerics.spd_factorize_each(_sym(neg) + shift * np.eye(dim))
-        quad = _quad(t, fact.inverse(), segments)
+        sigma = fact.inverse()
+        quad = _quad(t, sigma, segments)
         value = np.where(defined, value - 0.5 * (fact.log_det + dim), -np.inf)
         grad = grad + 0.5 * _trace_grad(t, sig, w, quad, segments)
         exact = neg - 0.5 * _trace_hessian(t, sig, w, quad, segments)
         direction = grad.copy()
         direction[defined] = _directions(exact[defined], neg[defined], grad[defined])
-        return value, grad, direction
+        return value, grad, direction, sigma, -fact.log_det
 
-    def covariance(self, theta, stats, shift, diagonal):
+    def covariance(self, theta, stats, shift):
         """Sigma = (-H + shift I)^{-1} and log|Sigma| per task, from one
         stacked factor."""
         t, segments, _, _, _, w = self._terms(theta, np.arange(len(self)))

@@ -252,8 +252,6 @@ class _Docs:
     """The documents of a packed corpus as the engine's rows, one row per
     document: the batched maths above, on the exact K x K Hessian."""
 
-    delta_diagonal = True
-
     def __init__(self, params: CtmParams, counts, log_beta, doc, num_docs):
         self.params, self.counts, self.log_beta = params, counts, log_beta
         self.doc, self.num_docs = doc, num_docs
@@ -274,37 +272,34 @@ class _Docs:
 
     def ascent(self, stats, shift=None):
         """f per document or, given a shift, the delta profile at the diagonal
-        Sigma(theta) = diag(shift - h_ii)^{-1}, on g's exact -Hessian where
-        positive definite (the trace term's curvature dominates along weak
-        prior directions), else f's; the Newton directions solve each row's."""
+        Sigma(theta) = diag(shift - h_ii)^{-1} (-h_ii >= (Sigma0^{-1})_ii > 0),
+        then Sigma and log|Sigma|; on g's exact -Hessian where positive
+        definite (the trace term's curvature dominates along weak prior
+        directions), else f's: the Newton directions solve each row's."""
 
         def evaluate(theta, rows):
             s = stats[rows]
             value, grad, pi = _value_grad(theta, s, self.params)
             mat = neg = -_hessian(pi, s, self.params)
+            extras = ()
             if shift is not None:
                 sig = 1.0 / (np.diagonal(neg, axis1=1, axis2=2) + shift)
-                value = value + 0.5 * (np.sum(np.log(sig), axis=1) - theta.shape[1])
+                log_det = np.sum(np.log(sig), axis=1)
+                value = value + 0.5 * (log_det - theta.shape[1])
                 grad = grad + 0.5 * _trace_grad(pi, s, sig)
                 exact = _profile_neg_hessian(pi, s, sig, neg)
                 mat = np.where(np.linalg.eigvalsh(exact)[:, :1, None] > 0.0, exact, neg)
-            return value, grad, np.linalg.solve(mat, grad[:, :, None])[:, :, 0]
+                extras = (sig[:, :, None] * np.eye(theta.shape[1]), log_det)
+            return value, grad, np.linalg.solve(mat, grad[:, :, None])[:, :, 0], *extras
 
         return evaluate
 
-    def covariance(self, theta, stats, shift, diagonal):
-        """Sigma and log|Sigma| per document: (-H + shift I)^{-1} from
-        numerics' stacked Cholesky factor at pi = softmax(theta), or the
-        inverse diagonal at the delta ascent's pi = exp(eta)."""
-        eye = np.eye(theta.shape[1])
-        if not diagonal:
-            neg = -_hessian(numerics.softmax(theta, axis=1), stats, self.params)
-            fact = numerics.spd_factorize(neg + shift * eye if shift else neg)
-            return fact.inverse(), -fact.log_det
-        # -h_ii >= (Sigma0^{-1})_ii > 0: the diagonal is always positive
-        pi = _value_grad(theta, stats, self.params)[2]
-        sig = 1.0 / (shift - np.diagonal(_hessian(pi, stats, self.params), axis1=1, axis2=2))
-        return sig[:, :, None] * eye, np.sum(np.log(sig), axis=1)
+    def covariance(self, theta, stats, shift):
+        """Sigma = (-H + shift I)^{-1} and log|Sigma| per document from
+        numerics' stacked Cholesky factor at pi = softmax(theta)."""
+        neg = -_hessian(numerics.softmax(theta, axis=1), stats, self.params)
+        fact = numerics.spd_factorize(neg + shift * np.eye(theta.shape[1]) if shift else neg)
+        return fact.inverse(), -fact.log_det
 
     def conjugate_update(self, mu, sigma):
         return _assignments(mu, self.doc, self.log_beta)

@@ -14,15 +14,15 @@ J. Stat. 2008) per row: two plain maps, an extrapolation of the mean and one
 stabilizing map from there, kept only where it does not lower the monitor
 and still moves the mean forward.  It retires each row once one map stops
 moving its mean.  It runs on a rows object over a leading row axis:
-`select(keep)`, `ascent(stats, shift)` (newton's evaluate for f, or for g
-at a shift), `covariance` (Sigma and log|Sigma| from one factor of f's
-negated curvature), `conjugate_update`, `expected_stats` and `monitor` (the
-approximate objective at the expected statistics it is given).  `ctm` packs
-its documents as rows and `blr` its tasks; `_ModelRows` runs one
-ModelContract as a stack of one, the dense reference path behind
-`laplace_step`, `delta_step` and `run_coordinate_ascent`.  The engine
-handles no Hessian matrix: it keeps the jitter policy, one jitter for the
-stack, and NonConcaveError.
+`select(keep)`, `ascent(stats, shift)` (newton's evaluate for f or, at a
+shift, for g, then Sigma and log|Sigma|), `covariance(theta, stats, shift)`
+(laplace's Sigma and log|Sigma| from one factor), `conjugate_update`,
+`expected_stats` and `monitor` (the approximate objective at the expected
+statistics it is given).  `ctm` packs its documents as rows and `blr` its
+tasks; `_ModelRows` runs one ModelContract as a stack of one, the dense
+reference path behind `laplace_step`, `delta_step` and
+`run_coordinate_ascent`.  The engine handles no Hessian matrix: it keeps
+the jitter policy, one jitter for the stack, and NonConcaveError.
 """
 
 from __future__ import annotations
@@ -107,14 +107,14 @@ class NonConcaveError(ArithmeticError):
     """-Hessian stayed indefinite after exhausting the jitter budget."""
 
 
-def _covariance(rows, theta, stats, diagonal: bool):
-    """Sigma and log|Sigma| per row at theta, and the diagonal jitter,
-    doubling from _JITTER_INIT, that the stack's negated curvature needed."""
+def _jittered(attempt, failure):
+    """attempt(jitter) at jitter 0, then doubling from _JITTER_INIT, until it
+    no longer raises `failure`; NonConcaveError past _JITTER_MAX."""
     jitter = 0.0
     while jitter <= _JITTER_MAX:
         try:
-            return (*rows.covariance(theta, stats, jitter, diagonal), jitter)
-        except numerics.NotPositiveDefiniteError:
+            return attempt(jitter)
+        except failure:
             jitter = 2.0 * jitter or _JITTER_INIT
     raise NonConcaveError(f"negated Hessian not positive definite after jitter {_JITTER_MAX:g}")
 
@@ -122,23 +122,25 @@ def _covariance(rows, theta, stats, diagonal: bool):
 def _refit(rows, stats, mu, method: str):
     """The q(theta) update named by `method` for every row, from the means mu:
     the new means, Sigma, log|Sigma| and, per row, whether every Newton ascent
-    reached the optimizer's grad_tol.  The delta profile's Sigma is shifted by
-    the jitter the start needed (g stays an exact profile at a fixed shift);
-    where no jitter within the cap defines Sigma there, the rows first climb f."""
+    reached the optimizer's grad_tol.  The delta profile, exact at a fixed
+    shift, is climbed at the first jitter defining Sigma at its start (else
+    from f's mode), and Sigma is the one formed at its argmax."""
     if method == "laplace":
         result = optimize.newton(rows.ascent(stats), mu)
-        sigma, log_det, _ = _covariance(rows, result.argmax, stats, False)
+        sigma, log_det = _jittered(lambda jitter: rows.covariance(result.argmax, stats, jitter),
+                                   numerics.NotPositiveDefiniteError)
         return result.argmax, sigma, log_det, result.converged
-    converged = True
+
+    def profile(start):
+        return _jittered(lambda shift: optimize.newton(rows.ascent(stats, shift), start),
+                         optimize.NonFiniteStartError)
+
     try:
-        shift = _covariance(rows, mu, stats, rows.delta_diagonal)[2]
+        result, converged = profile(mu), True
     except NonConcaveError:
-        result = optimize.newton(rows.ascent(stats), mu)
-        mu, converged = result.argmax, result.converged
-        shift = _covariance(rows, mu, stats, rows.delta_diagonal)[2]
-    result = optimize.newton(rows.ascent(stats, shift), mu)
-    sigma, log_det = rows.covariance(result.argmax, stats, shift, rows.delta_diagonal)
-    return result.argmax, sigma, log_det, converged & result.converged
+        climb = optimize.newton(rows.ascent(stats), mu)
+        result, converged = profile(climb.argmax), climb.converged
+    return result.argmax, *result.extras, converged & result.converged  # Sigma, log|Sigma|
 
 
 def _map(rows, stats, mu, method: str):
@@ -277,21 +279,21 @@ def _ascend(rows, mu, stats, cfg: InferenceConfig, traces: list[InferenceTrace])
 class _ModelRows:
     """One ModelContract as a stack of one row, for the refit and the loop
     above: the dense reference path.  Sigma, stats and q(z) are one-item
-    lists and log|Sigma| a one-item array.  It has no `select`: the stack
-    ends with its one row."""
+    sequences and log|Sigma| a one-item array.  It has no `select`: the
+    stack ends with its one row."""
 
     def __init__(self, model: ModelContract, data=None):
-        self.model, self.data, self.delta_diagonal = model, data, model.delta_diagonal
+        self.model, self.data = model, data
 
     def ascent(self, stats, shift=None):
-        """f or, given a shift, the delta profile g = f + (log|Sigma| - dim)/2
-        at Sigma = model.covariance(theta, stats, shift, delta_diagonal), -inf
-        where that is undefined; with the gradient, by the envelope theorem
-        grad f + trace_grad(theta, Sigma)/2, and the model's Newton direction."""
+        """f or, at a shift, the delta profile g = f + (log|Sigma| - dim)/2 at
+        Sigma = model.covariance(theta, stats, shift, model.delta_diagonal),
+        -inf where undefined, with grad f + trace_grad(theta, Sigma)/2 (the
+        envelope theorem), the model's Newton direction, Sigma and log|Sigma|."""
         model, (stats,) = self.model, stats
 
         def evaluate(points, rows):
-            (theta,), sigma = points, None
+            (theta,), sigma, log_det = points, None, np.nan
             value, grad = model.f_value_grad(theta, stats)
             if np.isfinite(value) and shift is not None:
                 try:
@@ -304,12 +306,15 @@ class _ModelRows:
             direction = grad
             if np.isfinite(value):
                 direction = model.newton_direction(theta, stats, grad, sigma)
-            return tuple(np.array([a], dtype=float) for a in (value, grad, direction))
+            out = tuple(np.array([a], dtype=float) for a in (value, grad, direction))
+            if shift is not None:  # Sigma, whatever its type, in an object array
+                out += (np.fromiter([sigma], object, 1), np.array([log_det]))
+            return out
 
         return evaluate
 
-    def covariance(self, theta, stats, shift, diagonal):
-        sigma, log_det = self.model.covariance(theta[0], stats[0], shift, diagonal)
+    def covariance(self, theta, stats, shift):
+        sigma, log_det = self.model.covariance(theta[0], stats[0], shift, False)
         return [sigma], np.array([log_det])
 
     def conjugate_update(self, mu, sigma):

@@ -25,7 +25,6 @@ __all__ = [
     "split_document",
     "heldout_doc_loglik",
     "heldout_corpus",
-    "predict_labels",
     "accuracy",
     "accuracy_report",
     "avg_log_pred",
@@ -135,12 +134,6 @@ def heldout_corpus(
     return MetricReport("heldout_loglik", tuple(kept), tuple(_score_halves(params, halves, cfg)))
 
 
-def predict_labels(q_theta: GaussianVariational, instances) -> np.ndarray:
-    """Label 1 where the predictive probability of class 1 is at least half."""
-    scores = LabeledData.of(instances).covariates @ q_theta.mu
-    return (numerics.sigmoid(scores) >= 0.5).astype(int)
-
-
 def accuracy(predictions, truth) -> float:
     predictions = np.asarray(predictions)
     truth = np.asarray(truth)
@@ -161,11 +154,11 @@ def accuracy_report(
     posteriors: list[GaussianVariational],
     problems: list[list[LabeledInstance]],
 ) -> MetricReport:
-    """Per-problem accuracy."""
+    """Per-problem accuracy of label 1 where P(class 1) is at least half."""
 
     def score(q, instances):
         data = LabeledData.of(instances)
-        return accuracy(predict_labels(q, data), data.labels)
+        return accuracy((numerics.sigmoid(data.covariates @ q.mu) >= 0.5).astype(int), data.labels)
 
     return _per_problem("accuracy", posteriors, problems, score)
 

@@ -1,14 +1,14 @@
 """Damped Newton ascent, one problem per row.
 
 `newton` climbs every row of a batch at once.  The caller supplies, per row,
-the objective, its gradient and the Newton direction: the solve of a
-positive definite Newton matrix against the gradient.  Steps halve from the
-full Newton step until the Armijo test passes, within one rounding unit of
-the value, each row on its own, so a row's iterates do not depend on the
-rest of its batch.  `maximize` is the
-one-row entry point; `dense_direction` and `shifted_solve` give directions
-where the Newton matrix may be indefinite.  Deterministic: the same
-objective, start and config always give the same iterates.
+the objective, its gradient, the Newton direction (the solve of a positive
+definite Newton matrix against the gradient) and any arrays it wants back
+from the final point.  Steps halve from the full Newton step until the
+Armijo test passes, within one rounding unit of the value, each row on its
+own, so a row's iterates do not depend on the rest of its batch.  `maximize`
+is the one-row entry point; `dense_direction` and `shifted_solve` give
+directions where the Newton matrix may be indefinite.  Deterministic: the
+same objective, start and config always give the same iterates.
 """
 
 from __future__ import annotations
@@ -63,6 +63,7 @@ class OptimResult:
     grad_norm: float
     iterations: int
     converged: bool
+    extras: tuple = ()
 
 
 class NonFiniteStartError(ValueError):
@@ -88,17 +89,19 @@ def newton(evaluate, x, config: OptimizerConfig | None = None) -> OptimResult:
 
     `evaluate(x, rows)` gives, for the problems `rows` at the points x (one
     per row), the objective values, their gradients and the Newton
-    directions; a direction is only used where the value and gradient are
-    finite.  A row stops at grad_tol, once an accepted step no longer raises
-    its value, or at max_iters.  A start where a value or gradient is not
-    finite raises NonFiniteStartError.
+    directions, then any further per-row arrays, returned as `extras` from
+    the evaluation that accepted each row's final point; a direction is only
+    used where the value and gradient are finite.  A row stops at grad_tol,
+    once an accepted step no longer raises its value, or at max_iters.  A
+    start where a value or gradient is not finite raises NonFiniteStartError.
     """
     cfg = config or OptimizerConfig()
     x = np.array(x, dtype=float)
     rows = np.arange(len(x))
-    value, grad, direction = evaluate(x, rows)
+    value, grad, direction, *extras = evaluate(x, rows)
     if not (np.all(np.isfinite(value)) and np.all(np.isfinite(grad))):
         raise NonFiniteStartError("objective is not finite at the starting point")
+    extras = tuple(e.copy() for e in extras)
     final_value = value.copy()
     grad_norm = _row_norms(grad)
     converged = _converged(value, grad, direction, grad_norm, cfg)
@@ -118,10 +121,12 @@ def newton(evaluate, x, config: OptimizerConfig | None = None) -> OptimResult:
         todo = np.arange(rows.size)
         for _ in range(_MAX_SHRINKS + 1):
             trial[todo] = x[rows[todo]] + step[todo, None] * direction[todo]
-            v, g, d = evaluate(trial[todo], rows[todo])
+            v, g, d, *e = evaluate(trial[todo], rows[todo])
             ok = np.isfinite(v) & np.all(np.isfinite(g), axis=1)
             ok &= v >= armijo_floor[todo] + _ARMIJO_C * step[todo] * slope[todo]
             new_value[todo[ok]], new_grad[todo[ok]], new_dir[todo[ok]] = v[ok], g[ok], d[ok]
+            for kept, part in zip(extras, e):
+                kept[rows[todo[ok]]] = part[ok]
             todo = todo[~ok]
             if not todo.size:
                 break
@@ -138,7 +143,7 @@ def newton(evaluate, x, config: OptimizerConfig | None = None) -> OptimResult:
         iterations[rows] += 1
         run = (new_value > value) & (new_norm > cfg.grad_tol)
         value, grad, direction = new_value, new_grad, new_dir
-    return OptimResult(x, final_value, grad_norm, iterations, converged)
+    return OptimResult(x, final_value, grad_norm, iterations, converged, extras)
 
 
 def _row_norms(grad):

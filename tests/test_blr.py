@@ -476,7 +476,7 @@ class TestPackedTasks:
         evaluate = blr._Tasks.of(tasks, prior).ascent(None, shift)
         # a subset, as the line search asks, and one whose rows are all rejected
         for rows in (np.array([0, 2, 3, 4]), np.array([3])):
-            values, grads, directions = evaluate(theta[rows], rows)
+            values, grads, directions, *_ = evaluate(theta[rows], rows)
             for r, value, grad, direction in zip(rows, values, grads, directions):
                 if r == 3:
                     assert value == -np.inf and np.array_equal(direction, grad)
@@ -488,6 +488,29 @@ class TestPackedTasks:
                 np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-7)
                 mat = exact if np.linalg.eigvalsh(exact)[0] > 0.0 else neg
                 np.testing.assert_allclose(mat @ direction, grad, rtol=1e-8, atol=1e-12)
+
+    def test_delta_sigma_is_the_covariance_at_the_argmax(self, monkeypatch):
+        # Sigma and log|Sigma| from the evaluation that accepted each mean,
+        # to the bit, with no covariance call.  Every trial of task 1 that
+        # shares its evaluation is rejected at -inf, as where f overflows:
+        # the pack pads that row and evaluates the others on their own, and
+        # those evaluations accept the other tasks' means until task 1 stops
+        rows = blr._Tasks.of(self.tasks(), self.prior())
+        real_terms, real_covariance, calls = blr._Tasks._terms, blr._Tasks.covariance, []
+
+        def terms(pack, theta, which):
+            t, segments, value, *rest = real_terms(pack, theta, which)
+            calls.append(which.tolist())
+            if len(calls) > 1 and len(which) > 1:  # not the start
+                value = np.where(which == 1, -np.inf, value)
+            return t, segments, value, *rest
+
+        monkeypatch.setattr(blr._Tasks, "_terms", terms)
+        monkeypatch.setattr(blr._Tasks, "covariance", lambda *a: pytest.fail("covariance called"))
+        mu, sigma, log_det, converged = engine._refit(rows, None, np.zeros((5, 3)), "delta")
+        assert converged.all() and calls[1:3] == [[0, 1, 2, 3, 4], [0, 2, 3, 4]]
+        want, want_log_det = real_covariance(rows, mu, None, 0.0)
+        assert np.array_equal(sigma, want) and np.array_equal(log_det, want_log_det)
 
     def test_indefinite_newton_matrix_falls_back_per_row(self):
         # a stack whose second exact matrix is indefinite, and whose last

@@ -359,6 +359,22 @@ class TestBatchInference:
         want = -2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
         assert np.array_equal(log_det, want)
 
+    def test_delta_sigma_keeps_the_inverse_diagonal_bits(self, monkeypatch):
+        # the profile's Sigma = diag(1 / (shift - h_ii)) at pi = exp(eta),
+        # shift 0, from the evaluation that accepted each mean: no
+        # covariance call, and h_ii = n (pi_i^2 - pi_i) - (Sigma0^{-1})_ii
+        params = make_ctm_params(25, 5, 30)
+        stats = np.random.default_rng(27).integers(0, 40, size=(8, 5)).astype(float)
+        rows = ctm._Docs(params, counts=None, log_beta=None, doc=None, num_docs=8)
+        monkeypatch.setattr(ctm._Docs, "covariance", lambda *a: pytest.fail("covariance called"))
+        mu, sigma, log_det, _ = engine._refit(rows, stats, np.zeros((8, 5)), "delta")
+        top = mu.max(axis=1, keepdims=True)
+        pi = np.exp(mu - (np.log(np.sum(np.exp(mu - top), axis=1, keepdims=True)) + top))
+        h = stats.sum(axis=1, keepdims=True) * (pi * pi - pi) - np.diagonal(params.prior_inv)
+        sig = 1.0 / (0.0 - h)
+        assert np.array_equal(sigma, sig[:, :, None] * np.eye(5))
+        assert np.array_equal(log_det, np.sum(np.log(sig), axis=1))
+
     def test_laplace_factorization_failure_is_non_concave(self, monkeypatch):
         # -H = n (diag pi - pi pi') + Sigma0^{-1} is positive definite, so only
         # a failing factorization reaches the engine's jitter ladder

@@ -287,7 +287,7 @@ class TestDeltaProfile:
         theta, _, _ = engine.laplace_step(model, stats, np.zeros(model.dim))
         theta = theta.mu + np.random.default_rng(46).normal(scale=0.05, size=model.dim)
         profile = delta_profile(model, stats, shift)
-        value, grad, _ = profile(theta)
+        value, grad, *_ = profile(theta)
         assert np.isfinite(value)
         fd = numerics.finite_diff_gradient(lambda t: profile(t)[0], theta)
         np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-7)
@@ -298,8 +298,18 @@ class TestDeltaProfile:
         model = unigram.UnigramModel(100, docs)
         q0 = GaussianVariational(np.zeros(100), np.eye(100))
         stats = model.expected_stats(model.conjugate_update(q0))
-        value, _, _ = delta_profile(model, stats, 0.0)(q0.mu)
+        value, *_ = delta_profile(model, stats, 0.0)(q0.mu)
         assert value == -np.inf
+
+    @pytest.mark.parametrize("problem", ["ctm", "unigram"])
+    def test_refit_sigma_is_the_models_covariance_at_the_argmax(self, problem):
+        # taken from the evaluation that accepted the mean, to the bit
+        model, stats = delta_problem(problem)
+        mu, sigma, log_det, _ = engine._refit(
+            engine._ModelRows(model), [stats], [np.zeros(model.dim)], "delta")
+        want, want_log_det = model.covariance(mu[0], stats, 0.0, model.delta_diagonal)
+        eye = np.eye(model.dim)  # unigram's Sigma is read through `@`
+        assert np.array_equal(sigma[0] @ eye, want @ eye) and log_det[0] == want_log_det
 
 
 class TestEtaExpectation:
@@ -450,8 +460,9 @@ class TestRunCoordinateAscent:
         assert trace.records[-1].mean_change < cfg.conv_tol
 
     def test_one_laplace_iteration_factorizes_once(self, monkeypatch):
-        # one covariance per iteration, whose log|Sigma| the monitor reuses;
-        # unigram's is O(V) and factorizes nothing, CTM's dense default once
+        # one covariance per laplace iteration, whose log|Sigma| the monitor
+        # reuses; unigram's is O(V) and factorizes nothing, CTM's dense
+        # default once.  A delta iteration calls none outside the ascent
         monkeypatch.setattr(InferenceConfig, "max_outer_iters", 1)
         docs, _ = make_unigram_corpus(12, vocab_size=6, num_docs=4)
         params = make_ctm_params(13, 4, 30)
@@ -459,7 +470,7 @@ class TestRunCoordinateAscent:
             (unigram.UnigramModel(6, docs), 0),
             (ctm.CtmDocModel(params, make_ctm_corpus(14, params, 1)[0]), 1),
         ]
-        factorizations, in_ascent = [], []
+        factorizations, covariances, in_ascent = [], [], []
         real_factorize, real_newton = numerics.spd_factorize, optimize.newton
 
         def ascent(*args, **kwargs):
@@ -475,21 +486,27 @@ class TestRunCoordinateAscent:
                 factorizations.append(m)
             return real_factorize(m)
 
+        def counted(real):
+            def covariance(*args):
+                if not in_ascent:
+                    covariances.append(args)
+                return real(*args)
+
+            return covariance
+
         monkeypatch.setattr(numerics, "spd_factorize", factorize)
         monkeypatch.setattr(optimize, "newton", ascent)
         for model, want in problems:
-            covariances = []
-            monkeypatch.setattr(
-                model, "covariance",
-                lambda *a, real=model.covariance: covariances.append(a) or real(*a),
-            )
+            monkeypatch.setattr(model, "covariance", counted(model.covariance))
             q0 = GaussianVariational(np.zeros(model.dim), np.eye(model.dim))
-            factorizations.clear()
-            engine.run_coordinate_ascent(
-                model, None, q0, model.conjugate_update(q0), InferenceConfig()
-            )
-            assert len(covariances) == 1
-            assert len(factorizations) == want
+            for method, calls, factors in (("laplace", 1, want), ("delta", 0, 0)):
+                covariances.clear()
+                factorizations.clear()
+                engine.run_coordinate_ascent(
+                    model, None, q0, model.conjugate_update(q0), InferenceConfig(method)
+                )
+                assert len(covariances) == calls
+                assert len(factorizations) == factors
 
     @pytest.mark.parametrize("method", ["laplace", "delta"])
     def test_refit_stopped_short_is_not_converged(self, monkeypatch, method):

@@ -105,14 +105,16 @@ class TestClassificationMetrics:
             evaluate.accuracy([], [])
 
     def test_predict_labels_thresholds_at_half(self):
+        # through accuracy_report: a score of exactly 0 predicts label 1
         q = GaussianVariational(np.array([1.0, -1.0]), np.eye(2))
-        instances = [
-            make_instance([2.0, 0.0], 1),   # positive score
-            make_instance([0.0, 2.0], 0),   # negative score
-            make_instance([0.0, 0.0], 1),   # tie goes to label 1
+        positive, negative, tie = [2.0, 0.0], [0.0, 2.0], [0.0, 0.0]
+        problems = [
+            [make_instance(positive, 1), make_instance(negative, 0), make_instance(tie, 1)],
+            [make_instance(tie, 0)],
+            [make_instance(positive, 0), make_instance(negative, 1)],
         ]
-        preds = evaluate.predict_labels(q, instances)
-        np.testing.assert_array_equal(preds, [1, 0, 1])
+        report = evaluate.accuracy_report([q] * 3, problems)
+        assert report.values == (1.0, 0.0, 0.0)
 
     def test_accuracy_report_per_problem(self):
         q = GaussianVariational(np.array([1.0]), np.eye(1))

@@ -208,6 +208,49 @@ class TestBatchedRows:
             newton(evaluate, np.zeros((3, 2)))
 
 
+def _three_rows(x, rows, trials=None):
+    """Row 0: -(x - 1)^2, started at its mode; row 1: -ln cosh x, whose full
+    Newton step overshoots; row 2: ln x - x, -inf for x <= 0.  Each point's
+    value, gradient and Newton direction, then two further arrays of it.
+    `trials` collects (row, value) per evaluation."""
+    terms = []
+    for r, (xi,) in zip(rows, x):
+        if r == 0:
+            terms.append((-(xi - 1.0) ** 2, -2.0 * (xi - 1.0), -2.0))
+        elif r == 1:
+            terms.append((-np.log(np.cosh(xi)), -np.tanh(xi), -1.0 / np.cosh(xi) ** 2))
+        elif xi > 0.0:
+            terms.append((np.log(xi) - xi, 1.0 / xi - 1.0, -1.0 / xi**2))
+        else:
+            terms.append((-np.inf, np.nan, -1.0))
+        if trials is not None:
+            trials.append((r, terms[-1][0]))
+    value, grad, hess = (np.array(a) for a in zip(*terms))
+    point = np.stack([x[:, 0] ** 3, value], axis=1)
+    return value, grad[:, None], (-grad / hess)[:, None], point, np.exp(-x[:, 0]) + rows
+
+
+class TestCarriedArrays:
+    def test_each_rows_arrays_come_from_its_accepted_point(self):
+        trials = []
+        res = newton(lambda x, rows: _three_rows(x, rows, trials), np.array([[1.0], [2.0], [3.0]]))
+        assert res.iterations[0] == 0 and res.iterations[1:].min() > 0
+        assert res.converged.all()
+        # row 1 shrank a step whose trial fell below its start, row 2 one at -inf
+        row_1 = [v for r, v in trials if r == 1]
+        assert np.isfinite(row_1).all() and min(row_1) < row_1[0]
+        assert any(r == 2 and v == -np.inf for r, v in trials)
+        assert len(res.extras) == 2
+        for r in range(3):
+            fresh = _three_rows(res.argmax[r:r + 1], np.array([r]))[3:]
+            for kept, want in zip(res.extras, fresh):
+                assert np.array_equal(kept[r], want[0])
+
+    def test_three_arrays_carry_nothing(self):
+        res = newton(lambda x, rows: _three_rows(x, rows)[:3], np.array([[1.0], [2.0], [3.0]]))
+        assert res.extras == ()
+
+
 class TestDirections:
     def test_dense_solve_where_positive_definite(self):
         rng = np.random.default_rng(11)

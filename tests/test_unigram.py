@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ncvi import engine, numerics, unigram
+from ncvi import engine, numerics, optimize, unigram
 from ncvi.engine import InferenceConfig
 from ncvi.model import (
     ConjugateVariational,
@@ -135,6 +135,18 @@ class TestExponentValueGrad:
             model.trace_grad(theta, np.eye(2), stats)
         with pytest.raises(OverflowError):
             model.eta_expectation(GaussianVariational(theta, np.zeros((2, 2))))
+
+    def test_refit_from_past_the_guard_is_a_non_finite_start(self):
+        # f is -inf there, so both refits fail on their start alone; the
+        # delta refit, whose covariance is never taken outside its ascent,
+        # walks its jitter ladder and climbs f first, as from any start
+        # where the profile is undefined
+        model = unigram.UnigramModel(2, [Document({0: 1})])
+        theta, stats = np.array([701.0, 0.0]), ExpectedStats(np.zeros(2))
+        with pytest.raises(optimize.NonFiniteStartError):
+            engine.laplace_step(model, stats, theta)
+        with pytest.raises(optimize.NonFiniteStartError):
+            engine.delta_step(model, stats, GaussianVariational(theta, np.eye(2)))
 
 
 class DenseUnigramModel(unigram.UnigramModel):
@@ -321,7 +333,7 @@ class TestSharedTerms:
             model.conjugate_update(GaussianVariational(np.zeros(v), np.eye(v))))
         sizes, real = [], numerics.digamma
         monkeypatch.setattr(numerics, "digamma", lambda x: sizes.append(np.size(x)) or real(x))
-        value, _, _ = engine._ModelRows(model).ascent([stats], 0.0)(theta[None], np.arange(1))
+        value, *_ = engine._ModelRows(model).ascent([stats], 0.0)(theta[None], np.arange(1))
         assert np.isfinite(value[0])  # the delta profile is defined here
         sigma, _ = model.covariance(theta, stats, 0.0, False)
         model.f_value_grad(theta, stats)
