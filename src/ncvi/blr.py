@@ -12,8 +12,9 @@ logistic maths is written once, as kernels over tasks packed flat into
 arrays.  Every fit runs through `_fit`: its tasks, a flat fit's one or a
 round's, are packed once (`_Tasks`) as rows, one per task, that the engine
 refits together and that the monitor scores; each evaluation forms every
-task's Hessian and diag(T Sigma T') once.  `BlrModel`, one task's
-ModelContract, is the one-task view of the same kernels.
+task's Hessian and diag(T Sigma T') once and steps by
+optimize.dense_direction.  `BlrModel`, one task's ModelContract, is the
+one-task view of the same kernels.
 """
 
 from __future__ import annotations
@@ -143,16 +144,6 @@ def _sym(m):
     return 0.5 * (m + m.transpose(0, 2, 1))
 
 
-def _directions(mats, neg, grad):
-    """Per task, the Cholesky solve of `mats` against the gradient where it is
-    positive definite, else optimize.dense_direction's of -H, `neg`."""
-    fact, ok = numerics.spd_factorize_each(mats)
-    direction = fact.solve(grad[:, :, None])[:, :, 0]
-    for r in np.flatnonzero(~ok):
-        direction[r] = optimize.dense_direction(neg[r], grad[r])
-    return direction
-
-
 class BlrModel(ModelContract):
     """One task's problem for the generic engine: the one-task view of the
     packed maths that `_Tasks` runs."""
@@ -188,7 +179,7 @@ class BlrModel(ModelContract):
         neg = _neg_hessian(t, w, segments, self._task.prior.inv)
         exact = neg if sigma is None else (
             neg - 0.5 * _trace_hessian(t, sig, w, _quad(t, [sigma], segments), segments))
-        return _directions(exact, neg, np.asarray(grad, dtype=float)[None])[0]
+        return optimize.dense_direction(exact, neg, np.asarray(grad, dtype=float)[None])[0]
 
     def expected_stats(self, q_z=None) -> ExpectedStats:
         return ExpectedStats(self._task.y1.copy())
@@ -205,9 +196,9 @@ class _Tasks:
     labels as weights y1 and y0 = 1 - y1, task m holding rows
     bounds[m]:bounds[m + 1].  An evaluation calls sigmoid once, sums each
     task over its rows, forms -H and, for the delta profile, q = diag(T Sigma
-    T') once for all its tasks, and factors their matrices in one stacked
-    Cholesky.  Work and memory scale with the instances, however unequal the
-    tasks."""
+    T') once for all its tasks, and solves their Newton matrices by
+    optimize.dense_direction.  Work and memory scale with the instances,
+    however unequal the tasks."""
 
     t: np.ndarray
     y1: np.ndarray
@@ -285,7 +276,7 @@ class _Tasks:
     def _newton(self, t, segments, value, grad, sig, w, shift):
         neg = _neg_hessian(t, w, segments, self.prior.inv)
         if shift is None:
-            return value, grad, _directions(neg, neg, grad)
+            return value, grad, optimize.dense_direction(neg, neg, grad)
         dim = neg.shape[1]
         fact, defined = numerics.spd_factorize_each(_sym(neg) + shift * np.eye(dim))
         sigma = fact.inverse()
@@ -294,7 +285,7 @@ class _Tasks:
         grad = grad + 0.5 * _trace_grad(t, sig, w, quad, segments)
         exact = neg - 0.5 * _trace_hessian(t, sig, w, quad, segments)
         direction = grad.copy()
-        direction[defined] = _directions(exact[defined], neg[defined], grad[defined])
+        direction[defined] = optimize.dense_direction(exact[defined], neg[defined], grad[defined])
         return value, grad, direction, sigma, -fact.log_det
 
     def covariance(self, theta, stats, shift):
@@ -377,7 +368,6 @@ def hyper_update(
     for dev in means - np.asarray(current_mean, dtype=float):
         scatter = scatter + np.outer(dev, dev)
     sigma0 = scatter / denom
-    sigma0 = 0.5 * (sigma0 + sigma0.T)
 
     shrink = sigma0 @ hier.phi1_inv / m + np.eye(p)
     mu0 = np.linalg.solve(shrink, means.mean(axis=0))

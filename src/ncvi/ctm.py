@@ -12,7 +12,9 @@ as its rows, one per document, on the exact K x K Hessian, so `infer_docs`
 and `em_fit`'s E-step (whose M-step reads the stacked fit) run the engine's
 one refit and outer loop on every document at once.  `CtmDocModel`, the
 one-document view, runs on the engine's one-model adapter with the same
-Newton matrices as the reference path.  Sums over terms use np.bincount
+Newton matrices as the reference path.  The delta ascent steps by
+optimize.dense_direction, the Laplace one by an LU solve of f's -H, which
+is positive definite by construction.  Sums over terms use np.bincount
 (term order), products with the prior precision np.einsum, not BLAS, and
 the Laplace Sigma a stacked numerics.spd_factorize, so a document's result
 is bitwise independent of the rest of its batch.
@@ -150,7 +152,9 @@ def _profile_neg_hessian(pi, stats, sig, neg_hess):
     sum_i sig_i^2 grad h_ii grad h_ii'/2, grad h_ii = n (2 pi_i - 1) pi_i (e_i - pi)."""
     n = stats.sum(axis=1)[:, None, None]
     grad_h = n * ((2.0 * pi - 1.0) * pi)[:, :, None] * (np.eye(pi.shape[1]) - pi[:, None, :])
-    moved = np.einsum("di,dij,dik->djk", sig * sig, grad_h, grad_h)
+    # sig^2 overflows where -h_ii + shift < 1e-154: dense_direction then fails
+    with np.errstate(over="ignore", invalid="ignore"):
+        moved = np.einsum("di,dij,dik->djk", sig * sig, grad_h, grad_h)
     return neg_hess - 0.5 * (_trace_hessian(pi, stats, sig) + moved)
 
 
@@ -223,11 +227,9 @@ class CtmDocModel(ModelContract):
     def newton_direction(self, theta, stats: ExpectedStats, grad, sigma=None) -> np.ndarray:
         """For the delta profile, its exact -Hessian where positive definite."""
         pi, s = self._pi(theta), stats.values[None, :]
-        neg = -_hessian(pi, s, self._params)[0]
-        if sigma is None:
-            return optimize.dense_direction(neg, grad)
-        exact = _profile_neg_hessian(pi, s, np.diag(sigma)[None, :], neg[None])[0]
-        return optimize.dense_direction(neg, grad, exact)
+        neg = -_hessian(pi, s, self._params)
+        exact = neg if sigma is None else _profile_neg_hessian(pi, s, np.diag(sigma)[None, :], neg)
+        return optimize.dense_direction(exact, neg, np.asarray(grad, dtype=float)[None])[0]
 
     def _phi(self, q_z: ConjugateVariational) -> np.ndarray:  # public phi is (terms, K)
         return np.ascontiguousarray(np.asarray(q_z.phi, dtype=float).reshape(-1, self.dim).T)
@@ -273,24 +275,24 @@ class _Docs:
     def ascent(self, stats, shift=None):
         """f per document or, given a shift, the delta profile at the diagonal
         Sigma(theta) = diag(shift - h_ii)^{-1} (-h_ii >= (Sigma0^{-1})_ii > 0),
-        then Sigma and log|Sigma|; on g's exact -Hessian where positive
-        definite (the trace term's curvature dominates along weak prior
-        directions), else f's: the Newton directions solve each row's."""
+        then Sigma and log|Sigma|.  The profile steps by optimize.dense_direction
+        on its exact -Hessian (the trace term's curvature dominates along weak
+        prior directions) and f's.  f's own -H = n (diag pi - pi pi') +
+        Sigma0^{-1} is positive definite by construction, so f steps by LU:
+        about 20 us against a Cholesky solve's 55 on a mean fit-ctm batch."""
 
         def evaluate(theta, rows):
             s = stats[rows]
             value, grad, pi = _value_grad(theta, s, self.params)
-            mat = neg = -_hessian(pi, s, self.params)
-            extras = ()
-            if shift is not None:
-                sig = 1.0 / (np.diagonal(neg, axis1=1, axis2=2) + shift)
-                log_det = np.sum(np.log(sig), axis=1)
-                value = value + 0.5 * (log_det - theta.shape[1])
-                grad = grad + 0.5 * _trace_grad(pi, s, sig)
-                exact = _profile_neg_hessian(pi, s, sig, neg)
-                mat = np.where(np.linalg.eigvalsh(exact)[:, :1, None] > 0.0, exact, neg)
-                extras = (sig[:, :, None] * np.eye(theta.shape[1]), log_det)
-            return value, grad, np.linalg.solve(mat, grad[:, :, None])[:, :, 0], *extras
+            neg = -_hessian(pi, s, self.params)
+            if shift is None:
+                return value, grad, np.linalg.solve(neg, grad[:, :, None])[:, :, 0]
+            sig = 1.0 / (np.diagonal(neg, axis1=1, axis2=2) + shift)
+            log_det = np.sum(np.log(sig), axis=1)
+            value = value + 0.5 * (log_det - theta.shape[1])
+            grad = grad + 0.5 * _trace_grad(pi, s, sig)
+            direction = optimize.dense_direction(_profile_neg_hessian(pi, s, sig, neg), neg, grad)
+            return value, grad, direction, sig[:, :, None] * np.eye(theta.shape[1]), log_det
 
         return evaluate
 

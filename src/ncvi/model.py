@@ -193,10 +193,11 @@ class ModelContract(abc.ABC):
         """Solve of a positive definite Newton matrix against `grad` for f or,
         given sigma = Sigma(theta) from covariance at the ascent's shift, for
         the delta profile g = f + (log|Sigma(theta)| - dim)/2.  Default: f's
-        negated Hessian for both, by optimize.dense_direction; unigram keeps
-        it, BLR adds the curvature of Tr{H sigma}/2 at fixed sigma, and CTM
-        uses -Hessian g itself."""
-        return optimize.dense_direction(-self.f_hessian(theta, stats), grad)
+        negated Hessian for both, by optimize.dense_direction on a stack of
+        one; unigram keeps it, and BLR's and CTM's exact matrices add the
+        curvature of Tr{H sigma}/2 at fixed sigma or are -Hessian g itself."""
+        neg = -self.f_hessian(theta, stats)[None]
+        return optimize.dense_direction(neg, neg, np.asarray(grad, dtype=float)[None])[0]
 
     @abc.abstractmethod
     def expected_stats(self, q_z: ConjugateVariational) -> ExpectedStats:

@@ -6,9 +6,9 @@ definite Newton matrix against the gradient) and any arrays it wants back
 from the final point.  Steps halve from the full Newton step until the
 Armijo test passes, within one rounding unit of the value, each row on its
 own, so a row's iterates do not depend on the rest of its batch.  `maximize`
-is the one-row entry point; `dense_direction` and `shifted_solve` give
-directions where the Newton matrix may be indefinite.  Deterministic: the
-same objective, start and config always give the same iterates.
+is the one-row entry point; `dense_direction` (every dense Newton matrix,
+row by row) and `shifted_solve` give directions where it may be indefinite.
+Deterministic: the same objective, start and config give the same iterates.
 """
 
 from __future__ import annotations
@@ -203,11 +203,15 @@ def _cholesky_solve(matrix, grad):
         return None
 
 
-def dense_direction(matrix, grad, exact=None):
-    """Cholesky solve against `exact` where it is positive definite, else
-    against `matrix` (a negated Hessian) shifted until it is."""
-    direction = None if exact is None else _cholesky_solve(exact, grad)
-    if direction is not None:
-        return direction
-    eye = np.eye(len(grad))
-    return shifted_solve(lambda shift: _cholesky_solve(matrix + shift * eye, grad), np.diag(matrix))
+def dense_direction(exact, neg, grad):
+    """Newton directions of a stack, (r, n) from (r, n, n) matrices and (r, n)
+    gradients: per row, the Cholesky solve of `exact` where it is positive
+    definite, else of `neg` (a negated Hessian) shifted until it is.  A
+    non-finite `exact` raises numerics.NonFiniteMatrixError."""
+    fact, ok = numerics.spd_factorize_each(exact)
+    direction = fact.solve(grad[:, :, None])[:, :, 0]
+    for r in np.flatnonzero(~ok):
+        m, g = neg[r], grad[r]
+        direction[r] = shifted_solve(
+            lambda shift: _cholesky_solve(m + shift * np.eye(len(g)), g), np.diag(m))
+    return direction

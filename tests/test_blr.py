@@ -254,6 +254,17 @@ class TestHyperUpdate:
                                np.linalg.solve(sigma0, total))
         np.testing.assert_allclose(mu0, want, rtol=1e-10, atol=1e-12)
 
+    def test_covariance_is_exactly_symmetric(self):
+        # phi0^{-1} from SpdFactorization.inverse and every outer product of
+        # a deviation are exactly symmetric, and so is their scaled sum
+        rng = np.random.default_rng(15)
+        for _ in range(200):
+            p, m = rng.integers(1, 6), rng.integers(1, 8)
+            hier = blr.HierPrior(nu=p + 2.0, phi0=random_spd(rng, p), phi1=random_spd(rng, p))
+            qs = [GaussianVariational(rng.normal(scale=3.0, size=p), np.eye(p)) for _ in range(m)]
+            _, sigma0 = blr.hyper_update(qs, hier, rng.normal(size=p))
+            assert np.array_equal(sigma0, sigma0.T)
+
     def test_scatter_denominator_guard(self):
         hier = blr.HierPrior(nu=1.5, phi0=np.eye(2), phi1=np.eye(2))
         q = GaussianVariational(np.zeros(2), np.eye(2))
@@ -511,19 +522,6 @@ class TestPackedTasks:
         assert converged.all() and calls[1:3] == [[0, 1, 2, 3, 4], [0, 2, 3, 4]]
         want, want_log_det = real_covariance(rows, mu, None, 0.0)
         assert np.array_equal(sigma, want) and np.array_equal(log_det, want_log_det)
-
-    def test_indefinite_newton_matrix_falls_back_per_row(self):
-        # a stack whose second exact matrix is indefinite, and whose last
-        # has an indefinite -H too: each row gets optimize.dense_direction's
-        # direction, the exact solve, -H's, or -H's shifted until definite
-        rng = np.random.default_rng(25)
-        neg = np.array([random_spd(rng, 3) for _ in range(4)])
-        neg[3] -= 10.0 * np.eye(3)
-        exact = neg + np.array([np.eye(3), -10.0 * np.eye(3), 0.5 * np.eye(3), np.zeros((3, 3))])
-        grad = rng.normal(size=(4, 3))
-        got = blr._directions(exact, neg, grad)
-        for e, n, g, d in zip(exact, neg, grad, got):
-            np.testing.assert_allclose(d, optimize.dense_direction(n, g, e), rtol=1e-12)
 
     def test_monitor_scores_each_task(self):
         # f + (Tr{H Sigma} + log|Sigma|)/2 per task, from the instances in

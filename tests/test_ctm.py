@@ -375,6 +375,26 @@ class TestBatchInference:
         assert np.array_equal(sigma, sig[:, :, None] * np.eye(5))
         assert np.array_equal(log_det, np.sum(np.log(sig), axis=1))
 
+    def test_singular_newton_matrices_get_a_shifted_direction(self):
+        # a count of 1e20 at pi = (1/2, 1/2) rounds the prior precision out
+        # of -H, leaving it and the profile's exact -Hessian singular: that
+        # document's direction solves -H shifted until positive definite,
+        # and every other document's the Cholesky solve of its exact matrix
+        params = make_ctm_params(25, 2, 12)
+        rng = np.random.default_rng(28)
+        stats = rng.integers(1, 40, size=(4, 2)).astype(float)
+        theta = rng.normal(size=(4, 2))
+        stats[2], theta[2] = [6e19, 4e19], 0.0
+        rows = ctm._Docs(params, counts=None, log_beta=None, doc=None, num_docs=4)
+        _, grad, direction, *_ = rows.ascent(stats, 0.0)(theta, np.arange(4))
+        _, _, pi = ctm._value_grad(theta, stats, params)
+        neg = -ctm._hessian(pi, stats, params)
+        exact = ctm._profile_neg_hessian(pi, stats, 1.0 / np.diagonal(neg, axis1=1, axis2=2), neg)
+        assert np.linalg.det(neg[2]) == 0.0 and np.linalg.det(exact[2]) == 0.0
+        assert np.all(np.isfinite(direction[2])) and grad[2] @ direction[2] > 0.0
+        for r in (0, 1, 3):
+            assert np.array_equal(direction[r], numerics.spd_factorize(exact[r]).solve(grad[r]))
+
     def test_laplace_factorization_failure_is_non_concave(self, monkeypatch):
         # -H = n (diag pi - pi pi') + Sigma0^{-1} is positive definite, so only
         # a failing factorization reaches the engine's jitter ladder

@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 from ncvi import cli, ctm, dataio, engine, optimize, unigram
 from ncvi.model import GaussianVariational
 
-from conftest import make_ctm_params, make_unigram_corpus, random_spd, stopped_short
+from conftest import (
+    make_ctm_corpus,
+    make_ctm_params,
+    make_unigram_corpus,
+    random_spd,
+    stopped_short,
+)
 
 
 def write(path, text):
@@ -706,6 +712,21 @@ class TestExtremeInputs:
 
         self.clean_exit(code, capsys, outputs_finite)
 
+    def test_wide_prior_ctm_delta_scores_every_document(self, tmp_path):
+        # a prior variance of 1e200 leaves f's -H singular along the all-ones
+        # direction, and the profile's exact -Hessian with it: the delta
+        # ascent steps on -H shifted until positive definite
+        params = make_ctm_params(0, 2, 12)
+        docs = make_ctm_corpus(1, params, 5, tokens_per_doc=20)
+        model, out = tmp_path / "m.txt", tmp_path / "s.csv"
+        dataio.save_ctm_params(
+            ctm.CtmParams(params.topics, params.prior_mean, 1e200 * np.eye(2)), model)
+        corpus = write(tmp_path / "c.txt", corpus_text(12, [d.counts for d in docs]))
+        assert run_cli(["eval-ctm", "--model", model, "--corpus", corpus,
+                        "--method", "delta", "--out", out]) == 0
+        scores = [float(line.rsplit(",", 1)[1]) for line in out.read_text().splitlines()
+                  if line.startswith("doc")]
+        assert len(scores) == 5 and np.all(np.isfinite(scores))
 
     @staticmethod
     def infer_unigram(tmp_path, capsys, text, method):
@@ -817,7 +838,9 @@ class TestCliErrors:
     @pytest.mark.parametrize("method", ["laplace", "delta"])
     def test_singular_newton_matrix_exits_two(self, clidata, tmp_path, capsys, method):
         # a prior variance of 1e200 leaves -H singular along the all-ones
-        # direction, where softmax is flat; np.linalg.solve raises LinAlgError
+        # direction, where softmax is flat: laplace's LU solve of -H raises
+        # LinAlgError, and delta's shifted steps saturate pi until sig^2
+        # overflows the profile's exact -Hessian
         params = make_ctm_params(0, 2, 12)
         model = tmp_path / "m.txt"
         dataio.save_ctm_params(

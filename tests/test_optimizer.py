@@ -37,7 +37,7 @@ def rosenbrock_like(x):
         [-2.0 + 20.0 * x[1] - 60.0 * x[0] ** 2, 20.0 * x[0]],
         [20.0 * x[0], -10.0],
     ])
-    return float(v), g, dense_direction(-h, g)
+    return float(v), g, dense_direction(-h[None], -h[None], g[None])[0]
 
 
 def rows_of(objectives):
@@ -257,10 +257,11 @@ class TestDirections:
         a, b = random_spd(rng, 6), random_spd(rng, 6)
         g = rng.normal(size=6)
         want = np.linalg.solve(a, g)
-        np.testing.assert_allclose(dense_direction(a, g), want, rtol=1e-12)
-        # a positive definite `exact` matrix wins; an indefinite one falls back
-        np.testing.assert_allclose(dense_direction(b, g, exact=a), want, rtol=1e-12)
-        np.testing.assert_allclose(dense_direction(a, g, exact=-b), want, rtol=1e-12)
+        # a positive definite exact matrix wins over -H; an indefinite one
+        # falls back to -H
+        for exact, neg in ((a, a), (a, b), (-b, a)):
+            got = dense_direction(exact[None], neg[None], g[None])
+            np.testing.assert_allclose(got[0], want, rtol=1e-12)
 
     def test_indefinite_matrix_is_shifted_into_an_ascent_direction(self):
         rng = np.random.default_rng(12)
@@ -268,19 +269,41 @@ class TestDirections:
         m = q @ np.diag([3.0, 1.0, 0.5, -0.2, -4.0]) @ q.T
         m = 0.5 * (m + m.T)
         g = rng.normal(size=5)
-        d = dense_direction(m, g)
+        d = dense_direction(m[None], m[None], g[None])[0]
         assert np.all(np.isfinite(d)) and g @ d > 0.0
         # d solves (m + shift I) d = g for one shift beyond -min eigenvalue
         shift = (g - m @ d) / d
         np.testing.assert_allclose(shift, shift[0], rtol=1e-8)
         assert shift[0] > 4.0
 
+    def test_each_row_is_the_rule_on_that_row_alone(self):
+        # a stack whose first exact matrix is positive definite, whose second
+        # is indefinite over a positive definite -H, and whose last has an
+        # indefinite -H too: each row gets, to the bit, what it gets alone:
+        # the exact solve, -H's, or -H's shifted until positive definite
+        rng = np.random.default_rng(25)
+        neg = np.array([random_spd(rng, 3) for _ in range(3)])
+        neg[2] -= 10.0 * np.eye(3)
+        exact = neg + np.array([np.eye(3), -10.0 * np.eye(3), np.zeros((3, 3))])
+        grad = rng.normal(size=(3, 3))
+        got = dense_direction(exact, neg, grad)
+        for r in range(3):
+            alone = dense_direction(exact[r:r + 1], neg[r:r + 1], grad[r:r + 1])
+            assert np.array_equal(got[r], alone[0])
+        np.testing.assert_allclose(exact[0] @ got[0], grad[0], rtol=1e-10)
+        np.testing.assert_allclose(neg[1] @ got[1], grad[1], rtol=1e-10)
+        assert grad[2] @ got[2] > 0.0
+        assert not np.allclose(neg[2] @ got[2], grad[2])
+
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_matrix_raises_rather_than_shifting_forever(self, bad):
+        # an overflowed exact matrix fails before any solve, and an overflowed
+        # -H before any shift, as an overflow
         m = np.eye(3)
         m[1, 1] = bad
-        with pytest.raises(ArithmeticError):
-            dense_direction(m, np.ones(3))
+        for exact, neg in ((m, np.eye(3)), (-np.eye(3), m)):
+            with pytest.raises(NonFiniteMatrixError, match="overflowed"):
+                dense_direction(exact[None], neg[None], np.ones((1, 3)))
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_diagonal_fails_before_any_solve(self, bad):
