@@ -100,8 +100,8 @@ class HierPrior:
                 phi1_scale: float = 0.01) -> "HierPrior":
         return HierPrior(
             nu=dim + nu_offset,
-            phi0=phi0_scale * np.eye(dim),
-            phi1=phi1_scale * np.eye(dim),
+            phi0=np.diag(np.full(dim, phi0_scale)),
+            phi1=np.diag(np.full(dim, phi1_scale)),
         )
 
 

@@ -81,6 +81,8 @@ class CtmParams:
             raise ValueError(f"topic row {bad} sums to {rows[bad]!r}, not 1")
         if mean.shape != (k,) or cov.shape != (k, k):
             raise ValueError("prior dimensions must match the number of topics")
+        if not np.all(np.isfinite(mean)):
+            raise ValueError("prior mean entries must be finite")
         fact = numerics._factorize_input(cov, "prior covariance")
         object.__setattr__(self, "topics", topics)
         object.__setattr__(self, "prior_mean", mean)

@@ -302,6 +302,9 @@ def save_posterior(q: GaussianVariational, path) -> None:
 
 def load_posterior(path) -> GaussianVariational:
     _, rows = _float_rows(path, "P", lambda p: [(1 + p, p)])
+    for line_no, row in enumerate(rows, start=2):
+        if not np.all(np.isfinite(row)):
+            raise ParseError(path, line_no, "non-finite value")
     return GaussianVariational(rows[0], np.stack(rows[1:]))
 
 

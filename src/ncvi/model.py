@@ -102,8 +102,6 @@ class LabeledData(Sequence):
         return len(self.labels)
 
     def __getitem__(self, n):
-        if isinstance(n, slice):
-            return LabeledData(self.covariates[n], self.labels[n])
         label = int(self.labels[n])
         return LabeledInstance(self.covariates[n], (label, 1 - label))
 
@@ -142,7 +140,7 @@ def dirichlet_entropy(alpha: np.ndarray):
     log_norm = np.sum(numerics.log_gamma(alpha), axis=-1) - numerics.log_gamma(a0)
     psi_term = np.sum((alpha - 1.0) * numerics.digamma(alpha), axis=-1)
     out = log_norm + (a0 - alpha.shape[-1]) * numerics.digamma(a0) - psi_term
-    return float(out) if np.ndim(out) == 0 else out
+    return numerics._float_or_array(out)
 
 
 class ModelContract(abc.ABC):

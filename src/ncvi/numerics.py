@@ -11,7 +11,6 @@ stack, or diagonal plus rank one.  Everything here is stateless.
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
@@ -75,15 +74,11 @@ def _horner(coefs, t):
 
 
 def _gamma_family(kernel):
-    """Validate x > 0 and evaluate the kernel, a float as a numpy scalar,
-    without warnings: an overflow to inf is the exact limit, as
-    scipy.special gives it."""
+    """Validate x > 0 and evaluate the kernel on it as an array, without
+    warnings: an overflow to inf is the exact limit, as scipy.special gives it."""
     @functools.wraps(kernel)
     def wrapper(x):
-        if isinstance(x, float) and 0.0 < x < math.inf:
-            x = np.float64(x)
-        else:
-            x = _validated_positive(x, kernel.__name__)
+        x = _validated_positive(x, kernel.__name__)
         with np.errstate(over="ignore", divide="ignore"):
             return _float_or_array(kernel(x))
 
@@ -160,11 +155,8 @@ def polygamma_2(x):
 
 
 # hand-written: scipy's logsumexp/softmax take 90/12 us vs 9/10 us on CTM's 5-vectors
-def log_sum_exp(a, axis=None):
+def log_sum_exp(a, axis=-1):
     a = np.asarray(a, dtype=float)
-    if axis is None:
-        m = float(np.max(a))
-        return m + math.log(float(np.sum(np.exp(a - m))))
     m = np.max(a, axis=axis, keepdims=True)
     out = np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True)) + m
     return np.squeeze(out, axis=axis)

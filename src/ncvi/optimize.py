@@ -8,7 +8,7 @@ Armijo test passes, within one rounding unit of the value, each row on its
 own, so a row's iterates do not depend on the rest of its batch.  `maximize`
 is the one-row entry point; `dense_direction` (every dense Newton matrix,
 row by row) and `shifted_solve` give directions where it may be indefinite.
-Deterministic: the same objective, start and config give the same iterates.
+Deterministic: the same objective and start give the same iterates.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import numpy as np
 from . import numerics
 
 __all__ = [
-    "OptimizerConfig",
     "OptimResult",
     "LineSearchStallError",
     "NonFiniteStartError",
@@ -30,6 +29,8 @@ __all__ = [
     "shifted_solve",
 ]
 
+_GRAD_TOL = 1e-6
+_MAX_ITERS = 1000
 _MAX_SHRINKS = 50
 _SHRINK = 0.5
 _ARMIJO_C = 1e-4
@@ -40,18 +41,6 @@ _ROUNDING = 1e-14
 # largest diagonal entry; the shift then grows tenfold until the matrix is
 # positive definite
 _SHIFT_MIN = 1e-3
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    grad_tol: float = 1e-6
-    max_iters: int = 1000
-
-    def __post_init__(self):
-        if self.grad_tol <= 0.0:
-            raise ValueError("grad_tol must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
 
 
 @dataclass
@@ -84,18 +73,17 @@ class LineSearchStallError(ArithmeticError):
         )
 
 
-def newton(evaluate, x, config: OptimizerConfig | None = None) -> OptimResult:
+def newton(evaluate, x) -> OptimResult:
     """Damped Newton ascent of one problem per row of x, each on its own.
 
     `evaluate(x, rows)` gives, for the problems `rows` at the points x (one
     per row), the objective values, their gradients and the Newton
     directions, then any further per-row arrays, returned as `extras` from
     the evaluation that accepted each row's final point; a direction is only
-    used where the value and gradient are finite.  A row stops at grad_tol,
-    once an accepted step no longer raises its value, or at max_iters.  A
+    used where the value and gradient are finite.  A row stops at _GRAD_TOL,
+    once an accepted step no longer raises its value, or at _MAX_ITERS.  A
     start where a value or gradient is not finite raises NonFiniteStartError.
     """
-    cfg = config or OptimizerConfig()
     x = np.array(x, dtype=float)
     rows = np.arange(len(x))
     value, grad, direction, *extras = evaluate(x, rows)
@@ -104,10 +92,10 @@ def newton(evaluate, x, config: OptimizerConfig | None = None) -> OptimResult:
     extras = tuple(e.copy() for e in extras)
     final_value = value.copy()
     grad_norm = _row_norms(grad)
-    converged = _converged(value, grad, direction, grad_norm, cfg)
+    converged = _converged(value, grad, direction, grad_norm)
     iterations = np.zeros(len(x), dtype=int)
-    run = grad_norm > cfg.grad_tol
-    for it in range(cfg.max_iters):
+    run = grad_norm > _GRAD_TOL
+    for it in range(_MAX_ITERS):
         rows, value, grad, direction = rows[run], value[run], grad[run], direction[run]
         if not rows.size:
             break
@@ -139,32 +127,32 @@ def newton(evaluate, x, config: OptimizerConfig | None = None) -> OptimResult:
         x[rows] = trial
         new_norm = _row_norms(new_grad)
         final_value[rows], grad_norm[rows] = new_value, new_norm
-        converged[rows] = _converged(new_value, new_grad, new_dir, new_norm, cfg)
+        converged[rows] = _converged(new_value, new_grad, new_dir, new_norm)
         iterations[rows] += 1
-        run = (new_value > value) & (new_norm > cfg.grad_tol)
+        run = (new_value > value) & (new_norm > _GRAD_TOL)
         value, grad, direction = new_value, new_grad, new_dir
     return OptimResult(x, final_value, grad_norm, iterations, converged, extras)
 
 
 def _row_norms(grad):
     """Euclidean norm of each row; inf, silently, where its squares overflow:
-    such a gradient is as far from grad_tol as any."""
+    such a gradient is as far from _GRAD_TOL as any."""
     with np.errstate(over="ignore"):
         return np.linalg.norm(grad, axis=1)
 
 
-def _converged(value, grad, direction, grad_norm, cfg):
-    """Rows within grad_tol, or whose Newton step predicts a gain g'd/2 below
+def _converged(value, grad, direction, grad_norm):
+    """Rows within _GRAD_TOL, or whose Newton step predicts a gain g'd/2 below
     the rounding of their value: no step can raise it measurably there."""
     gain = 0.5 * np.einsum("dk,dk->d", grad, direction)
-    return (grad_norm <= cfg.grad_tol) | (gain <= _rounding(value))
+    return (grad_norm <= _GRAD_TOL) | (gain <= _rounding(value))
 
 
 def _rounding(value):
     return _ROUNDING * np.maximum(np.abs(value), 1.0)
 
 
-def maximize(objective, init, config: OptimizerConfig | None = None) -> OptimResult:
+def maximize(objective, init) -> OptimResult:
     """`newton` on one problem: `objective(x)` returns the value, gradient and
     Newton direction at the 1-D point x."""
     x = np.array(init, dtype=float, copy=True)
@@ -175,7 +163,7 @@ def maximize(objective, init, config: OptimizerConfig | None = None) -> OptimRes
         value, grad, direction = objective(points[0])
         return np.array([float(value)]), np.asarray(grad, dtype=float)[None], direction[None]
 
-    res = newton(evaluate, x[None, :], config)
+    res = newton(evaluate, x[None, :])
     scalars = (res.value, res.grad_norm, res.iterations, res.converged)
     return OptimResult(res.argmax[0], *(a[0].item() for a in scalars))
 

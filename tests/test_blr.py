@@ -197,6 +197,23 @@ class TestFlatFit:
         with pytest.raises(ValueError):
             blr.BlrModel(bad, blr.BlrPrior.standard(2))
 
+    def test_rejects_a_prior_of_another_dimension(self):
+        with pytest.raises(ValueError, match="prior dimension"):
+            blr.BlrModel([make_instance([1.0, 2.0], 1)], blr.BlrPrior.standard(3))
+
+    @pytest.mark.parametrize("method", ["laplace", "delta"])
+    def test_coordinate_ascent_on_one_model_is_the_fit(self, method):
+        # the labels are observed, so the conjugate update changes nothing:
+        # the engine's outer loop on one BlrModel stops at blr.fit's posterior
+        instances, _ = make_blr_problem(13, 40, 3)
+        model = blr.BlrModel(instances)
+        q0 = GaussianVariational(np.zeros(3), np.eye(3))
+        q, q_z, trace = engine.run_coordinate_ascent(
+            model, None, q0, model.conjugate_update(q0), InferenceConfig(method=method))
+        assert q_z.phi is None and trace.converged
+        want = blr.fit(instances, method=method)
+        assert np.array_equal(q.mu, want.mu) and np.array_equal(q.sigma, want.sigma)
+
 
 class TestPredictLoglik:
     def test_balanced_point_gives_log_half(self):
@@ -285,6 +302,10 @@ class TestBlrPrior:
         with pytest.raises(ValueError, match="symmetric"):
             blr.BlrPrior(np.zeros(2), np.array([[1.0, 0.5], [0.2, 1.0]]))
 
+    def test_rejects_mean_and_covariance_of_different_sizes(self):
+        with pytest.raises(ValueError, match="disagree"):
+            blr.BlrPrior(np.zeros(2), np.eye(3))
+
 
 class TestHierPrior:
     @pytest.mark.parametrize("which", ["phi0", "phi1"])
@@ -301,6 +322,10 @@ class TestHierPrior:
     def test_rejects_non_finite_degrees_of_freedom(self, nu):
         with pytest.raises(ValueError, match="degrees of freedom"):
             blr.HierPrior(nu=nu, phi0=np.eye(2), phi1=np.eye(2))
+
+    def test_rejects_scales_of_different_shapes(self):
+        with pytest.raises(ValueError, match="equal size"):
+            blr.HierPrior(nu=102.0, phi0=np.eye(2), phi1=np.eye(3))
 
 
 class TestHierarchicalFit:
@@ -389,6 +414,11 @@ class TestHierarchicalFit:
         with pytest.raises(ValueError):
             blr.fit_hierarchical([[make_instance([1.0], 1)], []])
 
+    def test_rejects_tasks_of_different_dimension(self):
+        tasks = [[make_instance([1.0, 2.0], 1)], [make_instance([1.0], 0)]]
+        with pytest.raises(ValueError, match="inconsistent covariate dimensions"):
+            blr.fit_hierarchical(tasks)
+
 
 def logistic_oracle(task, prior, theta, shift=None):
     """One task's f or, given a shift, its delta profile g = f + (log|Sigma|
@@ -468,9 +498,9 @@ class TestPackedTasks:
             hessian = (lambda t: -logistic_oracle(task, prior, t)[2]) if shift is None else (
                 lambda t: profile_hessian(objective, t))
             want = trust_exact_argmax(objective, hessian, np.zeros(3))
-            # newton stops at grad_tol 1e-6, and these small tasks curve as
+            # newton stops at _GRAD_TOL = 1e-6, and these small tasks curve as
             # little as 0.28: the means lie up to 3.1e-7 apart
-            assert np.linalg.norm(objective(m)[1]) <= optimize.OptimizerConfig().grad_tol
+            assert np.linalg.norm(objective(m)[1]) <= optimize._GRAD_TOL
             np.testing.assert_allclose(m, want, rtol=0, atol=1e-6)
             alone = engine._refit(blr._Tasks.of([task], prior), None, np.zeros((1, 3)), method)
             assert np.array_equal(alone[0][0], m) and np.array_equal(alone[1][0], s)

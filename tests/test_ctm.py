@@ -729,6 +729,17 @@ class TestParamsValidation:
         with pytest.raises(ValueError):
             ctm.CtmParams(topics, np.zeros(3), np.eye(3))
 
+    def test_topics_must_be_a_matrix_of_two_or_more_terms(self):
+        with pytest.raises(ValueError, match="K x V matrix"):
+            ctm.CtmParams(np.full(4, 0.25), np.zeros(1), np.eye(1))
+        with pytest.raises(ValueError, match="2 terms"):
+            ctm.CtmParams(np.ones((1, 1)), np.zeros(1), np.eye(1))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_prior_mean_must_be_finite(self, entry):
+        with pytest.raises(ValueError, match="prior mean"):
+            ctm.CtmParams(np.full((2, 4), 0.25), np.array([0.0, entry]), np.eye(2))
+
     def test_prior_covariance_must_be_positive_definite(self):
         topics = np.full((2, 4), 0.25)
         for cov in (-np.eye(2), np.diag([1.0, 0.0])):

@@ -235,7 +235,9 @@ def delta_alternation(model, stats, q0):
             grad = grad + 0.5 * model.trace_grad(theta, sigma, stats)
             return value, grad, np.linalg.solve(-model.f_hessian(theta, stats), grad)
 
-        mu = optimize.maximize(objective, mu, optimize.OptimizerConfig(grad_tol=1e-12)).argmax
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(optimize, "_GRAD_TOL", 1e-12)
+            mu = optimize.maximize(objective, mu).argmax
         sigma = np.linalg.inv(-model.f_hessian(mu, stats))
         value = objective(mu)[0] + 0.5 * np.linalg.slogdet(sigma)[1]
         if value - prev < 1e-12:

@@ -55,6 +55,7 @@ class TestParseCorpus:
         ("V 3\n1 3:1", 2),            # term id out of range
         ("V 3\n1 1:0", 2),            # nonpositive count
         ("V 3\n1 0:1\n2 1:1 1:2", 3), # duplicate term id
+        ("", 1),                      # empty file
     ])
     def test_errors_carry_path_and_line(self, tmp_path, body, line):
         path = write(tmp_path / "bad.txt", body)
@@ -83,6 +84,7 @@ class TestParseLabeled:
         ("P 2\n1 0:1 0:2", 2),        # duplicate covariate
         ("P 2\n1 0:nan", 2),          # non-finite value
         ("P 2\n1 0=1", 2),            # malformed pair
+        ("P 2\n1 0:abc", 2),          # non-numeric value, past the one pass's byte test
     ])
     def test_errors_carry_path_and_line(self, tmp_path, body, line):
         path = write(tmp_path / "bad.txt", body)
@@ -267,6 +269,26 @@ class TestRoundTrips:
             with pytest.raises(dataio.ParseError) as err:
                 read(path)
             assert str(err.value).startswith(f"{path}:1:")
+
+    @pytest.mark.parametrize("read,text,line", [
+        (dataio.load_ctm_params, "", 1),
+        (dataio.load_posterior, "", 1),
+        (dataio.load_ctm_params, "two 3\n", 1),
+        (dataio.load_posterior, "1.5\n0\n1\n", 1),
+        (dataio.load_ctm_params, "1 2\n0.5 0.5 0\n0\n1\n", 2),
+        (dataio.load_posterior, "1\n0\n1 0\n", 3),
+        (dataio.load_ctm_params, "1 2\n0.5 half\n0\n1\n", 2),
+        (dataio.load_posterior, "1\nzero\n1\n", 2),
+        (dataio.load_posterior, "2\n0 nan\n1 0\n0 1\n", 2),
+        (dataio.load_posterior, "2\n0 0\n1 0\n0 -inf\n", 4),
+    ])
+    def test_malformed_matrix_files_name_their_line(self, tmp_path, read, text, line):
+        # empty, a header that is not integers, a row of the wrong width, a
+        # value that is not a number, and a posterior entry that is not finite
+        path = write(tmp_path / "m.txt", text)
+        with pytest.raises(dataio.ParseError) as err:
+            read(path)
+        assert str(err.value).startswith(f"{path}:{line}:")
 
 
 class TestMetricsCsv:
@@ -811,6 +833,64 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert "invalid model values" in err and "positive definite" in err
 
+    @pytest.mark.parametrize("method", ["laplace", "delta"])
+    def test_non_finite_prior_mean_exits_one(self, clidata, tmp_path, capsys, method):
+        model = tmp_path / "m.txt"
+        dataio.save_ctm_params(make_ctm_params(0, 2, 12), model)
+        lines = model.read_text().splitlines()
+        lines[3] = "nan " + lines[3].split()[1]  # the first prior-mean entry
+        model.write_text("\n".join(lines) + "\n")
+        assert run_cli(["eval-ctm", "--model", model, "--corpus", clidata / "corpus.txt",
+                        "--method", method, "--out", tmp_path / "s.csv"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model}:1: invalid model values") and "prior mean" in err
+
+    @pytest.mark.parametrize("entry", ["nan", "inf"])
+    def test_non_finite_posterior_exits_one(self, clidata, tmp_path, capsys, entry):
+        post = tmp_path / "q.post"
+        dataio.save_posterior(GaussianVariational(np.zeros(3), np.eye(3)), post)
+        lines = post.read_text().splitlines()
+        lines[1] = f"{entry} 0 0"  # the first mean entry
+        post.write_text("\n".join(lines) + "\n")
+        assert run_cli(["eval-blr", "--posterior", post, "--data", clidata / "train.txt",
+                        "--out", tmp_path / "s.csv"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {post}:2: non-finite value")
+        assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("command,inputs,named", [
+        ("fit-blr", {"--data": "P 3\n"}, "data"),
+        ("eval-blr", {"--posterior": "1\n0\n1\n", "--data": "P 3\n"}, "data"),
+        ("eval-blr", {"--posterior": "1\n0\n1\n", "--data": "P 3\n1 0:1\n"},
+         "posterior dimension 1 does not match data dimension 3"),
+        ("infer-unigram", {"--corpus": "V 4\n"}, "corpus"),
+        ("fit-hblr", {"--tasks": "P 3\n1 0:1\n"}, "tasks"),
+        ("fit-hblr", {"--tasks": {}}, "tasks"),
+        ("fit-hblr", {"--tasks": {"a.txt": "P 3\n1 0:1\n", "b.txt": "P 3\n"}}, "tasks/b.txt"),
+        ("fit-hblr", {"--tasks": {"a.txt": "P 3\n1 0:1\n", "b.txt": "P 2\n1 0:1\n"}},
+         "tasks/b.txt"),
+    ])
+    def test_unusable_inputs_exit_one(self, tmp_path, capsys, command, inputs, named):
+        # files without instances or documents, a posterior of another
+        # dimension, and task paths that are a file, an empty directory, or
+        # hold a task without instances or of another dimension; a dict is a
+        # directory of files, and `named` the file the error starts with, or
+        # its message where it names none
+        args = [command, "--out", tmp_path / "o"]
+        for flag, content in inputs.items():
+            path = tmp_path / flag.strip("-")
+            if isinstance(content, dict):
+                path.mkdir()
+                for name, text in content.items():
+                    (path / name).write_text(text)
+            else:
+                path.write_text(content)
+            args += [flag, path]
+        assert run_cli(args) == 1
+        err = capsys.readouterr().err
+        where = tmp_path / named
+        assert err.startswith(f"error: {where if where.exists() else named}")
+        assert not (tmp_path / "o").exists()
+
     def test_asymmetric_prior_exits_one(self, clidata, tmp_path, capsys):
         model = tmp_path / "m.txt"
         dataio.save_ctm_params(make_ctm_params(0, 2, 12), model)
@@ -886,6 +966,8 @@ class TestCliErrors:
         ("fit-hblr", ["--phi1", 0]),
         ("infer-unigram", ["--conv-tol", "nan"]),
         ("fit-hblr", ["--nu-offset", "nan"]),
+        ("fit-hblr", ["--phi0", "inf"]),
+        ("fit-hblr", ["--phi1", "inf"]),
     ])
     def test_invalid_settings_exit_one(self, clidata, tmp_path, capsys, command, flags):
         inputs = {

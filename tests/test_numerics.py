@@ -277,6 +277,11 @@ class TestSpdFactorize:
         with pytest.raises(numerics.NotPositiveDefiniteError):
             numerics.spd_factorize(np.diag([1.0, -1.0]))
 
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 2, 3)])
+    def test_rejects_matrices_that_are_not_square(self, shape):
+        with pytest.raises(ValueError, match="square"):
+            numerics.spd_factorize(np.ones(shape))
+
     def test_reads_only_the_lower_triangle(self):
         # as np.linalg.cholesky: a rounding asymmetry in a matrix the program
         # built is no error, and the upper triangle changes no bit
@@ -363,6 +368,10 @@ class TestFiniteDiffGradient:
 
         with pytest.raises(ArithmeticError):
             numerics.finite_diff_gradient(f, np.array([0.5]))
+
+    def test_rejects_a_point_that_is_not_a_vector(self):
+        with pytest.raises(ValueError, match="1-D point"):
+            numerics.finite_diff_gradient(lambda x: 0.0, np.zeros((2, 2)))
 
 
 class TestStableTransforms:

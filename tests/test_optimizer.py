@@ -4,9 +4,9 @@ rows independent of their batch, determinism, and failure modes."""
 import numpy as np
 import pytest
 
+from ncvi import optimize
 from ncvi.optimize import (
     LineSearchStallError,
-    OptimizerConfig,
     dense_direction,
     maximize,
     newton,
@@ -63,36 +63,37 @@ class TestQuadratics:
         assert res.value == pytest.approx(0.0, abs=1e-12)
         assert res.converged
 
-    def test_spd_solve_oracle(self):
+    def test_spd_solve_oracle(self, monkeypatch):
+        monkeypatch.setattr(optimize, "_GRAD_TOL", 1e-10)
+        monkeypatch.setattr(optimize, "_MAX_ITERS", 5000)
         rng = np.random.default_rng(3)
         for d in (2, 5, 20, 50):
             for trial in range(3):
                 a = random_spd(rng, d, spread=(0.5, 50.0))
                 b = rng.normal(size=d)
-                res = maximize(
-                    quadratic(a, b),
-                    np.zeros(d),
-                    OptimizerConfig(grad_tol=1e-10, max_iters=5000),
-                )
+                res = maximize(quadratic(a, b), np.zeros(d))
                 target = np.linalg.solve(a, b)
                 assert np.linalg.norm(res.argmax - target) <= 1e-8
 
-    def test_exact_in_one_step(self):
+    def test_exact_in_one_step(self, monkeypatch):
+        monkeypatch.setattr(optimize, "_GRAD_TOL", 1e-8)
         rng = np.random.default_rng(4)
         for d in (1, 2, 5, 20, 50):
             a = random_spd(rng, d, spread=(0.5, 50.0))
             b = rng.normal(size=d)
-            res = maximize(quadratic(a, b), rng.normal(size=d), OptimizerConfig(grad_tol=1e-8))
+            res = maximize(quadratic(a, b), rng.normal(size=d))
             assert res.converged and res.iterations == 1
             np.testing.assert_allclose(res.argmax, np.linalg.solve(a, b), rtol=0, atol=1e-10)
 
-    def test_extreme_curvature_one_dimensional(self):
+    def test_extreme_curvature_one_dimensional(self, monkeypatch):
+        monkeypatch.setattr(optimize, "_GRAD_TOL", 1e-10)
+        monkeypatch.setattr(optimize, "_MAX_ITERS", 200)
         for scale in (1e6, 1e-4):
             def f(x, scale=scale):
                 grad = 1.0 - scale * x
                 return float(-0.5 * scale * x @ x + x.sum()), grad, grad / scale
 
-            res = maximize(f, np.zeros(1), OptimizerConfig(grad_tol=1e-10, max_iters=200))
+            res = maximize(f, np.zeros(1))
             assert abs(res.argmax[0] - 1.0 / scale) <= 1e-8 / scale
 
 
@@ -106,19 +107,22 @@ class TestContract:
         assert res.iterations == 0
         assert res.value == 5.0
 
-    def test_values_never_decrease(self):
+    def test_values_never_decrease(self, monkeypatch):
         # iterates are deterministic, so stopping after k iterations gives
         # the k-th iterate of the full run
         rng = np.random.default_rng(5)
         for _ in range(5):
             start = rng.normal(size=2)
-            full = maximize(rosenbrock_like, start, OptimizerConfig(grad_tol=1e-10))
+            with monkeypatch.context() as patch:
+                patch.setattr(optimize, "_GRAD_TOL", 1e-10)
+                full = maximize(rosenbrock_like, start)
             assert full.converged
             np.testing.assert_allclose(full.argmax, [1.0, 1.0], atol=1e-8)
-            values = [rosenbrock_like(start)[0]] + [
-                maximize(rosenbrock_like, start, OptimizerConfig(max_iters=k)).value
-                for k in range(1, full.iterations + 1)
-            ]
+            values = [rosenbrock_like(start)[0]]
+            for k in range(1, full.iterations + 1):
+                with monkeypatch.context() as patch:
+                    patch.setattr(optimize, "_MAX_ITERS", k)
+                    values.append(maximize(rosenbrock_like, start).value)
             assert np.all(np.diff(values) >= 0.0)
 
     def test_value_never_below_start(self):
@@ -139,14 +143,14 @@ class TestContract:
         assert r1.value == r2.value
         assert r1.iterations == r2.iterations
 
-    def test_converged_flag_implies_tolerance(self):
+    def test_converged_flag_implies_tolerance(self, monkeypatch):
+        monkeypatch.setattr(optimize, "_GRAD_TOL", 1e-7)
         rng = np.random.default_rng(8)
         a = random_spd(rng, 5)
         b = rng.normal(size=5)
-        cfg = OptimizerConfig(grad_tol=1e-7)
-        res = maximize(quadratic(a, b), np.zeros(5), cfg)
+        res = maximize(quadratic(a, b), np.zeros(5))
         assert res.converged
-        assert res.grad_norm <= cfg.grad_tol
+        assert res.grad_norm <= 1e-7
 
     def test_warm_start_near_optimum_stays_put(self):
         rng = np.random.default_rng(9)
@@ -180,7 +184,7 @@ class TestBatchedRows:
 
         res = newton(evaluate, np.array([[1.0, -1.0], [0.0, 0.0]]))
         assert res.converged.tolist() == [False, True]
-        assert res.iterations.tolist() == [OptimizerConfig().max_iters, 0]
+        assert res.iterations.tolist() == [optimize._MAX_ITERS, 0]
         assert 0.99 < res.argmax[0, 0] < 1.0 and res.argmax[1].tolist() == [0.0, 0.0]
 
     def test_steps_below_the_values_rounding_reach_grad_tol(self):
@@ -196,7 +200,7 @@ class TestBatchedRows:
 
         starts = 1.0 + np.random.default_rng(12).normal(scale=2e-6, size=(200, 3))
         res = newton(evaluate, starts)
-        assert np.all(res.grad_norm <= OptimizerConfig().grad_tol)
+        assert np.all(res.grad_norm <= optimize._GRAD_TOL)
 
     def test_exhausted_backtracking_raises_stall(self):
         def evaluate(x, rows):
@@ -312,6 +316,15 @@ class TestDirections:
         with pytest.raises(NonFiniteMatrixError, match="overflowed"):
             shifted_solve(lambda shift: pytest.fail("solved"), np.array([1.0, bad]))
 
+    def test_no_shift_that_gives_a_direction_raises(self):
+        # the shift grows tenfold from 1e-3 times the largest diagonal entry
+        # until it overflows, and then the search gives up
+        tried = []
+        with pytest.raises(ArithmeticError, match="no diagonal shift"):
+            shifted_solve(tried.append, np.array([1.0, -2.0]))
+        assert tried[:3] == [0.0, 2e-3, 2e-2] and np.isfinite(tried).all()
+        assert tried[-1] > 1e307
+
 
 class TestFailureModes:
     def test_nonfinite_start_is_input_error(self):
@@ -333,12 +346,6 @@ class TestFailureModes:
         best = exc.value.best
         assert best.value == -1.0 and best.iterations == 1 and not best.converged
         np.testing.assert_array_equal(best.argmax, [1.0])
-
-    def test_rejects_bad_config(self):
-        with pytest.raises(ValueError):
-            OptimizerConfig(grad_tol=-1.0)
-        with pytest.raises(ValueError):
-            OptimizerConfig(max_iters=0)
 
     def test_rejects_non_vector_start(self):
         with pytest.raises(ValueError):
