@@ -92,6 +92,8 @@ class HierPrior:
             raise ValueError(f"Wishart degrees of freedom must be finite and exceed {p - 1}")
         for name, m in (("phi0", phi0), ("phi1", phi1)):
             inv = numerics._factorize_input(m, name).inverse()
+            if not np.all(np.isfinite(inv)):
+                raise ValueError(f"{name} is too small: its inverse overflows")
             object.__setattr__(self, name, m)
             object.__setattr__(self, name + "_inv", inv)
 

@@ -51,6 +51,9 @@ __all__ = [
 
 _BETA_SMOOTH = 1e-8
 _COV_RIDGE = 1e-6
+# longest delta-profile Newton step in any logit: 40 takes a proportion past
+# rounding (exp(-37)); under a wide prior the profile's own step is far longer
+_MAX_STEP = 40.0
 
 
 @dataclass(frozen=True)
@@ -124,40 +127,60 @@ def _value_grad(theta, stats, params: CtmParams):
     return value, stats - pi * stats.sum(axis=1, keepdims=True) - pull, pi
 
 
-def _hessian(pi, stats, params: CtmParams):
-    """Hessian of f per document: n (pi pi' - diag pi) - prior precision."""
+def _centered(pi):
+    """e_i - pi as row i per document, (D, K, K), which the functions below
+    take as `e` or form: pi's Jacobian is pi_i (e_i - pi)'.  Its diagonal
+    sums the other proportions: exact where pi_i rounds to 1."""
+    k = pi.shape[1]
+    out = np.eye(k) - pi[:, None, :]
+    out.reshape(len(pi), -1)[:, ::k + 1] = np.einsum("dj,jk->dk", pi, 1.0 - np.eye(k))
+    return out
+
+
+def _hessian(pi, stats, params: CtmParams, e=None):
+    """Hessian of f per document: -n (diag pi - pi pi') - prior precision."""
+    e = _centered(pi) if e is None else e
     n = stats.sum(axis=1)[:, None, None]
-    outer = pi[:, :, None] * pi[:, None, :]
-    return n * (outer - pi[:, :, None] * np.eye(pi.shape[1])) - params.prior_inv
+    return -n * (pi[:, :, None] * e) - params.prior_inv
 
 
-def _trace_grad(pi, stats, sig):
-    """Gradient of theta -> Tr{Hessian f(theta) diag(sig)} per document."""
-    slope = (2.0 * pi - 1.0) * sig
+def _trace_grad(pi, stats, sig, e=None):
+    """Gradient of theta -> Tr{Hessian f(theta) diag(sig)} per document:
+    n sum_i sig_i (2 pi_i - 1) pi_i (e_i - pi)."""
+    e = _centered(pi) if e is None else e
     n = stats.sum(axis=1, keepdims=True)
-    return n * pi * (slope - np.sum(pi * slope, axis=1, keepdims=True))
+    return n * np.einsum("di,dij->dj", sig * (2.0 * pi - 1.0) * pi, e)
 
 
-def _trace_hessian(pi, stats, sig):
-    """Hessian of theta -> Tr{Hessian f(theta) diag(sig)} per document."""
-    slope = (2.0 * pi - 1.0) * sig
-    lift = pi * (slope - np.sum(pi * slope, axis=1, keepdims=True) + 2.0 * sig * pi)
-    cross = lift[:, :, None] * pi[:, None, :]
-    spread = 2.0 * np.sum(sig * pi * pi, axis=1)[:, None, None] * (pi[:, :, None] * pi[:, None, :])
-    hess = lift[:, :, None] * np.eye(pi.shape[1]) - cross - cross.transpose(0, 2, 1) + spread
-    return stats.sum(axis=1)[:, None, None] * hess
+def _trace_hessian(pi, stats, sig, e=None):
+    """Hessian of theta -> Tr{Hessian f(theta) diag(sig)} per document:
+    -n sum_i sig_i pi_i [(1 - 4 pi_i) (e_i - pi)(e_i - pi)' - (1 - 2 pi_i) J],
+    J = diag pi - pi pi'.  Each term stays small where sig_i is huge."""
+    e = _centered(pi) if e is None else e
+    n = stats.sum(axis=1)[:, None, None]
+    outer = np.einsum("di,dij,dik->djk", sig * (1.0 - 4.0 * pi) * pi, e, e)
+    lift = np.sum(sig * (1.0 - 2.0 * pi) * pi, axis=1)[:, None, None]
+    # exactly symmetric, as (pi_i e_ij) is: J_ij = -pi_i pi_j off the diagonal
+    return -n * (0.5 * (outer + outer.transpose(0, 2, 1)) - lift * (pi[:, :, None] * e))
 
 
-def _profile_neg_hessian(pi, stats, sig, neg_hess):
+def _profile_neg_hessian(pi, stats, sig, neg_hess, e=None):
     """-Hessian of the delta profile per document at Sigma(theta) = diag(sig),
     sig_i = 1/(shift - h_ii), given f's: the fixed-Sigma matrix minus
     sum_i sig_i^2 grad h_ii grad h_ii'/2, grad h_ii = n (2 pi_i - 1) pi_i (e_i - pi)."""
+    e = _centered(pi) if e is None else e
     n = stats.sum(axis=1)[:, None, None]
-    grad_h = n * ((2.0 * pi - 1.0) * pi)[:, :, None] * (np.eye(pi.shape[1]) - pi[:, None, :])
-    # sig^2 overflows where -h_ii + shift < 1e-154: dense_direction then fails
-    with np.errstate(over="ignore", invalid="ignore"):
-        moved = np.einsum("di,dij,dik->djk", sig * sig, grad_h, grad_h)
-    return neg_hess - 0.5 * (_trace_hessian(pi, stats, sig) + moved)
+    # sig_i grad h_ii, each entry at most 1 in size: sig^2 alone overflows
+    # where -h_ii + shift < 1e-154, as pi saturates under a wide prior
+    scaled = n * (sig * (2.0 * pi - 1.0) * pi)[:, :, None] * e
+    moved = np.einsum("dij,dik->djk", scaled, scaled)
+    return neg_hess - 0.5 * (_trace_hessian(pi, stats, sig, e) + moved)
+
+
+def _bounded(direction):
+    """Each row of `direction` scaled down to at most _MAX_STEP in any entry."""
+    size = np.max(np.abs(direction), axis=1, keepdims=True)
+    return direction * (_MAX_STEP / np.maximum(size, _MAX_STEP))
 
 
 def _assignments(mu, doc, log_beta):
@@ -227,11 +250,13 @@ class CtmDocModel(ModelContract):
         return _trace_grad(self._pi(theta), stats.values[None, :], sig_diag[None, :])[0]
 
     def newton_direction(self, theta, stats: ExpectedStats, grad, sigma=None) -> np.ndarray:
-        """For the delta profile, its exact -Hessian where positive definite."""
+        """For the delta profile, its exact -Hessian where positive definite,
+        the step bounded to _MAX_STEP."""
         pi, s = self._pi(theta), stats.values[None, :]
         neg = -_hessian(pi, s, self._params)
         exact = neg if sigma is None else _profile_neg_hessian(pi, s, np.diag(sigma)[None, :], neg)
-        return optimize.dense_direction(exact, neg, np.asarray(grad, dtype=float)[None])[0]
+        direction = optimize.dense_direction(exact, neg, np.asarray(grad, dtype=float)[None])
+        return (direction if sigma is None else _bounded(direction))[0]
 
     def _phi(self, q_z: ConjugateVariational) -> np.ndarray:  # public phi is (terms, K)
         return np.ascontiguousarray(np.asarray(q_z.phi, dtype=float).reshape(-1, self.dim).T)
@@ -286,14 +311,16 @@ class _Docs:
         def evaluate(theta, rows):
             s = stats[rows]
             value, grad, pi = _value_grad(theta, s, self.params)
-            neg = -_hessian(pi, s, self.params)
+            e = _centered(pi)
+            neg = -_hessian(pi, s, self.params, e)
             if shift is None:
                 return value, grad, np.linalg.solve(neg, grad[:, :, None])[:, :, 0]
             sig = 1.0 / (np.diagonal(neg, axis1=1, axis2=2) + shift)
             log_det = np.sum(np.log(sig), axis=1)
             value = value + 0.5 * (log_det - theta.shape[1])
-            grad = grad + 0.5 * _trace_grad(pi, s, sig)
-            direction = optimize.dense_direction(_profile_neg_hessian(pi, s, sig, neg), neg, grad)
+            grad = grad + 0.5 * _trace_grad(pi, s, sig, e)
+            exact = _profile_neg_hessian(pi, s, sig, neg, e)
+            direction = _bounded(optimize.dense_direction(exact, neg, grad))
             return value, grad, direction, sig[:, :, None] * np.eye(theta.shape[1]), log_det
 
         return evaluate
@@ -406,8 +433,9 @@ def em_fit(
 ) -> CtmFit:
     """Variational EM: per-document inference, then topic and prior refits.
 
-    Topics are seeded from symmetric Dirichlet draws.  The reported objective
-    per EM iteration is the approximate data bound summed over documents.
+    Topics start from Dirichlet(1) rows drawn by numerics.uniforms at `seed`
+    (the same start on every numpy).  The reported objective per EM
+    iteration is the approximate data bound summed over documents.
     """
     if not documents:
         raise ValueError("cannot fit a topic model to an empty corpus")
@@ -424,9 +452,9 @@ def em_fit(
     live = np.bincount(doc, minlength=num_docs) > 0
     term_index = _sum_index(ids, vocab_size, num_topics)
 
-    rng = np.random.default_rng(seed)
-    topics = rng.dirichlet(np.ones(vocab_size), size=num_topics)
-    topics = np.maximum(topics, _BETA_SMOOTH)
+    # Dirichlet(1) rows: normalized exponentials -log(1 - u)
+    topics = -np.log1p(-numerics.uniforms(seed, num_topics * vocab_size)).reshape(num_topics, -1)
+    topics = np.maximum(topics / topics.sum(axis=1, keepdims=True), _BETA_SMOOTH)
     topics /= topics.sum(axis=1, keepdims=True)
     params = CtmParams(topics, np.zeros(num_topics), np.eye(num_topics))
 

@@ -217,11 +217,13 @@ def _squarem(rows, path, plain, change, reach, method: str):
     change, kept = change.copy(), np.zeros(len(x), dtype=bool)
     for ran, trial in _stabilize(rows, x, plain.sigma, method):
         moved = np.einsum("dk,dk->d", trial.mu - x[ran], mu2[ran] - mu1[ran])
-        for j, i in enumerate(ran):
-            if trial.objective[j] >= plain.objective[i] and moved[j] >= 0.0:
-                for field, new in zip(point, trial):
-                    field[i] = new[j]
-                change[i], kept[i] = np.linalg.norm(trial.mu[j] - x[i]), True
+        j = np.flatnonzero((trial.objective >= plain.objective[ran]) & (moved >= 0.0))
+        i = ran[j]
+        for field, new in zip(point, trial):  # a list, as _ModelRows has, row by row
+            for a, b in zip(i, j) if isinstance(field, list) else [(i, j)]:
+                field[a] = new[b]
+        change[i] = [np.linalg.norm(trial.mu[b] - x[a]) for a, b in zip(i, j)]
+        kept[i] = True
     grown = np.where(alpha == -reach, _REACH_GROWTH * reach, reach)
     return point, change, np.where(kept, grown, np.maximum(reach / _REACH_GROWTH, 1.0))
 
@@ -262,11 +264,12 @@ def _ascend(rows, mu, stats, cfg: InferenceConfig, traces: list[InferenceTrace])
             path, stats = [point.mu], point.stats
             record = np.ones(len(active), dtype=bool)
         seconds = time.perf_counter() - start
-        for i in np.flatnonzero(record):
-            d = active[i]
-            mu[d], sigma[d], objective[d] = point.mu[i], point.sigma[i], point.objective[i]
-            traces[d].append(TraceRecord(maps, float(point.objective[i]), float(change[i]), seconds))
-            traces[d].converged = bool(change[i] < cfg.conv_tol and point.converged[i])
+        i = np.flatnonzero(record)
+        mu[active[i]], objective[active[i]] = point.mu[i], point.objective[i]
+        for j, d in zip(i, active[i]):
+            sigma[d] = point.sigma[j]
+            traces[d].append(TraceRecord(maps, float(point.objective[j]), float(change[j]), seconds))
+            traces[d].converged = bool(change[j] < cfg.conv_tol and point.converged[j])
         keep = np.flatnonzero((change >= cfg.conv_tol) & (maps < cfg.max_outer_iters))
         if not keep.size:
             return mu, sigma, objective

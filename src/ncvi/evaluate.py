@@ -62,8 +62,9 @@ class MetricReport:
 def split_document(doc: Document, seed) -> tuple[Document, Document]:
     """Partition a document's token multiset into two shuffled halves.
 
-    Sizes differ by at most one.  Deterministic in the seed, which may be an
-    integer or a tuple fed to the generator's seed sequence.
+    Sizes differ by at most one.  The tokens are ordered by numerics.uniforms
+    at the seed, a non-negative integer or a tuple of them, so the halves
+    depend on the seed alone, on every numpy.
     """
     total = doc.total()
     if total < 2:
@@ -71,8 +72,7 @@ def split_document(doc: Document, seed) -> tuple[Document, Document]:
     tokens = np.repeat(
         [idx for idx, _ in doc.items()], [c for _, c in doc.items()]
     )
-    rng = np.random.default_rng(seed)
-    rng.shuffle(tokens)
+    tokens = tokens[np.argsort(numerics.uniforms(seed, total), kind="stable")]
     cut = (total + 1) // 2
     first, second = tokens[:cut], tokens[cut:]
 

@@ -5,7 +5,8 @@ of Cephes, which scipy.special wraps; it raises ValueError for a non-finite
 or non-positive argument.  The sigmoids are numpy too.  Both give a Python
 float for a scalar or 0-d argument and keep an array's shape.  The SPD
 matrices are dense Cholesky factors from numpy, of one matrix or of a
-stack, or diagonal plus rank one.  Everything here is stateless.
+stack, or diagonal plus rank one.  Seeded uniforms come from the standard
+library's `random`.  Everything here is stateless.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ __all__ = [
     "spd_factorize",
     "spd_factorize_each",
     "finite_diff_gradient",
+    "uniforms",
 ]
 
 
@@ -305,3 +307,16 @@ def finite_diff_gradient(f, x: np.ndarray) -> np.ndarray:
             )
         g[i] = (hi - lo) / (2.0 * steps[i])
     return g
+
+
+def uniforms(seed, n: int) -> np.ndarray:
+    """n draws on [0, 1) of `random.Random(repr(seed)).random()`, a sequence
+    Python keeps for a seed: a non-negative int or a tuple of them (an int
+    and a tuple never share a stream)."""
+    import random
+
+    parts = seed if isinstance(seed, tuple) else (seed,)
+    if not all(isinstance(s, int) and s >= 0 for s in parts):
+        raise ValueError(f"seed {seed!r} must be a non-negative integer or a tuple of them")
+    draw = random.Random(repr(seed)).random
+    return np.fromiter((draw() for _ in range(n)), float, n)

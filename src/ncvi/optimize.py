@@ -103,23 +103,25 @@ def newton(evaluate, x) -> OptimResult:
         # one rounding unit of slack: a step whose predicted gain is below
         # the value's rounding passes or fails on its last bits otherwise
         armijo_floor = value - _rounding(value)
-        step = np.ones(rows.size)
-        trial, new_grad, new_dir = (np.empty_like(grad) for _ in range(3))
-        new_value = np.empty_like(value)
-        todo = np.arange(rows.size)
-        for _ in range(_MAX_SHRINKS + 1):
-            trial[todo] = x[rows[todo]] + step[todo, None] * direction[todo]
+        # the full step for every row at once; only rejected rows halve it
+        trial = x[rows] + direction
+        new_value, new_grad, new_dir, *e = evaluate(trial, rows)
+        for kept, part in zip(extras, e):
+            kept[rows] = part
+        todo = np.flatnonzero(~_passes(new_value, new_grad, armijo_floor + _ARMIJO_C * slope))
+        step = 1.0
+        for _ in range(_MAX_SHRINKS):
+            if not todo.size:
+                break
+            step *= _SHRINK
+            trial[todo] = x[rows[todo]] + step * direction[todo]
             v, g, d, *e = evaluate(trial[todo], rows[todo])
-            ok = np.isfinite(v) & np.all(np.isfinite(g), axis=1)
-            ok &= v >= armijo_floor[todo] + _ARMIJO_C * step[todo] * slope[todo]
+            ok = _passes(v, g, armijo_floor[todo] + _ARMIJO_C * step * slope[todo])
             new_value[todo[ok]], new_grad[todo[ok]], new_dir[todo[ok]] = v[ok], g[ok], d[ok]
             for kept, part in zip(extras, e):
                 kept[rows[todo[ok]]] = part[ok]
             todo = todo[~ok]
-            if not todo.size:
-                break
-            step[todo] *= _SHRINK
-        else:
+        if todo.size:
             bad = todo[0]
             raise LineSearchStallError(OptimResult(
                 x[rows[bad]], float(value[bad]), float(_row_norms(grad[bad, None])[0]), it, False
@@ -132,6 +134,10 @@ def newton(evaluate, x) -> OptimResult:
         run = (new_value > value) & (new_norm > _GRAD_TOL)
         value, grad, direction = new_value, new_grad, new_dir
     return OptimResult(x, final_value, grad_norm, iterations, converged, extras)
+
+
+def _passes(value, grad, bound):
+    return np.isfinite(value) & np.all(np.isfinite(grad), axis=1) & (value >= bound)
 
 
 def _row_norms(grad):

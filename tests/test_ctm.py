@@ -362,7 +362,8 @@ class TestBatchInference:
     def test_delta_sigma_keeps_the_inverse_diagonal_bits(self, monkeypatch):
         # the profile's Sigma = diag(1 / (shift - h_ii)) at pi = exp(eta),
         # shift 0, from the evaluation that accepted each mean: no
-        # covariance call, and h_ii = n (pi_i^2 - pi_i) - (Sigma0^{-1})_ii
+        # covariance call, and h_ii = -n pi_i (1 - pi_i) - (Sigma0^{-1})_ii,
+        # 1 - pi_i the sum of the other proportions
         params = make_ctm_params(25, 5, 30)
         stats = np.random.default_rng(27).integers(0, 40, size=(8, 5)).astype(float)
         rows = ctm._Docs(params, counts=None, log_beta=None, doc=None, num_docs=8)
@@ -370,7 +371,8 @@ class TestBatchInference:
         mu, sigma, log_det, _ = engine._refit(rows, stats, np.zeros((8, 5)), "delta")
         top = mu.max(axis=1, keepdims=True)
         pi = np.exp(mu - (np.log(np.sum(np.exp(mu - top), axis=1, keepdims=True)) + top))
-        h = stats.sum(axis=1, keepdims=True) * (pi * pi - pi) - np.diagonal(params.prior_inv)
+        rest = np.einsum("dj,jk->dk", pi, 1.0 - np.eye(5))
+        h = -stats.sum(axis=1, keepdims=True) * (pi * rest) - np.diagonal(params.prior_inv)
         sig = 1.0 / (0.0 - h)
         assert np.array_equal(sigma, sig[:, :, None] * np.eye(5))
         assert np.array_equal(log_det, np.sum(np.log(sig), axis=1))
@@ -555,10 +557,7 @@ class TestEmFit:
         fit = ctm.em_fit(docs, 15, 3, cfg, em_iters=1, seed=3)
 
         # the seeded start of em_fit, then its E-step document by document
-        topics = np.random.default_rng(3).dirichlet(np.ones(15), size=3)
-        topics = np.maximum(topics, ctm._BETA_SMOOTH)
-        topics /= topics.sum(axis=1, keepdims=True)
-        start = ctm.CtmParams(topics, np.zeros(3), np.eye(3))
+        start = seeded_start(15, 3, 3)
         states = [state for state, _ in ctm.infer_docs(start, docs, cfg)]
         bound = 0.0
         beta_acc = np.zeros((3, 15))
@@ -601,12 +600,29 @@ class TestEmFit:
             ctm.em_fit([Document({0: 1, 10**12: 1})], 3, 2)
 
 
+def seeded_topics(vocab_size, num_topics, seed):
+    """The topics em_fit starts from: Dirichlet(1) rows, normalized
+    exponentials -log(1 - u) of the seed's uniforms, floored."""
+    u = numerics.uniforms(seed, num_topics * vocab_size).reshape(num_topics, vocab_size)
+    topics = -np.log1p(-u)
+    topics = np.maximum(topics / topics.sum(axis=1, keepdims=True), ctm._BETA_SMOOTH)
+    return topics / topics.sum(axis=1, keepdims=True)
+
+
 def seeded_start(vocab_size, num_topics, seed):
     """The parameters em_fit starts from."""
-    topics = np.random.default_rng(seed).dirichlet(np.ones(vocab_size), size=num_topics)
-    topics = np.maximum(topics, ctm._BETA_SMOOTH)
-    return ctm.CtmParams(topics / topics.sum(axis=1, keepdims=True),
-                         np.zeros(num_topics), np.eye(num_topics))
+    topics = seeded_topics(vocab_size, num_topics, seed)
+    return ctm.CtmParams(topics, np.zeros(num_topics), np.eye(num_topics))
+
+
+def test_seeded_topics_are_dirichlet_one_rows():
+    # Dirichlet(1) on V = 4: each entry has mean 1/4 and variance
+    # (1/4)(3/4)/5 = 0.0375; over 20,000 rows each entry's mean lies within
+    # 4 standard errors (0.0055) of 1/4, and its variance within 5%
+    topics = seeded_topics(4, 20_000, 8)
+    np.testing.assert_allclose(topics.sum(axis=1), 1.0, rtol=1e-15)
+    np.testing.assert_allclose(topics.mean(axis=0), 0.25, atol=0.0055)
+    np.testing.assert_allclose(topics.var(axis=0), 0.0375, rtol=0.05)
 
 
 class TestTermLayout:

@@ -37,6 +37,32 @@ class TestSplitDocument:
             merged[idx] = merged.get(idx, 0) + c
         assert merged == doc.counts
 
+    def test_shuffle_is_a_permutation_of_the_tokens(self):
+        doc = Document({0: 3, 2: 5, 7: 2, 9: 1})
+        tokens = sorted(i for i, c in doc.items() for _ in range(c))
+        orders = set()
+        for seed in range(20):
+            first, second = evaluate.split_document(doc, seed)
+            halves = [i for half in (first, second) for i, c in half.items() for _ in range(c)]
+            assert sorted(halves) == tokens
+            orders.add(tuple(sorted(first.counts.items())))
+        assert len(orders) > 5
+
+    def test_heldout_corpus_scores_the_halves_of_seed_and_position(self, monkeypatch):
+        # perfbench's oracle splits document pos with (42, pos) to score the
+        # same second halves as eval-ctm; a skipped document keeps its position
+        params = make_ctm_params(0, 2, 12)
+        docs = make_ctm_corpus(1, params, 5, tokens_per_doc=20)
+        docs[2:2] = [Document({3: 1})]
+        scored = []
+        monkeypatch.setattr(evaluate, "_score_halves",
+                            lambda p, halves, cfg: scored.extend(halves) or [0.0] * len(halves))
+        report = evaluate.heldout_corpus(params, docs)
+        assert evaluate.DEFAULT_SPLIT_SEED == 42
+        want = [evaluate.split_document(d, (42, pos)) for pos, d in enumerate(docs) if pos != 2]
+        assert report.unit_ids == ("doc0", "doc1", "doc3", "doc4", "doc5")
+        assert [(a.counts, b.counts) for a, b in scored] == [(a.counts, b.counts) for a, b in want]
+
     def test_too_short_documents_are_skipped(self):
         with pytest.raises(evaluate.SkipDocument):
             evaluate.split_document(Document({0: 1}), 0)

@@ -734,21 +734,35 @@ class TestExtremeInputs:
 
         self.clean_exit(code, capsys, outputs_finite)
 
+    @staticmethod
+    def wide_prior_delta_scores(tmp_path, corpus):
+        """eval-ctm --method delta under a prior variance of 1e200: its exit
+        code and the per-document scores it wrote."""
+        params = make_ctm_params(0, 2, 12)
+        model, out = tmp_path / "m.txt", tmp_path / "s.csv"
+        dataio.save_ctm_params(
+            ctm.CtmParams(params.topics, params.prior_mean, 1e200 * np.eye(2)), model)
+        code = run_cli(["eval-ctm", "--model", model, "--corpus", corpus,
+                        "--method", "delta", "--out", out])
+        return code, [float(line.rsplit(",", 1)[1]) for line in out.read_text().splitlines()
+                      if line.startswith("doc")]
+
     def test_wide_prior_ctm_delta_scores_every_document(self, tmp_path):
         # a prior variance of 1e200 leaves f's -H singular along the all-ones
         # direction, and the profile's exact -Hessian with it: the delta
         # ascent steps on -H shifted until positive definite
-        params = make_ctm_params(0, 2, 12)
-        docs = make_ctm_corpus(1, params, 5, tokens_per_doc=20)
-        model, out = tmp_path / "m.txt", tmp_path / "s.csv"
-        dataio.save_ctm_params(
-            ctm.CtmParams(params.topics, params.prior_mean, 1e200 * np.eye(2)), model)
+        docs = make_ctm_corpus(1, make_ctm_params(0, 2, 12), 5, tokens_per_doc=20)
         corpus = write(tmp_path / "c.txt", corpus_text(12, [d.counts for d in docs]))
-        assert run_cli(["eval-ctm", "--model", model, "--corpus", corpus,
-                        "--method", "delta", "--out", out]) == 0
-        scores = [float(line.rsplit(",", 1)[1]) for line in out.read_text().splitlines()
-                  if line.startswith("doc")]
-        assert len(scores) == 5 and np.all(np.isfinite(scores))
+        code, scores = self.wide_prior_delta_scores(tmp_path, corpus)
+        assert code == 0 and len(scores) == 5 and np.all(np.isfinite(scores))
+
+    def test_wide_prior_ctm_delta_scores_the_cli_corpus(self, clidata, tmp_path):
+        # a topic whose expected count in a half is below 1 makes the delta
+        # profile rise as pi saturates, up to where sig meets the prior's
+        # 1e200: the profile's maths stays finite there (it overflowed sig^2
+        # once) and its steps are bounded, so every document scores
+        code, scores = self.wide_prior_delta_scores(tmp_path, clidata / "corpus.txt")
+        assert code == 0 and len(scores) == 10 and np.all(np.isfinite(scores))
 
     @staticmethod
     def infer_unigram(tmp_path, capsys, text, method):
@@ -915,18 +929,16 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert "numerical failure" in err and "overflowed" in err
 
-    @pytest.mark.parametrize("method", ["laplace", "delta"])
-    def test_singular_newton_matrix_exits_two(self, clidata, tmp_path, capsys, method):
+    def test_singular_newton_matrix_exits_two(self, clidata, tmp_path, capsys):
         # a prior variance of 1e200 leaves -H singular along the all-ones
         # direction, where softmax is flat: laplace's LU solve of -H raises
-        # LinAlgError, and delta's shifted steps saturate pi until sig^2
-        # overflows the profile's exact -Hessian
+        # LinAlgError (delta scores this input: TestExtremeInputs)
         params = make_ctm_params(0, 2, 12)
         model = tmp_path / "m.txt"
         dataio.save_ctm_params(
             ctm.CtmParams(params.topics, params.prior_mean, 1e200 * np.eye(2)), model)
         assert run_cli(["eval-ctm", "--model", model, "--corpus", clidata / "corpus.txt",
-                        "--method", method, "--out", tmp_path / "s.csv"]) == 2
+                        "--out", tmp_path / "s.csv"]) == 2
         assert "numerical failure" in capsys.readouterr().err
 
     @pytest.mark.parametrize("names,clash", [
@@ -968,16 +980,28 @@ class TestCliErrors:
         ("fit-hblr", ["--nu-offset", "nan"]),
         ("fit-hblr", ["--phi0", "inf"]),
         ("fit-hblr", ["--phi1", "inf"]),
+        # subnormal scales, whose inverses overflow
+        ("fit-hblr", ["--phi0", "1e-320"]),
+        ("fit-hblr", ["--phi1", "1e-320"]),
+        ("fit-ctm", ["--seed", -1]),
+        ("eval-ctm", ["--seed", -1]),
     ])
     def test_invalid_settings_exit_one(self, clidata, tmp_path, capsys, command, flags):
+        model = tmp_path / "m.txt"
+        dataio.save_ctm_params(make_ctm_params(0, 2, 12), model)
         inputs = {
             "fit-blr": ["--data", clidata / "train.txt"],
             "fit-ctm": ["--corpus", clidata / "corpus.txt", "--k", 2],
+            "eval-ctm": ["--model", model, "--corpus", clidata / "corpus.txt"],
             "fit-hblr": ["--tasks", clidata / "tasks"],
             "infer-unigram": ["--corpus", clidata / "corpus.txt"],
         }
         assert run_cli([command, *inputs[command], "--out", tmp_path / "o", *flags]) == 1
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err
+        # the message names the setting; the Wishart check names nu, not the offset
+        if flags[0] != "--nu-offset":
+            assert flags[0].lstrip("-").replace("-", "_") in err.replace("-", "_")
 
     def test_numerical_failure_exits_two(self, clidata, tmp_path, capsys,
                                          monkeypatch):

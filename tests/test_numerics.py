@@ -374,6 +374,31 @@ class TestFiniteDiffGradient:
             numerics.finite_diff_gradient(lambda x: 0.0, np.zeros((2, 2)))
 
 
+class TestUniforms:
+    def test_a_seed_fixes_its_draws(self):
+        a = numerics.uniforms(7, 200)
+        assert a.shape == (200,) and np.all((a >= 0.0) & (a < 1.0))
+        assert np.array_equal(a, numerics.uniforms(7, 200))
+        assert not np.array_equal(a, numerics.uniforms(8, 200))
+
+    def test_the_stream_is_pythons_for_the_seeds_repr(self):
+        # random.Random(str).random(): a sequence Python keeps for a seed
+        import random
+
+        draw = random.Random("(42, 3)").random
+        assert numerics.uniforms((42, 3), 5).tolist() == [draw() for _ in range(5)]
+
+    def test_int_and_tuple_seeds_never_share_a_stream(self):
+        seeds = [5, (5,), (5, 0), (0, 5), 50, (50,)]
+        draws = [numerics.uniforms(seed, 20).tolist() for seed in seeds]
+        assert all(draws[i] != draws[j] for i in range(len(seeds)) for j in range(i))
+
+    @pytest.mark.parametrize("seed", [-1, (42, -1), 1.5, "7", (1, (2,))])
+    def test_rejects_seeds_that_are_not_non_negative_integers(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            numerics.uniforms(seed, 3)
+
+
 class TestStableTransforms:
     def test_softmax_shift_invariance(self):
         rng = np.random.default_rng(2)

@@ -250,6 +250,22 @@ class TestCarriedArrays:
             for kept, want in zip(res.extras, fresh):
                 assert np.array_equal(kept[r], want[0])
 
+    def test_only_rejected_rows_are_evaluated_again(self):
+        # Newton steps 1, 2 and 4 times too long on -x^2/2: row 0 lands on
+        # the mode, row 1 after one halving and row 2 after two; row 3 starts
+        # there and never runs.  An iteration's first trial gets every
+        # running row, each halving the rows that failed
+        scale, calls = np.array([1.0, 2.0, 4.0, 1.0]), []
+
+        def evaluate(x, rows):
+            calls.append(rows.tolist())
+            return -0.5 * x[:, 0] ** 2, -x, -scale[rows, None] * x
+
+        res = newton(evaluate, np.array([[1.0], [1.0], [1.0], [0.0]]))
+        assert calls == [[0, 1, 2, 3], [0, 1, 2], [1, 2], [2]]
+        assert np.array_equal(res.argmax, np.zeros((4, 1))) and res.converged.all()
+        assert res.iterations.tolist() == [1, 1, 1, 0]
+
     def test_three_arrays_carry_nothing(self):
         res = newton(lambda x, rows: _three_rows(x, rows)[:3], np.array([[1.0], [2.0], [3.0]]))
         assert res.extras == ()
